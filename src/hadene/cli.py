@@ -16,6 +16,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 import time
@@ -105,8 +106,15 @@ def _parse_samples(text: str) -> list[complex]:
     samples = []
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if chunk:
-            samples.append(complex(chunk.replace("i", "j")))
+        if not chunk:
+            continue
+        try:
+            z = complex(chunk.replace("i", "j"))
+        except ValueError:
+            raise ValueError(f"sample {chunk!r} is not a complex number") from None
+        if not cmath.isfinite(z):
+            raise ValueError(f"sample {chunk!r} is not finite")
+        samples.append(z)
     if not samples:
         raise ValueError("no sample points given")
     return samples
@@ -120,22 +128,13 @@ def cmd_series(args) -> int:
     f, f_poly = series_from_doc(load_document(args.f))
     g, g_poly = series_from_doc(load_document(args.g))
     if f_poly:
-        f = _pad(f, job.order)
+        f = f.pad(job.order)
     if g_poly:
-        g = _pad(g, job.order)
+        g = g.pad(job.order)
     op = {"hadamard": hadamard, "ene_exp": ene_exp, "ene": ene}[args.op]
     result = op(f.truncate(job.order), g.truncate(job.order))
     _emit(series_to_doc(result), job)
     return EXIT_OK
-
-
-def _pad(series, order: int):
-    from .series import TruncatedSeries, _ZEROS
-
-    if series.order >= order:
-        return series
-    zero = _ZEROS[series.field]
-    return TruncatedSeries(list(series.coeffs) + [zero] * (order - series.order), series.field)
 
 
 def cmd_monodromy(args) -> int:

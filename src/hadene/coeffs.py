@@ -105,23 +105,31 @@ GR_ONE = GaussianRational.of(1)
 GR_I = GaussianRational.of(0, 1)
 
 
+def parse_rational(literal) -> Fraction:
+    """Fraction(literal), with a zero denominator or an infinity as ValueError."""
+    try:
+        return Fraction(literal)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"{literal!r} is not a finite rational") from exc
+
+
 def parse_gaussian_rational(text: str) -> GaussianRational:
     """Parse "p/q", "r/si", "p/q+r/si" or "p/q-r/si" (no spaces required)."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty GaussianRational literal")
     if not s.endswith("i"):
-        return GaussianRational(Fraction(s), Fraction(0))
+        return GaussianRational(parse_rational(s), Fraction(0))
     body = s[:-1]
     # split at the sign that separates real and imaginary parts, if any
     for pos in range(len(body) - 1, 0, -1):
         if body[pos] in "+-" and body[pos - 1] not in "+-/":
             re_part, im_part = body[:pos], body[pos:]
             im_part = im_part if im_part not in ("+", "-") else im_part + "1"
-            return GaussianRational(Fraction(re_part), Fraction(im_part))
+            return GaussianRational(parse_rational(re_part), parse_rational(im_part))
     if body in ("", "+", "-"):
         body += "1"
-    return GaussianRational(Fraction(0), Fraction(body))
+    return GaussianRational(Fraction(0), parse_rational(body))
 
 
 # --- constant symbols -------------------------------------------------------

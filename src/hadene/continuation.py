@@ -273,7 +273,7 @@ class SeriesElement(AnalyticElement):
     """Truncated-series evaluation and recentering; approximate by nature.
 
     Continuation recenters the polynomial at each step, which is only as good
-    as the truncation allows; truncation_estimate reports a crude error bound.
+    as the truncation allows.
     """
 
     is_approximate = True
@@ -287,10 +287,6 @@ class SeriesElement(AnalyticElement):
 
     def principal_value(self, u: complex) -> complex:
         return _polyval(self.coeffs, u)
-
-    def truncation_estimate(self, u: complex) -> float:
-        tail = self.coeffs[-3:]
-        return max(abs(c) for c in tail) * abs(u) ** max(0, len(self.coeffs) - 3) if tail else 0.0
 
     def principal_derivative(self, u: complex) -> complex:
         return _polyval(_polyder(self.coeffs), u)
@@ -960,11 +956,6 @@ class OracleRow:
     numeric: complex | None
     abs_error: float | None
 
-    def rel_error(self) -> float | None:
-        if self.abs_error is None:
-            return None
-        return self.abs_error / (1.0 + abs(self.symbolic))
-
 
 @dataclass
 class OracleReport:
@@ -1003,6 +994,8 @@ def crosscheck(f_spec, g_spec, gamma, samples: Sequence[complex], *,
     from .logpoly import BranchPoint
     from .monodromy import hadamard_monodromy_general
 
+    if 0 not in windings:
+        raise ValueError(f"only winding 0 is measured; windings {tuple(windings)} would check nothing")
     symbolic = hadamard_monodromy_general(f_spec, g_spec, gamma)
     gamma_value = complex(symbolic.gamma)
     report = OracleReport(gamma=gamma_value, metadata={"tol": tol, "engine": "traintrack"})

@@ -9,10 +9,9 @@ pairs.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
-from .coeffs import ExactCoeff, parse_gaussian_rational, parse_symbol
+from .coeffs import ExactCoeff, parse_gaussian_rational, parse_rational, parse_symbol
 from .continuation import (
     AnalyticElement,
     LogBranchElement,
@@ -118,7 +117,7 @@ def series_from_doc(doc: Any) -> tuple[TruncatedSeries, bool]:
     _require(isinstance(raw, list) and raw, "series needs a nonempty coefficient list")
     try:
         if field == FIELD_RATIONAL:
-            coeffs = [Fraction(c) for c in raw]
+            coeffs = [parse_rational(c) for c in raw]
         elif field == FIELD_COMPLEX:
             coeffs = [complex(c[0], c[1]) for c in raw]
         else:
@@ -315,10 +314,14 @@ def oracle_report_to_doc(report: OracleReport) -> dict:
 # --- file IO --------------------------------------------------------------------------
 
 
+def _reject_constant(name: str):
+    raise DocumentError(f"{name} is not valid JSON")
+
+
 def load_document(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

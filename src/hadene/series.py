@@ -22,6 +22,7 @@ coefficients n, and the product identity used throughout is
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -108,6 +109,12 @@ class TruncatedSeries:
             return self
         return TruncatedSeries(self.coeffs[: order + 1], self.field)
 
+    def pad(self, order: int) -> "TruncatedSeries":
+        """Extend with zero coefficients up to ``order``; the inverse of truncate."""
+        if order <= self.order:
+            return self
+        return TruncatedSeries(self.coeffs + (_ZEROS[self.field],) * (order - self.order), self.field)
+
     def _require_same_field(self, other: "TruncatedSeries") -> None:
         if self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
@@ -124,19 +131,6 @@ class TruncatedSeries:
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
-
-    def cauchy_mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Ordinary series product, truncated to min(orders)."""
-        self._require_same_field(other)
-        n = min(self.order, other.order)
-        zero = _ZEROS[self.field]
-        out = [zero] * (n + 1)
-        for i in range(n + 1):
-            acc = zero
-            for j in range(i + 1):
-                acc = acc + self.coeffs[j] * other.coeffs[i - j]
-            out[i] = acc
-        return TruncatedSeries(out, self.field)
 
 
 def hadamard(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -165,32 +159,20 @@ def koebe(order: int, field: str = FIELD_RATIONAL) -> TruncatedSeries:
 
 def exp_series(f: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant term, by the F'*e = e' recurrence."""
-    zero = _ZEROS[f.field]
-    if f.coeffs[0] != zero:
+    if f.coeffs[0] != _ZEROS[f.field]:
         raise BadConstantTerm("exp_series requires c_0 = 0")
-    n = f.order
-    out = [_ONES[f.field]] + [zero] * n
-    for m in range(1, n + 1):
-        acc = zero
-        for k in range(1, m + 1):
-            acc = acc + _coerce(k, f.field) * f.coeffs[k] * out[m - k]
-        out[m] = _coerce(Fraction(1, m), f.field) * acc
-    return TruncatedSeries(out, f.field)
+    if f.field == FIELD_RATIONAL:
+        return TruncatedSeries(_exp_rational(f.coeffs), FIELD_RATIONAL)
+    return _exp_generic(f)
 
 
 def log_series(f: TruncatedSeries) -> TruncatedSeries:
     """log of a series with unit constant term; inverse of exp_series."""
     if f.coeffs[0] != _ONES[f.field]:
         raise BadConstantTerm("log_series requires c_0 = 1")
-    n = f.order
-    zero = _ZEROS[f.field]
-    out = [zero] * (n + 1)
-    for m in range(1, n + 1):
-        acc = zero
-        for k in range(1, m):
-            acc = acc + _coerce(k, f.field) * out[k] * f.coeffs[m - k]
-        out[m] = f.coeffs[m] - _coerce(Fraction(1, m), f.field) * acc
-    return TruncatedSeries(out, f.field)
+    if f.field == FIELD_RATIONAL:
+        return TruncatedSeries(_log_rational(f.coeffs), FIELD_RATIONAL)
+    return _log_generic(f)
 
 
 def ene(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -211,16 +193,137 @@ def poly_from_roots(roots: Sequence, order: int, field: str | None = None) -> Tr
         coerced.append(r)
     if field is None:
         field = FIELD_COMPLEX if any(isinstance(r, (complex, float)) for r in coerced) else FIELD_RATIONAL
-    one = _ONES[field]
-    out = TruncatedSeries([one] + [_ZEROS[field]] * order, field)
-    for r in coerced:
-        if field == FIELD_RATIONAL:
-            slope = -Fraction(1) / Fraction(r)
-        else:
-            slope = -1.0 / complex(r)
-        factor = TruncatedSeries([one, _coerce(slope, field)] + [_ZEROS[field]] * max(0, order - 1), field)
-        out = out.cauchy_mul(factor)
+    if field == FIELD_RATIONAL:
+        return TruncatedSeries(_poly_from_roots_rational(coerced, order), FIELD_RATIONAL)
+    return _poly_from_roots_generic(coerced, order, field)
+
+
+# --- kernels ---------------------------------------------------------------------------
+#
+# The generic kernels run the recurrences in the field's own arithmetic and serve
+# the complex and ExactCoeff fields.  Over the rationals the same recurrences run on
+# Python integers over a common denominator, and one Fraction is built per output
+# coefficient; the results are equal (==) to the generic ones.
+
+
+def _exp_generic(f: TruncatedSeries) -> TruncatedSeries:
+    zero = _ZEROS[f.field]
+    n = f.order
+    out = [_ONES[f.field]] + [zero] * n
+    for m in range(1, n + 1):
+        acc = zero
+        for k in range(1, m + 1):
+            acc = acc + _coerce(k, f.field) * f.coeffs[k] * out[m - k]
+        out[m] = _coerce(Fraction(1, m), f.field) * acc
+    return TruncatedSeries(out, f.field)
+
+
+def _log_generic(f: TruncatedSeries) -> TruncatedSeries:
+    n = f.order
+    zero = _ZEROS[f.field]
+    out = [zero] * (n + 1)
+    for m in range(1, n + 1):
+        acc = zero
+        for k in range(1, m):
+            acc = acc + _coerce(k, f.field) * out[k] * f.coeffs[m - k]
+        out[m] = f.coeffs[m] - _coerce(Fraction(1, m), f.field) * acc
+    return TruncatedSeries(out, f.field)
+
+
+def _poly_from_roots_generic(roots: Sequence, order: int, field: str) -> TruncatedSeries:
+    out = [_ONES[field]] + [_ZEROS[field]] * order
+    for degree, r in enumerate(roots, 1):
+        slope = -Fraction(1) / Fraction(r) if field == FIELD_RATIONAL else -1.0 / complex(r)
+        slope = _coerce(slope, field)
+        for i in range(min(degree, order), 0, -1):
+            # summed in the order of the schoolbook product by (1 + slope z)
+            out[i] = out[i - 1] * slope + out[i]
+    return TruncatedSeries(out, field)
+
+
+def _step(terms: Sequence[tuple[int, int, int]], nums: list[int], dens: list[int], m: int,
+          num: int, common: int) -> Fraction:
+    """(num/common + sum_{j<=m} t_j * nums[m-j]/dens[m-j]) / m, reduced once.
+
+    The terms are (j, numerator of t_j, denominator of t_j), sorted by j.  The sum
+    runs on integers over a common denominator that grows term by term.  It builds
+    no list of terms: freeing one such list per step left the process's resident
+    memory about 3 KB larger per exp_series call of order 64.
+    """
+    for j, tn, td in terms:
+        if j > m:
+            break
+        e = nums[m - j]
+        if e:
+            d = td * dens[m - j]
+            scale = d // math.gcd(common, d)
+            if scale != 1:
+                num *= scale
+                common *= scale
+            num += tn * e * (common // d)
+    return Fraction(num, m * common)
+
+
+def _exp_rational(a: Sequence[Fraction]) -> list[Fraction]:
+    """m E_m = sum_{k>=1} (k a_k) E_{m-k}."""
+    terms = [(k, k * c.numerator, c.denominator) for k, c in enumerate(a) if k and c]
+    out, nums, dens = [Fraction(1)], [1], [1]
+    for m in range(1, len(a)):
+        value = _step(terms, nums, dens, m, 0, 1)
+        out.append(value)
+        nums.append(value.numerator)
+        dens.append(value.denominator)
     return out
+
+
+_WORD_BITS = 64
+
+
+def _log_rational(a: Sequence[Fraction]) -> list[Fraction]:
+    """m L_m = m a_m - sum_{0<k<m} (k L_k) a_{m-k}.
+
+    With d the common denominator of the a_j and e_j = a_j d^j, the integers
+    M_m = d^m m L_m satisfy M_m = m e_m - sum_{0<k<m} M_k e_{m-k}.  They are about
+    m * bits(d) bits long whatever the size of L_m, so past a one-word d each step
+    is summed over a common denominator of its own terms instead, as in exp_series
+    (for 1 + Li_2 at N = 128, d has 367 bits and the d^m scaling is about 50 times
+    slower).
+    """
+    terms = [(j, c.numerator, c.denominator) for j, c in enumerate(a) if j and c]
+    d = math.lcm(*(c.denominator for c in a))
+    out = [Fraction(0)]
+    if d.bit_length() > _WORD_BITS:
+        nums, dens = [0], [1]   # -k L_k, unreduced by gcd(k, den L_k)
+        for m in range(1, len(a)):
+            value = _step(terms, nums, dens, m, m * a[m].numerator, a[m].denominator)
+            out.append(value)
+            nums.append(-m * value.numerator)
+            dens.append(value.denominator)
+        return out
+    e = [0] * len(a)
+    for j, jn, jd in terms:
+        e[j] = jn * d ** j // jd
+    big_m, power = [0], 1
+    for m in range(1, len(a)):
+        power *= d
+        value = m * e[m] - sum(big_m[m - j] * e[j] for j, _, _ in terms if j < m)
+        big_m.append(value)
+        out.append(Fraction(value, m * power))
+    return out
+
+
+def _poly_from_roots_rational(roots: Sequence, order: int) -> list[Fraction]:
+    """Multiply by each 1 - (q/p) z in place: c_i <- p c_i - q c_{i-1} over D <- p D."""
+    c = [1] + [0] * order
+    common = 1
+    for degree, r in enumerate(roots, 1):
+        r = Fraction(r)
+        p, q = r.numerator, r.denominator
+        for i in range(min(degree, order), 0, -1):
+            c[i] = p * c[i] - q * c[i - 1]
+        c[0] *= p
+        common *= p
+    return [Fraction(x, common) for x in c]
 
 
 def polylog_series(k: int, order: int) -> TruncatedSeries:

@@ -1,6 +1,7 @@
 """Document round trips and the command-line contract (exit codes, outputs)."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -239,6 +240,37 @@ def test_cli_verify_csv_output(tmp_path, capsys):
                  "--format", "csv", "--out", str(out)])
     assert code == 0
     assert out.read_text().startswith("z_re,z_im,winding")
+
+
+# --- CLI: inputs refused before any work --------------------------------------------------------
+
+# argv (documents named by placeholders), exit code, text the message must contain
+REFUSED_INPUTS = [
+    (["monodromy", "-f", "{li1}", "-g", "{li1}", "--gamma", "1/0"], 3, "'1/0'"),
+    (["series", "--op", "ene", "-f", "{zero_den}", "-g", "{zero_den}"], 2, "'1/0'"),
+    (["series", "--op", "hadamard", "-f", "{infinite}", "-g", "{infinite}"], 2, "Infinity"),
+    (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--winding", "1"], 3, "winding 0"),
+    (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9,nan"], 3, "'nan'"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", REFUSED_INPUTS,
+                         ids=["gamma-1/0", "series-coeff-1/0", "series-infinity", "verify-no-winding-0",
+                              "verify-nan-sample"])
+def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, message):
+    docs = {
+        "li1": write_doc(tmp_path, "li1.json", li1_function_doc()),
+        "zero_den": write_doc(tmp_path, "zero_den.json", {
+            "format": 1, "kind": "series", "field": "rational", "coeffs": ["1", "1/0"],
+        }),
+        "infinite": write_doc(tmp_path, "infinite.json", {
+            "format": 1, "kind": "series", "field": "complex", "coeffs": [[1, 0], [math.inf, 0]],
+        }),
+    }
+    assert main([arg.format(**docs) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
 
 
 # --- CLI: selftest -----------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from hadene.series import (
+    FIELD_COMPLEX,
+    FIELD_RATIONAL,
     BadConstantTerm,
     FieldMismatch,
     TruncatedSeries,
@@ -21,6 +23,7 @@ from hadene.series import (
     poly_from_roots,
     polylog_series,
 )
+from hadene.series import _exp_generic, _log_generic, _poly_from_roots_generic
 
 
 def random_rational_series(rng, order, constant=None):
@@ -80,6 +83,14 @@ def test_hadamard_truncates_to_min_order():
     f = TruncatedSeries.geometric(10)
     g = TruncatedSeries.geometric(4)
     assert hadamard(f, g).order == 4
+
+
+def test_pad_appends_zeros_and_truncate_undoes_it():
+    f = TruncatedSeries([Fraction(1), Fraction(2)])
+    padded = f.pad(4)
+    assert list(padded.coeffs) == [1, 2, 0, 0, 0]
+    assert padded.truncate(1) == f
+    assert f.pad(1) is f and f.pad(0) is f
 
 
 # --- ene_exp ------------------------------------------------------------------
@@ -225,6 +236,52 @@ def test_poly_from_no_roots_is_one():
 def test_poly_from_roots_rejects_zero():
     with pytest.raises(ZeroRoot):
         poly_from_roots([Fraction(0)], 2)
+
+
+def cauchy_product(a, b):
+    """Schoolbook truncated product, accumulated in the order of the index sum."""
+    out = []
+    for i in range(len(a)):
+        acc = 0j
+        for j in range(i + 1):
+            acc = acc + a[j] * b[i - j]
+        out.append(acc)
+    return out
+
+
+def test_complex_poly_from_roots_matches_repeated_cauchy_products():
+    rng = random.Random(10)
+    for order in (0, 1, 12):
+        roots = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(4)]
+        expected = [1 + 0j] + [0j] * order
+        for r in roots:
+            expected = cauchy_product(expected, [1 + 0j, -1.0 / r] + [0j] * order)
+        got = poly_from_roots(roots, order)
+        assert got.field == FIELD_COMPLEX
+        assert list(got.coeffs) == expected
+
+
+def test_rational_kernels_equal_the_generic_recurrences():
+    rng = random.Random(11)
+
+    def root():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 7))
+
+    for order in (0, 1, 256):
+        for count in (0, 1, 4):
+            roots = [root() for _ in range(count)]
+            poly = poly_from_roots(roots, order)
+            assert poly == _poly_from_roots_generic(roots, order, FIELD_RATIONAL)
+            assert log_series(poly) == _log_generic(poly)
+        f = random_rational_series(rng, order, constant=1)
+        assert log_series(f) == _log_generic(f)
+        g = random_rational_series(rng, order, constant=0)
+        assert exp_series(g) == _exp_generic(g)
+    # large denominators: d = lcm(1..64)^2 has 180 bits
+    li2 = polylog_series(2, 64)
+    one_plus_li2 = TruncatedSeries([Fraction(1)] + list(li2.coeffs[1:]))
+    assert log_series(one_plus_li2) == _log_generic(one_plus_li2)
+    assert exp_series(li2) == _exp_generic(li2)
 
 
 # --- polylog ------------------------------------------------------------------
