@@ -8,6 +8,7 @@ pairs.
 
 from __future__ import annotations
 
+import cmath
 import json
 from typing import Any
 
@@ -120,6 +121,8 @@ def series_from_doc(doc: Any) -> tuple[TruncatedSeries, bool]:
             coeffs = [parse_rational(c) for c in raw]
         elif field == FIELD_COMPLEX:
             coeffs = [complex(c[0], c[1]) for c in raw]
+            for n, c in enumerate(coeffs):
+                _require(cmath.isfinite(c), f"coefficient {n} is not finite")
         else:
             raise DocumentError(f"unknown series field {field!r}")
     except (TypeError, ValueError, IndexError) as exc:
@@ -329,7 +332,10 @@ def load_document(path: str) -> Any:
 
 
 def dump_document(doc: Any, path: str | None) -> str:
-    text = json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=False, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError("the result holds a number that is not finite, which JSON cannot carry") from exc
     if path:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)

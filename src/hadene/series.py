@@ -276,39 +276,15 @@ def _exp_rational(a: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
-_WORD_BITS = 64
-
-
 def _log_rational(a: Sequence[Fraction]) -> list[Fraction]:
-    """m L_m = m a_m - sum_{0<k<m} (k L_k) a_{m-k}.
-
-    With d the common denominator of the a_j and e_j = a_j d^j, the integers
-    M_m = d^m m L_m satisfy M_m = m e_m - sum_{0<k<m} M_k e_{m-k}.  They are about
-    m * bits(d) bits long whatever the size of L_m, so past a one-word d each step
-    is summed over a common denominator of its own terms instead, as in exp_series
-    (for 1 + Li_2 at N = 128, d has 367 bits and the d^m scaling is about 50 times
-    slower).
-    """
+    """m L_m = m a_m - sum_{0<k<m} (k L_k) a_{m-k}."""
     terms = [(j, c.numerator, c.denominator) for j, c in enumerate(a) if j and c]
-    d = math.lcm(*(c.denominator for c in a))
-    out = [Fraction(0)]
-    if d.bit_length() > _WORD_BITS:
-        nums, dens = [0], [1]   # -k L_k, unreduced by gcd(k, den L_k)
-        for m in range(1, len(a)):
-            value = _step(terms, nums, dens, m, m * a[m].numerator, a[m].denominator)
-            out.append(value)
-            nums.append(-m * value.numerator)
-            dens.append(value.denominator)
-        return out
-    e = [0] * len(a)
-    for j, jn, jd in terms:
-        e[j] = jn * d ** j // jd
-    big_m, power = [0], 1
+    out, nums, dens = [Fraction(0)], [0], [1]   # nums[k] / dens[k] = -k L_k
     for m in range(1, len(a)):
-        power *= d
-        value = m * e[m] - sum(big_m[m - j] * e[j] for j, _, _ in terms if j < m)
-        big_m.append(value)
-        out.append(Fraction(value, m * power))
+        value = _step(terms, nums, dens, m, m * a[m].numerator, a[m].denominator)
+        out.append(value)
+        nums.append(-m * value.numerator)
+        dens.append(value.denominator)
     return out
 
 

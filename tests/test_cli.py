@@ -242,21 +242,23 @@ def test_cli_verify_csv_output(tmp_path, capsys):
     assert out.read_text().startswith("z_re,z_im,winding")
 
 
-# --- CLI: inputs refused before any work --------------------------------------------------------
+# --- CLI: inputs and results refused with an exit code ------------------------------------------
 
 # argv (documents named by placeholders), exit code, text the message must contain
 REFUSED_INPUTS = [
     (["monodromy", "-f", "{li1}", "-g", "{li1}", "--gamma", "1/0"], 3, "'1/0'"),
     (["series", "--op", "ene", "-f", "{zero_den}", "-g", "{zero_den}"], 2, "'1/0'"),
     (["series", "--op", "hadamard", "-f", "{infinite}", "-g", "{infinite}"], 2, "Infinity"),
+    (["series", "--op", "hadamard", "-f", "{overflow}", "-g", "{overflow}"], 2, "coefficient 1 is not finite"),
+    (["series", "--op", "hadamard", "-f", "{huge}", "-g", "{huge}"], 3, "not finite"),
     (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--winding", "1"], 3, "winding 0"),
     (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9,nan"], 3, "'nan'"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, message", REFUSED_INPUTS,
-                         ids=["gamma-1/0", "series-coeff-1/0", "series-infinity", "verify-no-winding-0",
-                              "verify-nan-sample"])
+                         ids=["gamma-1/0", "series-coeff-1/0", "series-infinity", "series-overflowing-literal",
+                              "series-non-finite-result", "verify-no-winding-0", "verify-nan-sample"])
 def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, message):
     docs = {
         "li1": write_doc(tmp_path, "li1.json", li1_function_doc()),
@@ -266,7 +268,14 @@ def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, mess
         "infinite": write_doc(tmp_path, "infinite.json", {
             "format": 1, "kind": "series", "field": "complex", "coeffs": [[1, 0], [math.inf, 0]],
         }),
+        "huge": write_doc(tmp_path, "huge.json", {
+            "format": 1, "kind": "series", "field": "complex", "coeffs": [[1, 0], [1e200, 0]],
+        }),
     }
+    # strict JSON whose number overflows a double; json.dumps cannot write it
+    docs["overflow"] = str(tmp_path / "overflow.json")
+    (tmp_path / "overflow.json").write_text(
+        '{"format": 1, "kind": "series", "field": "complex", "coeffs": [[1, 0], [1e400, 0]]}')
     assert main([arg.format(**docs) for arg in argv]) == code
     out, err = capsys.readouterr()
     assert out == ""
