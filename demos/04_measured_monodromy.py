@@ -1,9 +1,9 @@
 """The numeric oracle at work: quadrature values and measured monodromies.
 
 Nothing here consults a monodromy formula.  Products come from contour
-quadrature of F(u)G(z/u)/u; monodromies come from integrating over a deformed
-contour whose detours loop the relevant singular points with full branch
-tracking, minus the base-circle integral.
+quadrature of F(u)G(z/u)/u; monodromies come from integrating over the detour
+blocks of a deformed contour, which loop the relevant singular points, with full
+branch tracking.
 """
 
 import cmath

@@ -343,7 +343,8 @@ def cmd_selftest(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--order", type=int, default=64, help="truncation order (default 64)")
     parser.add_argument("--tol", type=float, default=1e-9, help="quadrature tolerance")
-    parser.add_argument("--nodes", type=int, default=1 << 16, help="quadrature node budget")
+    parser.add_argument("--nodes", type=int, default=1 << 16,
+                        help="quadrature nodes and substeps one measurement may track (exit 5 when spent)")
     parser.add_argument("--out", default=None, help="output path (stdout always gets a copy)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--winding", default="0", help="comma-separated log z sheets")

@@ -20,16 +20,21 @@ The two instruments:
   deforms the circle into a "train track": for each factorization
   gamma = alpha * beta the contour grows a detour that runs out to alpha,
   loops it, runs in to z/beta, loops it, then undoes both loops.  The
-  difference I(deformed) - I(circle), with F and G continued branch-by-branch
-  along the traversal, measures the monodromy of the Hadamard product at
-  gamma directly from analytic continuation.  The measured value is exact up
-  to quadrature error for any finite loop radius (homotopy invariance); the
-  small loops capture polar-part residues automatically.
+  monodromy of the Hadamard product at gamma is I(deformed) - I(circle), with
+  F and G continued branch-by-branch along the traversal.  On the circle arcs
+  every factor stays on its principal branch, and each detour block hands
+  every branch back as it found it, so that difference is the sum of the
+  detour-block integrals alone: only the blocks are integrated, and a winding
+  audit after each block checks that it restored the branches.  The measured
+  value is exact up to quadrature error for any finite loop radius (homotopy
+  invariance); the small loops capture polar-part residues automatically.
 
-Branch tracking is chord-wise: elements advance between nearby points with
-steps capped well below the local distance to their singularities, updating
-logarithm branches through principal ratios and polylogarithm stacks through
-spectral integration of   d Li_j = Li_{j-1}(u) du / u   down to
+Branch tracking is chord-wise and runs on arrays of points: elements advance
+along straight chords whose length is capped at 0.35 of their clearance from
+the singularities (longer chords are cut into equal substeps), updating
+logarithm branches through running sums of principal-log ratios and
+polylogarithm stacks through spectral (Chebyshev-Lobatto) integration of
+d Li_j = Li_{j-1}(u) du / u, every step of the array at once, down to
 Li_1 = -log(1 - u).
 """
 
@@ -73,20 +78,12 @@ class Line:
     def point(self, t: float) -> complex:
         return self.a + (self.b - self.a) * t
 
-    def derivative(self, t: float) -> complex:
-        return self.b - self.a
-
     def length(self) -> float:
         return abs(self.b - self.a)
 
-    def distance_to(self, p: complex) -> float:
-        d = self.b - self.a
-        denom = abs(d) ** 2
-        if denom == 0.0:
-            return abs(p - self.a)
-        t = ((p - self.a).real * d.real + (p - self.a).imag * d.imag) / denom
-        t = min(1.0, max(0.0, t))
-        return abs(p - self.point(t))
+    def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Points and derivatives at an array of parameters."""
+        return self.a + (self.b - self.a) * ts, np.full(len(ts), self.b - self.a)
 
 
 @dataclass(frozen=True)
@@ -104,25 +101,14 @@ class Arc:
         theta = self.theta_start + (self.theta_end - self.theta_start) * t
         return self.center + self.radius * cmath.exp(1j * theta)
 
-    def derivative(self, t: float) -> complex:
-        theta = self.theta_start + (self.theta_end - self.theta_start) * t
-        return 1j * (self.theta_end - self.theta_start) * self.radius * cmath.exp(1j * theta)
-
     def length(self) -> float:
         return abs(self.theta_end - self.theta_start) * self.radius
 
-    def distance_to(self, p: complex) -> float:
-        rel = p - self.center
-        rho = abs(rel)
-        if rho == 0.0:
-            return self.radius
-        phi = cmath.phase(rel)
-        lo, hi = sorted((self.theta_start, self.theta_end))
-        # does some representative phi + 2*pi*k fall inside [lo, hi]?
-        k_min = math.ceil((lo - phi) / TWO_PI)
-        if phi + TWO_PI * k_min <= hi:
-            return abs(rho - self.radius)
-        return min(abs(p - self.point(0.0)), abs(p - self.point(1.0)))
+    def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Points and derivatives at an array of parameters."""
+        sweep = self.theta_end - self.theta_start
+        rel = self.radius * np.exp(1j * (self.theta_start + sweep * ts))
+        return self.center + rel, 1j * sweep * rel
 
 
 PathSegment = Line | Arc
@@ -144,9 +130,6 @@ class ContourSpec:
     @staticmethod
     def circle(radius: float, phase: float = 0.0, center: complex = 0j) -> "ContourSpec":
         return ContourSpec((Arc(center, radius, phase, phase + TWO_PI),))
-
-    def start(self) -> complex:
-        return self.segments[0].point(0.0)
 
 
 # --- analytic elements ------------------------------------------------------------
@@ -338,16 +321,64 @@ def _polylog_series_value(k: int, u: complex, tol: float = 1e-17, n_max: int = 2
 
 # --- continuation states -----------------------------------------------------------
 
+# Most path points one array step walks: bounds the (points x Lobatto nodes)
+# work arrays a polylogarithm stack holds at once.
+_TRACK_CHUNK = 128
+
+
+def _chord_steps(start: complex, targets: np.ndarray, obstacles: Sequence[complex],
+                 floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Path points from start through every target, and the index of each target.
+
+    Each chord must clear every obstacle by more than max(floor, 1e-13 (1 + |target|)).
+    A chord longer than 0.35 of its clearance is cut into equal substeps; each
+    substep then meets the rule, since a sub-chord is at least as far from every
+    obstacle as the whole chord.
+    """
+    prev = np.concatenate(([start], targets[:-1]))
+    delta = targets - prev
+    length = np.abs(delta)
+    denom = length ** 2
+    moving = denom > 0.0
+    clearance = np.full(len(targets), math.inf)
+    for s in obstacles:
+        rel = s - prev
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.clip((rel.real * delta.real + rel.imag * delta.imag) / denom, 0.0, 1.0)
+        clearance = np.minimum(clearance, np.abs(s - (prev + delta * t)))
+    # a chord that does not move takes no step and needs no clearance (its t is nan)
+    clearance[~moving] = math.inf
+    close = clearance <= np.maximum(floor, 1e-13 * (1.0 + np.abs(targets)))
+    if close.any():
+        i = int(np.argmax(close))
+        raise PathTooCloseToSingularity(
+            f"chord {complex(prev[i])} -> {complex(targets[i])} passes within "
+            f"{clearance[i]:.3e} of a singularity"
+        )
+    with np.errstate(divide="ignore"):
+        n_sub = np.where(length <= 0.35 * clearance, 1,
+                         np.maximum(2, np.ceil(length / (0.35 * clearance)))).astype(int)
+    if (n_sub == 1).all():
+        return targets, np.arange(len(targets))
+    ends = np.cumsum(n_sub) - 1
+    owner = np.repeat(np.arange(len(targets)), n_sub)
+    step = np.arange(len(owner)) - ends[owner] + n_sub[owner]
+    path = prev[owner] + delta[owner] * (step / n_sub[owner])
+    path[ends] = targets
+    return path, ends
+
 
 class _ElementState:
     """Branch-tracked value of an element at a moving point."""
 
     point: complex
+    substeps = 0  # path points walked so far beyond the targets given
 
     def obstacles(self) -> list[complex]:
         raise NotImplementedError
 
-    def step(self, target: complex) -> None:
+    def _walk(self, path: np.ndarray) -> np.ndarray:
+        """Move through the path points in turn; the values there."""
         raise NotImplementedError
 
     def value(self) -> complex:
@@ -362,23 +393,17 @@ class _ElementState:
     def clone(self) -> "_ElementState":
         raise NotImplementedError
 
-    def advance(self, target: complex, floor: float = 0.0) -> None:
-        """Move to target along the straight chord, substepping as needed."""
-        while True:
-            current = self.point
-            if current == target:
-                return
-            chord = Line(current, target)
-            dist = min((chord.distance_to(s) for s in self.obstacles()), default=math.inf)
-            if dist <= max(floor, 1e-13 * (1.0 + abs(target))):
-                raise PathTooCloseToSingularity(
-                    f"chord {current} -> {target} passes within {dist:.3e} of a singularity"
-                )
-            if abs(target - current) <= 0.35 * dist:
-                self.step(target)
-                return
-            n_sub = max(2, math.ceil(abs(target - current) / (0.35 * dist)))
-            self.step(current + (target - current) / n_sub)
+    def track(self, targets: np.ndarray, floor: float = 0.0) -> np.ndarray:
+        """Advance through the targets along straight chords; the values there.
+
+        Raises PathTooCloseToSingularity for a chord within `floor` of an
+        obstacle; see _chord_steps for the substep rule.
+        """
+        path, ends = _chord_steps(self.point, targets, self.obstacles(), floor)
+        values = np.concatenate([self._walk(path[lo:lo + _TRACK_CHUNK])
+                                 for lo in range(0, len(path), _TRACK_CHUNK)])
+        self.substeps += len(path) - len(targets)
+        return values[ends]
 
 
 class _RationalState(_ElementState):
@@ -389,8 +414,9 @@ class _RationalState(_ElementState):
     def obstacles(self) -> list[complex]:
         return self.spec.poles
 
-    def step(self, target: complex) -> None:
-        self.point = target
+    def _walk(self, path: np.ndarray) -> np.ndarray:
+        self.point = complex(path[-1])
+        return self.spec.principal_value(path)
 
     def value(self) -> complex:
         return self.spec.principal_value(self.point)
@@ -416,9 +442,13 @@ class _SeriesState(_ElementState):
     def obstacles(self) -> list[complex]:
         return self.spec.declared
 
-    def step(self, target: complex) -> None:
-        self.local = _recenter(self.local, target - self.point)
-        self.point = target
+    def _walk(self, path: np.ndarray) -> np.ndarray:
+        values = np.empty(len(path), dtype=complex)
+        for i, target in enumerate(path.tolist()):
+            self.local = _recenter(self.local, target - self.point)
+            self.point = target
+            values[i] = self.local[0]
+        return values
 
     def value(self) -> complex:
         return self.local[0]
@@ -451,14 +481,14 @@ class _LogBranchState(_ElementState):
     def obstacles(self) -> list[complex]:
         return [self.spec.location]
 
-    def step(self, target: complex) -> None:
-        w_old = 1.0 - self.point / self.spec.location
-        w_new = 1.0 - target / self.spec.location
-        ratio = w_new / w_old
-        increment = cmath.log(ratio)
-        self.log_value += increment
-        self.arg_total += increment.imag
-        self.point = target
+    def _walk(self, path: np.ndarray) -> np.ndarray:
+        w = 1.0 - np.concatenate(([self.point], path)) / self.spec.location
+        increments = np.cumsum(np.log(w[1:] / w[:-1]))
+        logs = self.log_value + increments
+        self.log_value = complex(logs[-1])
+        self.arg_total += float(increments[-1].imag)
+        self.point = complex(path[-1])
+        return _polyval(self.spec.prefactor, path) * logs
 
     def value(self) -> complex:
         return _polyval(self.spec.prefactor, self.point) * self.log_value
@@ -484,20 +514,19 @@ class _SumState(_ElementState):
     def point(self) -> complex:
         return self.states[0].point
 
+    @property
+    def substeps(self) -> int:
+        return sum(state.substeps for state in self.states)
+
     def obstacles(self) -> list[complex]:
         out: list[complex] = []
         for state in self.states:
             out.extend(state.obstacles())
         return out
 
-    def advance(self, target: complex, floor: float = 0.0) -> None:
+    def track(self, targets: np.ndarray, floor: float = 0.0) -> np.ndarray:
         # each part substeps against its own singularities
-        for state in self.states:
-            state.advance(target, floor)
-
-    def step(self, target: complex) -> None:
-        for state in self.states:
-            state.step(target)
+        return sum(state.track(targets, floor) for state in self.states)
 
     def value(self) -> complex:
         return sum(state.value() for state in self.states)
@@ -533,6 +562,14 @@ def _lobatto_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return _LOBATTO_CACHE[m]
 
 
+def _running(start: complex, increments: np.ndarray) -> np.ndarray:
+    """start followed by its running sums with the increments."""
+    out = np.empty(len(increments) + 1, dtype=complex)
+    out[0] = start
+    out[1:] = start + np.cumsum(increments)
+    return out
+
+
 class _PolylogState(_ElementState):
     def __init__(self, spec: PolylogElement, u0: complex, stack: list[complex] | None = None,
                  arg_one: float = 0.0, nodes: int = 24):
@@ -553,29 +590,33 @@ class _PolylogState(_ElementState):
         # the stack recursion integrates against du/u, so 0 must be avoided too
         return [1.0 + 0j, 0j]
 
-    def step(self, target: complex) -> None:
-        a, b = self.point, target
-        ratio = (1.0 - b) / (1.0 - a)
-        inc = cmath.log(ratio)
+    def _walk(self, path: np.ndarray) -> np.ndarray:
+        prev = np.concatenate(([self.point], path[:-1]))
+        self.point = complex(path[-1])
         if self.spec.k == 1:
-            self.stack[0] -= inc
-        else:
-            t, cum = _lobatto_rule(self.nodes)
-            us = a + (b - a) * (t + 1.0) / 2.0
-            v_prev = np.empty(self.nodes, dtype=complex)
-            v_prev[0] = self.stack[0]
-            for i in range(1, self.nodes):
-                v_prev[i] = v_prev[i - 1] - cmath.log((1.0 - us[i]) / (1.0 - us[i - 1]))
-            new_stack = [complex(v_prev[-1])]
-            scale = (b - a) / 2.0
-            for j in range(1, self.spec.k):
-                integrand = v_prev / us
-                v_j = self.stack[j] + scale * (cum @ integrand)
-                new_stack.append(complex(v_j[-1]))
-                v_prev = v_j
-            self.stack = new_stack
-        self.arg_one += inc.imag
-        self.point = target
+            drops = np.log((1.0 - path) / (1.0 - prev))
+            self.arg_one += float(np.sum(drops.imag))
+            li1 = _running(self.stack[0], -drops)
+            self.stack = [complex(li1[-1])]
+            return li1[1:]
+        # every step's Lobatto nodes at once, one step per row
+        t, cum = _lobatto_rule(self.nodes)
+        us = prev[:, None] + (path - prev)[:, None] * ((t + 1.0) / 2.0)
+        within = np.zeros_like(us)
+        within[:, 1:] = np.cumsum(np.log((1.0 - us[:, 1:]) / (1.0 - us[:, :-1])), axis=1)
+        self.arg_one += float(np.sum(within[:, -1].imag))
+        starts = _running(self.stack[0], -within[:, -1])
+        v_prev = starts[:-1, None] - within
+        new_stack = [complex(starts[-1])]
+        scale = ((path - prev) / 2.0)[:, None]
+        for j in range(1, self.spec.k):
+            # d Li_{j+1} = Li_j(u) du / u, integrated over each step from its start
+            rise = scale * ((v_prev / us) @ cum.T)
+            starts = _running(self.stack[j], rise[:, -1])
+            v_prev = starts[:-1, None] + rise
+            new_stack.append(complex(starts[-1]))
+        self.stack = new_stack
+        return starts[1:]
 
     def value(self) -> complex:
         return self.stack[-1]
@@ -627,10 +668,11 @@ def continue_along(element, path: Sequence[PathSegment], *, delta: float = 1e-6,
     else:
         spec = element
         state = spec.make_state(path[0].point(0.0))
+    targets = []
     for seg in path:
         n = max(2, steps_per_segment if isinstance(seg, Arc) else steps_per_segment // 2)
-        for i in range(1, n + 1):
-            state.advance(seg.point(i / n), floor=delta)
+        targets.append(seg.sample(np.arange(1, n + 1) / n)[0])
+    state.track(np.concatenate(targets), floor=delta)
     return state.value(), Continuation(spec, state)
 
 
@@ -668,29 +710,15 @@ def _split_panels(seg: PathSegment, obstacles: Sequence[complex], frac: float,
     return out
 
 
-def _integrate_contour_tracked(
-    contour: ContourSpec,
-    integrand: Callable[[complex, complex], complex],
-    advance_hooks: Sequence[Callable[[complex], None]],
-    obstacles: Sequence[complex],
-    n_gl: int,
-    frac: float,
-    min_len: float,
-) -> complex:
-    """Panel Gauss-Legendre over the contour, advancing states node by node."""
-    nodes, weights = _gl_rule(n_gl)
-    total = 0j
-    for seg in contour.segments:
-        for t0, t1 in _split_panels(seg, obstacles, frac, min_len):
-            half = (t1 - t0) / 2.0
-            mid = (t0 + t1) / 2.0
-            for x, w in zip(nodes, weights):
-                t = mid + half * x
-                u = seg.point(t)
-                for hook in advance_hooks:
-                    hook(u)
-                total += w * half * integrand(u, seg.derivative(t))
-    return total
+def _panel_nodes(seg: PathSegment, obstacles: Sequence[complex], n_gl: int, frac: float,
+                 min_len: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panel Gauss-Legendre nodes of one segment: points, derivatives, weights."""
+    x, w = _gl_rule(n_gl)
+    panels = np.array(_split_panels(seg, obstacles, frac, min_len))
+    half = (panels[:, 1:] - panels[:, :1]) / 2.0
+    mid = (panels[:, 1:] + panels[:, :1]) / 2.0
+    u, du = seg.sample((mid + half * x).ravel())
+    return u, du, (half * w).ravel()
 
 
 # --- convolution quadrature ------------------------------------------------------------
@@ -789,14 +817,19 @@ def _circle_crossing(p: complex, alpha: complex, r: float) -> complex:
     return p + t * d
 
 
-def build_traintrack(z0: complex, pairs: Sequence[tuple[complex, complex]], r: float,
-                     eps: float) -> tuple[ContourSpec, ContourSpec]:
-    """Base circle and its deformation with detours for each (alpha, beta) pair.
+@dataclass(frozen=True)
+class _Detour:
+    """One detour block of the deformed contour and the circle arc on to the next anchor."""
 
-    Each detour leaves the circle at the anchor where [z0/beta, alpha] crosses
-    it, loops alpha positively, loops z0/beta positively, then repeats both
-    loops negatively, restoring every branch.
-    """
+    alpha: complex
+    p: complex
+    block: tuple[PathSegment, ...]
+    arc: Arc
+
+
+def _traintrack_detours(z0: complex, pairs: Sequence[tuple[complex, complex]], r: float,
+                        eps: float) -> list[_Detour]:
+    """The detours of the deformed contour in anchor order (see build_traintrack)."""
     marked: list[tuple[complex, complex, complex]] = []
     for alpha, beta in pairs:
         alpha, beta = complex(alpha), complex(beta)
@@ -826,20 +859,29 @@ def build_traintrack(z0: complex, pairs: Sequence[tuple[complex, complex]], r: f
         anchored.append((cmath.phase(a), a, alpha, p))
     anchored.sort(key=lambda item: item[0])
 
-    phase0 = anchored[0][0] if anchored else 0.0
-    eta = ContourSpec.circle(r, phase=phase0)
-    if not anchored:
-        return eta, eta
-
-    segments: list[PathSegment] = []
+    detours = []
     for idx, (phi, a, alpha, p) in enumerate(anchored):
-        segments.extend(_detour_block(a, alpha, p, eps))
         next_phi = anchored[(idx + 1) % len(anchored)][0]
         if idx + 1 == len(anchored):
             next_phi += TWO_PI
-        segments.append(Arc(0j, r, phi, next_phi))
-    eta_hat = ContourSpec(tuple(segments))
-    return eta, eta_hat
+        detours.append(_Detour(alpha, p, tuple(_detour_block(a, alpha, p, eps)),
+                               Arc(0j, r, phi, next_phi)))
+    return detours
+
+
+def build_traintrack(z0: complex, pairs: Sequence[tuple[complex, complex]], r: float,
+                     eps: float) -> tuple[ContourSpec, ContourSpec]:
+    """Base circle and its deformation with detours for each (alpha, beta) pair.
+
+    Each detour leaves the circle at the anchor where [z0/beta, alpha] crosses
+    it, loops alpha positively, loops z0/beta positively, then repeats both
+    loops negatively, restoring every branch.
+    """
+    detours = _traintrack_detours(z0, pairs, r, eps)
+    eta = ContourSpec.circle(r, phase=detours[0].arc.theta_start if detours else 0.0)
+    if not detours:
+        return eta, eta
+    return eta, ContourSpec(tuple(seg for d in detours for seg in (*d.block, d.arc)))
 
 
 def _detour_block(a: complex, alpha: complex, p: complex, eps: float) -> list[PathSegment]:
@@ -897,19 +939,54 @@ def default_traintrack_geometry(f: AnalyticElement, g: AnalyticElement, gamma: c
     return pairs, r, eps
 
 
-def _tracked_hadamard_integral(contour: ContourSpec, f: AnalyticElement, g: AnalyticElement,
-                               z0: complex, obstacles: Sequence[complex], n_gl: int,
-                               frac: float, min_len: float) -> complex:
-    start = contour.start()
-    f_state = f.make_state(start)
-    g_state = g.make_state(z0 / start)
+def _block_integral(block: Sequence[PathSegment], name: str, f_state: _ElementState,
+                    g_state: _ElementState, z0: complex, obstacles: Sequence[complex],
+                    n_gl: int, frac: float, min_len: float) -> tuple[complex, int]:
+    """Panel Gauss-Legendre integral of F(u) G(z0/u) du/u over one detour block,
+    and the number of nodes.
 
-    def integrand(u: complex, du: complex) -> complex:
-        return f_state.value() * g_state.value() / u * du
+    A block loops each marked point once each way, so it must hand every
+    branch back as it found it; the measurement rests on that, so it is
+    checked on the winding counters.
+    """
+    nodes = [_panel_nodes(seg, obstacles, n_gl, frac, min_len) for seg in block]
+    u, du, weights = (np.concatenate(parts) for parts in zip(*nodes))
+    before = (f_state.windings(), g_state.windings())
+    integrand = f_state.track(u) * g_state.track(z0 / u) / u * du
+    after = (f_state.windings(), g_state.windings())
+    if after != before:
+        raise QuadratureNotConverged(
+            f"{name} did not restore the branches it loops: windings {before} -> {after}"
+        )
+    return complex(np.sum(weights * integrand)), len(u)
 
-    hooks = [lambda u: f_state.advance(u), lambda u: g_state.advance(z0 / u)]
-    total = _integrate_contour_tracked(contour, integrand, hooks, obstacles, n_gl, frac, min_len)
-    return total / TWO_PI_I
+
+def _measure_detours(detours: Sequence[_Detour], f: AnalyticElement, g: AnalyticElement,
+                     z0: complex, obstacles: Sequence[complex], n_gl: int, frac: float,
+                     min_len: float) -> tuple[complex, int]:
+    """Sum of the detour-block integrals at one refinement, and the number of
+    quadrature nodes, arc points and substeps tracked.
+
+    The states start on the principal branches at the first anchor and ride
+    the circle arcs between blocks by branch tracking alone, so every block
+    starts on the branch a traversal of the whole deformed contour gives it.
+    """
+    start = detours[0].block[0].point(0.0)
+    f_state, g_state = f.make_state(start), g.make_state(z0 / start)
+    total, points = 0j, 0
+    for i, detour in enumerate(detours):
+        name = f"detour block {i + 1} of {len(detours)} (alpha = {detour.alpha}, z0/beta = {detour.p})"
+        value, nodes = _block_integral(detour.block, name, f_state, g_state, z0, obstacles,
+                                       n_gl, frac, min_len)
+        total += value
+        points += nodes
+        if i + 1 < len(detours):
+            ends = np.array([t1 for _, t1 in _split_panels(detour.arc, obstacles, frac, min_len)])
+            u = detour.arc.sample(ends)[0]
+            f_state.track(u)
+            g_state.track(z0 / u)
+            points += len(u)
+    return total / TWO_PI_I, points + f_state.substeps + g_state.substeps
 
 
 def monodromy_numeric(f: AnalyticElement, g: AnalyticElement, gamma: complex, z0: complex, *,
@@ -917,26 +994,29 @@ def monodromy_numeric(f: AnalyticElement, g: AnalyticElement, gamma: complex, z0
                       max_rounds: int = 3, node_budget: int | None = None) -> complex:
     """Measured monodromy of the Hadamard product at gamma, evaluated at z0.
 
-    Integrates the convolution integrand over the deformed and base contours
-    with branch tracking and returns the difference; no monodromy formula is
-    consulted anywhere.
+    The monodromy is I(deformed) - I(circle).  On the circle arcs every factor
+    stays on its principal branch, so that difference is the sum of the
+    detour-block integrals alone, which is what gets integrated, with branch
+    tracking; no monodromy formula is consulted anywhere.  `node_budget` caps
+    the quadrature nodes and substeps tracked over all refinement rounds.
     """
     pairs, r_default, eps_default = default_traintrack_geometry(f, g, gamma, z0)
     r = r_default if r is None else r
     eps = eps_default if eps is None else eps
-    eta, eta_hat = build_traintrack(z0, pairs, r, eps)
+    detours = _traintrack_detours(z0, pairs, r, eps)
     obstacles = [alpha for alpha, _ in pairs] + [z0 / beta for _, beta in pairs] + [0j]
     min_len = eps / 8.0
 
-    if node_budget is not None:
-        # crude budget map: each refinement round roughly quadruples the nodes
-        max_rounds = min(max_rounds, max(1, int(math.log2(max(node_budget, 2) / 2048)) // 2))
+    tracked = 0
     previous = None
     settings = [(12, 0.5), (16, 0.25), (24, 0.125), (32, 0.0625)]
     for n_gl, frac in settings[: max_rounds + 1]:
-        base = _tracked_hadamard_integral(eta, f, g, z0, obstacles, n_gl, frac, min_len)
-        deformed = _tracked_hadamard_integral(eta_hat, f, g, z0, obstacles, n_gl, frac, min_len)
-        value = deformed - base
+        value, steps = _measure_detours(detours, f, g, z0, obstacles, n_gl, frac, min_len)
+        tracked += steps
+        if node_budget is not None and tracked > node_budget:
+            raise QuadratureNotConverged(
+                f"node budget {node_budget} spent: {tracked} quadrature nodes and substeps tracked"
+            )
         if previous is not None and abs(value - previous) <= tol:
             return value
         previous = value

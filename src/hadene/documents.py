@@ -87,6 +87,7 @@ def log_poly_from_doc(doc: Any) -> LogLaurentPoly:
             coeff = exact_coeff_from_doc(record["coeff"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DocumentError(f"bad log-polynomial record: {exc}") from exc
+        _require(key[1] >= 0, f"bad log-polynomial record: logpow {key[1]} is negative")
         terms[key] = terms.get(key, ExactCoeff.zero()) + coeff
     return LogLaurentPoly(terms)
 

@@ -253,12 +253,15 @@ REFUSED_INPUTS = [
     (["series", "--op", "hadamard", "-f", "{huge}", "-g", "{huge}"], 3, "not finite"),
     (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--winding", "1"], 3, "winding 0"),
     (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9,nan"], 3, "'nan'"),
+    (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--nodes", "64"], 5, "node budget 64 spent"),
+    (["monodromy", "-f", "{negative_logpow}", "-g", "{li1}"], 2, "logpow -1 is negative"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, message", REFUSED_INPUTS,
                          ids=["gamma-1/0", "series-coeff-1/0", "series-infinity", "series-overflowing-literal",
-                              "series-non-finite-result", "verify-no-winding-0", "verify-nan-sample"])
+                              "series-non-finite-result", "verify-no-winding-0", "verify-nan-sample",
+                              "verify-node-budget", "negative-logpow"])
 def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, message):
     docs = {
         "li1": write_doc(tmp_path, "li1.json", li1_function_doc()),
@@ -272,6 +275,9 @@ def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, mess
             "format": 1, "kind": "series", "field": "complex", "coeffs": [[1, 0], [1e200, 0]],
         }),
     }
+    negative_logpow = li1_function_doc()
+    negative_logpow["singularities"][0]["monodromy"][0]["logpow"] = -1
+    docs["negative_logpow"] = write_doc(tmp_path, "negative_logpow.json", negative_logpow)
     # strict JSON whose number overflows a double; json.dumps cannot write it
     docs["overflow"] = str(tmp_path / "overflow.json")
     (tmp_path / "overflow.json").write_text(

@@ -17,6 +17,7 @@ from hadene.continuation import (
     QuadratureNotConverged,
     RationalElement,
     SeriesElement,
+    _block_integral,
     build_traintrack,
     continue_along,
     crosscheck,
@@ -97,6 +98,20 @@ def test_continuation_resumes_from_previous_state():
     value, cont2 = continue_along(cont, half2)
     assert abs((value - lb.principal_value(0.7)) - TWO_PI_I) < 1e-12
     assert cont2.windings() == {1.0 + 0j: 1}
+
+
+def test_coarse_polylog3_loop_substeps_to_the_fine_value():
+    # the first side passes 1 at about 0.008, so its coarse chords are some 60
+    # times longer than their clearance: a single Lobatto step per chord would
+    # miss the value by about 7e-3, and only the substeps recover it
+    li3 = PolylogElement(3)
+    triangle = [Line(0.3, 1.2 - 0.01j), Line(1.2 - 0.01j, 1.2 + 0.4j), Line(1.2 + 0.4j, 0.3)]
+    coarse, cont = continue_along(li3, triangle, steps_per_segment=2)
+    fine, _ = continue_along(li3, triangle, steps_per_segment=256)
+    jump = -TWO_PI_I / 2 * cmath.log(0.3) ** 2
+    assert abs(coarse - fine) < 1e-12
+    assert abs((coarse - li3.principal_value(0.3)) - jump) < 1e-12
+    assert cont.windings() == {1.0 + 0j: 1}
 
 
 def test_path_too_close_raises():
@@ -235,6 +250,35 @@ def test_monodromy_li1_pair_matches_closed_form():
     li1 = PolylogElement(1)
     measured = monodromy_numeric(li1, li1, 1.0, 0.9, tol=1e-8)
     assert abs(measured - (-TWO_PI_I * math.log(0.9))) < 1e-8
+
+
+@pytest.mark.parametrize("k, l", [(2, 1), (3, 1), (2, 2)])
+def test_monodromy_polylog_pairs_match_symbolic(k, l):
+    z0 = 1.0 + 0.1 * cmath.exp(1j * math.radians(160))
+    measured = monodromy_numeric(PolylogElement(k), PolylogElement(l), 1.0, z0, tol=1e-8)
+    symbolic = hadamard_monodromy_general(polylog_function_spec(k), polylog_function_spec(l), 1)
+    assert abs(measured - symbolic.value.lp_eval(BranchPoint(z0, 0))) < 1e-8
+
+
+def test_monodromy_node_budget_counts_tracked_nodes():
+    li1 = PolylogElement(1)
+    with pytest.raises(QuadratureNotConverged, match=r"node budget 1000 spent: \d+ quadrature nodes"):
+        monodromy_numeric(li1, li1, 1.0, 0.9, tol=1e-8, node_budget=1000)
+    measured = monodromy_numeric(li1, li1, 1.0, 0.9, tol=1e-8, node_budget=1 << 16)
+    assert abs(measured - (-TWO_PI_I * math.log(0.9))) < 1e-8
+
+
+def test_winding_audit_trips_on_half_a_detour_block():
+    # the first six pieces loop alpha and z0/beta once, positively only, so
+    # the branches are not handed back
+    z0 = 0.9
+    _, eta_hat = build_traintrack(z0, [(1.0, 1.0)], 0.95, 0.01)
+    half_block = eta_hat.segments[:6]
+    start = half_block[0].point(0.0)
+    li1 = PolylogElement(1)
+    with pytest.raises(QuadratureNotConverged, match="half block did not restore"):
+        _block_integral(half_block, "half block", li1.make_state(start), li1.make_state(z0 / start),
+                        z0, [1.0, z0, 0j], 12, 0.5, 0.01 / 8)
 
 
 def test_monodromy_rational_pair_vanishes():
