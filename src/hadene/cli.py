@@ -141,7 +141,7 @@ def cmd_monodromy(args) -> int:
     job = _job_from_args(args)
     f_doc = load_document(args.f)
     g_doc = load_document(args.g)
-    if f_doc.get("kind") == "divisor" and g_doc.get("kind") == "divisor":
+    if all(isinstance(doc, dict) and doc.get("kind") == "divisor" for doc in (f_doc, g_doc)):
         result = divisor_ene(divisor_from_doc(f_doc), divisor_from_doc(g_doc))
         _emit(divisor_to_doc(result), job)
         return EXIT_OK

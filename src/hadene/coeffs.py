@@ -7,6 +7,23 @@ Gaussian-rational Laurent polynomials in named constant symbols:
 
     ExactCoeff  =  sum of  (Gaussian rational) * prod(symbol ** integer)
 
+Representation, chosen so that the ring operations run on machine integers:
+
+* A ``GaussianRational`` is a triple of ints ``(a, b, d)`` standing for
+  ``(a + b i) / d``, kept in normal form: ``d > 0`` and ``gcd(a, b, d) = 1``.
+  Each operation forms the unreduced triple and ends with one ``math.gcd``
+  (Henrici, "A subroutine for computations with rational numbers", J. ACM
+  1956); sums over equal denominators skip the cross products.  ``re`` and
+  ``im`` are ``Fraction`` views computed on demand.
+* A ``ConstantSymbol`` is interned: there is one instance per ``(kind, base)``,
+  and it carries a small int ``id``.  Symbols compare and hash by identity.
+* An ``ExactCoeff`` maps monomials to nonzero Gaussian rationals.  A monomial
+  is a tuple of ``(symbol id, nonzero exponent)`` pairs sorted by id, so that
+  keys hash and compare as tuples of ints.  Ids depend on the order in which a
+  process first meets its symbols, so everything that leaves the field
+  (``sorted_terms``, ``symbols``, ``repr``, the document form) maps ids back to
+  symbols and orders by the symbols' keys instead.
+
 Arithmetic is exact; only single monomials are invertible (every prefactor the
 monodromy formulas need divides by rationals, powers of ``2*pi*i`` or powers of
 locations, which are all monomial units).  ``eval`` bridges to complex doubles
@@ -21,8 +38,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping
 
 TWO_PI_I = complex(0.0, 2.0 * math.pi)
@@ -36,43 +53,87 @@ class UnassignedSymbol(KeyError):
     """Raised when eval() meets a symbol missing from the assignment."""
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+_new = object.__new__
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+
+def _reduced(a: int, b: int, d: int) -> "GaussianRational":
+    """(a + b i) / d in normal form; d must be positive."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    out = _new(GaussianRational)
+    out._a = a
+    out._b = b
+    out._d = d
+    return out
+
+
+class GaussianRational:
+    """Exact complex number (a + b i) / d with integers a, b and d.
+
+    Immutable in the way ``Fraction`` is: the three ints are private and never
+    written after construction.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __new__(cls, re=0, im=0) -> "GaussianRational":
+        re, im = Fraction(re), Fraction(im)
+        d = math.lcm(re.denominator, im.denominator)
+        return _reduced(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
 
     @staticmethod
     def of(re, im=0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
+        return GaussianRational(re, im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not GaussianRational:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        out = _new(GaussianRational)
+        out._a = -self._a
+        out._b = -self._b
+        out._d = self._d
+        return out
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        n = other.re * other.re + other.im * other.im
+        a2, b2 = other._a, other._b
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        a1, b1, d2 = self._a, self._b, other._d
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * n)
 
     def __pow__(self, k: int) -> "GaussianRational":
         if k < 0:
@@ -88,21 +149,26 @@ class GaussianRational:
         return out
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # integer true division rounds correctly, as float(Fraction) does
+        return complex(self._a / self._d, self._b / self._d)
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        imag = f"{self.im}i" if self.im >= 0 else f"{self.im}i"
-        if self.re == 0:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        imag = f"{im}i"
+        if re == 0:
             return imag
-        sign = "+" if self.im >= 0 else ""
-        return f"{self.re}{sign}{imag}"
+        sign = "+" if im >= 0 else ""
+        return f"{re}{sign}{imag}"
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
 
 GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational.of(1)
-GR_I = GaussianRational.of(0, 1)
+GR_ONE = GaussianRational(1)
+GR_I = GaussianRational(0, 1)
 
 
 def parse_rational(literal) -> Fraction:
@@ -115,11 +181,13 @@ def parse_rational(literal) -> Fraction:
 
 def parse_gaussian_rational(text: str) -> GaussianRational:
     """Parse "p/q", "r/si", "p/q+r/si" or "p/q-r/si" (no spaces required)."""
+    if not isinstance(text, str):
+        raise ValueError(f"GaussianRational literal must be a string, not {type(text).__name__}")
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty GaussianRational literal")
     if not s.endswith("i"):
-        return GaussianRational(parse_rational(s), Fraction(0))
+        return GaussianRational(parse_rational(s))
     body = s[:-1]
     # split at the sign that separates real and imaginary parts, if any
     for pos in range(len(body) - 1, 0, -1):
@@ -129,7 +197,7 @@ def parse_gaussian_rational(text: str) -> GaussianRational:
             return GaussianRational(parse_rational(re_part), parse_rational(im_part))
     if body in ("", "+", "-"):
         body += "1"
-    return GaussianRational(Fraction(0), parse_rational(body))
+    return GaussianRational(0, parse_rational(body))
 
 
 # --- constant symbols -------------------------------------------------------
@@ -138,39 +206,60 @@ _KIND_TWO_PI_I = "2pii"
 _KIND_LOG = "log"
 _KIND_LOC = "loc"
 
+# the interned symbols, indexed by id and by (kind, base)
+_SYMBOLS: list["ConstantSymbol"] = []
+_INTERNED: dict[tuple, "ConstantSymbol"] = {}
 
-@dataclass(frozen=True)
+
 class ConstantSymbol:
-    """A named transcendental constant: 2*pi*i, log(c), or a location c."""
+    """A named transcendental constant: 2*pi*i, log(c), or a location c.
 
-    kind: str
-    base: GaussianRational | None = None
+    ``ConstantSymbol(kind, base)`` returns the one instance for that pair, so
+    symbols compare and hash by identity; ``id`` numbers them in the order the
+    process first met them.
+    """
 
-    def __post_init__(self):
-        if self.kind == _KIND_TWO_PI_I:
-            if self.base is not None:
+    __slots__ = ("kind", "base", "id", "key", "_value")
+
+    def __new__(cls, kind: str, base=None) -> "ConstantSymbol":
+        if base is not None and not isinstance(base, GaussianRational):
+            base = GaussianRational(base)
+        sym = _INTERNED.get((kind, base))
+        if sym is not None:
+            return sym
+        if kind == _KIND_TWO_PI_I:
+            if base is not None:
                 raise ValueError("2pii symbol takes no base")
-        elif self.kind in (_KIND_LOG, _KIND_LOC):
-            if self.base is None or not self.base:
-                raise ValueError(f"{self.kind} symbol requires a nonzero base")
+            key, value = "2pii", TWO_PI_I
+        elif kind in (_KIND_LOG, _KIND_LOC):
+            if base is None or not base:
+                raise ValueError(f"{kind} symbol requires a nonzero base")
+            key = f"{kind}({base})"
+            value = cmath.log(complex(base)) if kind == _KIND_LOG else complex(base)
         else:
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
+            raise ValueError(f"unknown symbol kind {kind!r}")
+        sym = _new(cls)
+        for name, field in (("kind", kind), ("base", base), ("id", len(_SYMBOLS)),
+                            ("key", key), ("_value", value)):
+            object.__setattr__(sym, name, field)
+        _SYMBOLS.append(sym)
+        _INTERNED[(kind, base)] = sym
+        return sym
 
-    @property
-    def key(self) -> str:
-        if self.kind == _KIND_TWO_PI_I:
-            return "2pii"
-        return f"{self.kind}({self.base})"
+    def __setattr__(self, name, value):
+        raise AttributeError("ConstantSymbol is immutable")
+
+    def __reduce__(self):
+        return ConstantSymbol, (self.kind, self.base)
 
     def default_value(self) -> complex:
-        if self.kind == _KIND_TWO_PI_I:
-            return TWO_PI_I
-        if self.kind == _KIND_LOG:
-            return cmath.log(complex(self.base))
-        return complex(self.base)
+        return self._value
 
     def __str__(self) -> str:
         return self.key
+
+    def __repr__(self) -> str:
+        return f"ConstantSymbol(kind={self.kind!r}, base={self.base!r})"
 
 
 def two_pi_i_symbol() -> ConstantSymbol:
@@ -178,12 +267,10 @@ def two_pi_i_symbol() -> ConstantSymbol:
 
 
 def log_symbol(base) -> ConstantSymbol:
-    base = base if isinstance(base, GaussianRational) else GaussianRational.of(base)
     return ConstantSymbol(_KIND_LOG, base)
 
 
 def loc_symbol(value) -> ConstantSymbol:
-    value = value if isinstance(value, GaussianRational) else GaussianRational.of(value)
     return ConstantSymbol(_KIND_LOC, value)
 
 
@@ -196,23 +283,40 @@ def parse_symbol(key: str) -> ConstantSymbol:
     raise ValueError(f"unknown symbol key {key!r}")
 
 
-# Monomial: sorted tuple of (symbol, nonzero integer exponent), hashable.
-Monomial = tuple[tuple[ConstantSymbol, int], ...]
+two_pi_i_symbol()  # id 0, so that 2pii leads every monomial it occurs in
+
+# Monomial: tuple of (symbol id, nonzero integer exponent) sorted by id.
+Monomial = tuple[tuple[int, int], ...]
+# The same monomial with symbols in place of ids, sorted by symbol key.
+SymbolMonomial = tuple[tuple[ConstantSymbol, int], ...]
 
 _EMPTY_MONOMIAL: Monomial = ()
 
 
 def _make_monomial(powers: Mapping[ConstantSymbol, int]) -> Monomial:
-    items = [(s, e) for s, e in powers.items() if e != 0]
-    items.sort(key=lambda it: it[0].key)
-    return tuple(items)
+    return tuple(sorted((sym.id, exp) for sym, exp in powers.items() if exp != 0))
 
 
 def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
-    powers: dict[ConstantSymbol, int] = dict(a)
-    for sym, exp in b:
-        powers[sym] = powers.get(sym, 0) + exp
-    return _make_monomial(powers)
+    if not a:
+        return b
+    if not b:
+        return a
+    powers = dict(a)
+    for sid, exp in b:
+        powers[sid] = powers.get(sid, 0) + exp
+    return tuple(sorted(item for item in powers.items() if item[1]))
+
+
+def _symbolic(mono: Monomial) -> SymbolMonomial:
+    return tuple(sorted(((_SYMBOLS[sid], exp) for sid, exp in mono), key=lambda it: it[0].key))
+
+
+def _wrap(terms: dict[Monomial, GaussianRational]) -> "ExactCoeff":
+    """An ExactCoeff around a term map that is already normalized."""
+    out = _new(ExactCoeff)
+    out.terms = terms
+    return out
 
 
 class ExactCoeff:
@@ -228,28 +332,26 @@ class ExactCoeff:
                     normalized[mono] = normalized.get(mono, GR_ZERO) + coeff
                     if not normalized[mono]:
                         del normalized[mono]
-        object.__setattr__(self, "terms", normalized)
+        self.terms = normalized
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero() -> "ExactCoeff":
-        return ExactCoeff()
+        return _wrap({})
 
     @staticmethod
     def from_rational(value) -> "ExactCoeff":
-        return ExactCoeff.from_gaussian(GaussianRational.of(Fraction(value)))
+        return ExactCoeff.from_gaussian(GaussianRational(value))
 
     @staticmethod
     def from_gaussian(value: GaussianRational) -> "ExactCoeff":
-        if not value:
-            return ExactCoeff()
-        return ExactCoeff({_EMPTY_MONOMIAL: value})
+        return _wrap({_EMPTY_MONOMIAL: value} if value else {})
 
     @staticmethod
     def monomial(powers: Mapping[ConstantSymbol, int], coeff=GR_ONE) -> "ExactCoeff":
-        coeff = coeff if isinstance(coeff, GaussianRational) else GaussianRational.of(coeff)
-        return ExactCoeff({_make_monomial(powers): coeff})
+        coeff = coeff if isinstance(coeff, GaussianRational) else GaussianRational(coeff)
+        return _wrap({_make_monomial(powers): coeff} if coeff else {})
 
     @staticmethod
     def two_pi_i(power: int = 1, coeff=GR_ONE) -> "ExactCoeff":
@@ -261,16 +363,10 @@ class ExactCoeff:
         return not self.terms
 
     def symbols(self) -> set[ConstantSymbol]:
-        out: set[ConstantSymbol] = set()
-        for mono in self.terms:
-            out.update(sym for sym, _ in mono)
-        return out
+        return {_SYMBOLS[sid] for mono in self.terms for sid, _ in mono}
 
     def _key(self):
-        return tuple(sorted(
-            ((mono, c.re, c.im) for mono, c in self.terms.items()),
-            key=lambda item: tuple((s.key, e) for s, e in item[0]),
-        ))
+        return tuple((mono, c.re, c.im) for mono, c in self.sorted_terms())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactCoeff):
@@ -288,37 +384,72 @@ class ExactCoeff:
     def __add__(self, other: "ExactCoeff") -> "ExactCoeff":
         if not isinstance(other, ExactCoeff):
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         merged = dict(self.terms)
         for mono, coeff in other.terms.items():
-            merged[mono] = merged.get(mono, GR_ZERO) + coeff
-        return ExactCoeff(merged)
+            acc = merged.get(mono)
+            if acc is None:
+                merged[mono] = coeff
+            else:
+                acc = acc + coeff
+                if acc:
+                    merged[mono] = acc
+                else:
+                    del merged[mono]
+        return _wrap(merged)
 
     def __neg__(self) -> "ExactCoeff":
-        return ExactCoeff({m: -c for m, c in self.terms.items()})
+        return _wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "ExactCoeff") -> "ExactCoeff":
         return self + (-other)
 
     def __mul__(self, other) -> "ExactCoeff":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(GaussianRational.of(Fraction(other)))
+        if isinstance(other, ExactCoeff):
+            return self._product(other)
+        if isinstance(other, int):
+            return self._times(other, 0, 1)
+        if isinstance(other, Fraction):
+            return self._times(other.numerator, 0, other.denominator)
         if isinstance(other, GaussianRational):
             return self.scale(other)
-        if not isinstance(other, ExactCoeff):
-            return NotImplemented
-        out: dict[Monomial, GaussianRational] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mul_monomials(m1, m2)
-                out[mono] = out.get(mono, GR_ZERO) + c1 * c2
-        return ExactCoeff(out)
+        return NotImplemented
 
     __rmul__ = __mul__
 
+    def _product(self, other: "ExactCoeff") -> "ExactCoeff":
+        right = [(m, c._a, c._b, c._d) for m, c in other.terms.items()]
+        # unreduced (a, b, d) sums per monomial; one gcd per monomial at the end
+        raw: dict[Monomial, tuple[int, int, int]] = {}
+        for m1, c1 in self.terms.items():
+            a1, b1, d1 = c1._a, c1._b, c1._d
+            for m2, a2, b2, d2 in right:
+                mono = _mul_monomials(m1, m2)
+                a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+                acc = raw.get(mono)
+                if acc is not None:
+                    ea, eb, ed = acc
+                    if ed == d:
+                        a, b = ea + a, eb + b
+                    else:
+                        a, b, d = ea * d + a * ed, eb * d + b * ed, ed * d
+                raw[mono] = (a, b, d)
+        return _wrap({m: _reduced(a, b, d) for m, (a, b, d) in raw.items() if a or b})
+
+    def _times(self, fa: int, fb: int, fd: int) -> "ExactCoeff":
+        """Every coefficient times (fa + fb i) / fd, for fd > 0."""
+        if not (fa or fb):
+            return _wrap({})
+        return _wrap({
+            m: _reduced(c._a * fa - c._b * fb, c._a * fb + c._b * fa, c._d * fd)
+            for m, c in self.terms.items()
+        })
+
     def scale(self, factor: GaussianRational) -> "ExactCoeff":
-        if not factor:
-            return ExactCoeff()
-        return ExactCoeff({m: c * factor for m, c in self.terms.items()})
+        return self._times(factor._a, factor._b, factor._d)
 
     def __pow__(self, k: int) -> "ExactCoeff":
         if k < 0:
@@ -338,8 +469,7 @@ class ExactCoeff:
         if len(self.terms) != 1:
             raise NotAUnit(f"not a monomial unit: {self}")
         (mono, coeff), = self.terms.items()
-        inv_mono = _make_monomial({sym: -exp for sym, exp in mono})
-        return ExactCoeff({inv_mono: GR_ONE / coeff})
+        return _wrap({tuple((sid, -exp) for sid, exp in mono): GR_ONE / coeff})
 
     # -- numeric bridge ------------------------------------------------------
 
@@ -348,9 +478,10 @@ class ExactCoeff:
         total = 0j
         for mono, coeff in self.terms.items():
             value = complex(coeff)
-            for sym, exp in mono:
+            for sid, exp in mono:
+                sym = _SYMBOLS[sid]
                 if assignment is None:
-                    base = sym.default_value()
+                    base = sym._value
                 else:
                     if sym not in assignment:
                         raise UnassignedSymbol(sym.key)
@@ -361,9 +492,9 @@ class ExactCoeff:
 
     # -- display -------------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Monomial, GaussianRational]]:
+    def sorted_terms(self) -> list[tuple[SymbolMonomial, GaussianRational]]:
         return sorted(
-            self.terms.items(),
+            ((_symbolic(mono), coeff) for mono, coeff in self.terms.items()),
             key=lambda item: tuple((s.key, e) for s, e in item[0]),
         )
 

@@ -27,6 +27,11 @@ from .monodromy import Divisor, FunctionSpec, GermPart, MonodromyResult, Singula
 from .series import FIELD_COMPLEX, FIELD_RATIONAL, TruncatedSeries
 
 FORMAT_VERSION = 1
+# Largest |zpow| and logpow a log-polynomial record may carry.  The exact
+# engine raises locations to the power zpow, and its time and memory on one
+# pair of singularities grow as the cube of their log powers.
+MAX_ZPOW = 10 ** 6
+MAX_LOGPOW = 1024
 
 
 class DocumentError(ValueError):
@@ -36,6 +41,14 @@ class DocumentError(ValueError):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise DocumentError(message)
+
+
+def _integer(value: Any, what: str, bound: int | None = None) -> int:
+    """A JSON integer (not a bool, float or string), at most `bound` in magnitude."""
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             f"{what} must be an integer, not {value!r}")
+    _require(bound is None or abs(value) <= bound, f"{what} {value} exceeds {bound} in magnitude")
+    return value
 
 
 def _check_header(doc: Any, kind: str) -> None:
@@ -62,9 +75,11 @@ def exact_coeff_from_doc(doc: Any) -> ExactCoeff:
     total = ExactCoeff.zero()
     for record in doc:
         _require(isinstance(record, dict), "term record must be an object")
+        symbols = record.get("symbols", {})
+        _require(isinstance(symbols, dict), "term symbols must be an object of exponents")
         try:
             coeff = parse_gaussian_rational(record["coeff"])
-            powers = {parse_symbol(k): int(e) for k, e in record.get("symbols", {}).items()}
+            powers = {parse_symbol(k): _integer(e, f"exponent of {k}") for k, e in symbols.items()}
         except (KeyError, ValueError) as exc:
             raise DocumentError(f"bad exact coefficient record: {exc}") from exc
         total = total + ExactCoeff.monomial(powers, coeff)
@@ -83,7 +98,7 @@ def log_poly_from_doc(doc: Any) -> LogLaurentPoly:
     terms = {}
     for record in doc:
         try:
-            key = (int(record["zpow"]), int(record["logpow"]))
+            key = (_integer(record["zpow"], "zpow", MAX_ZPOW), _integer(record["logpow"], "logpow", MAX_LOGPOW))
             coeff = exact_coeff_from_doc(record["coeff"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DocumentError(f"bad log-polynomial record: {exc}") from exc
@@ -126,7 +141,7 @@ def series_from_doc(doc: Any) -> tuple[TruncatedSeries, bool]:
                 _require(cmath.isfinite(c), f"coefficient {n} is not finite")
         else:
             raise DocumentError(f"unknown series field {field!r}")
-    except (TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise DocumentError(f"bad series coefficients: {exc}") from exc
     series = TruncatedSeries(coeffs, field)
     _require(doc.get("order", series.order) == series.order, "order disagrees with coefficients")
@@ -148,7 +163,9 @@ def _germ_from_doc(doc: Any) -> GermPart:
     if kind == "totally_holomorphic":
         return GermPart.totally_holomorphic()
     if kind == "polar":
-        coeffs = [exact_coeff_from_doc(c) for c in doc.get("coeffs", [])]
+        raw = doc.get("coeffs", [])
+        _require(isinstance(raw, list), "polar germ coefficients must be a list")
+        coeffs = [exact_coeff_from_doc(c) for c in raw]
         _require(bool(coeffs), "polar germ needs at least one coefficient")
         return GermPart.polar_part(coeffs)
     raise DocumentError(f"unknown germ type {kind!r}")
@@ -228,8 +245,10 @@ def function_spec_to_doc(spec: FunctionSpec, element: AnalyticElement | None = N
 
 def function_spec_from_doc(doc: Any) -> tuple[FunctionSpec, AnalyticElement | None]:
     _check_header(doc, "function")
+    records = doc.get("singularities", [])
+    _require(isinstance(records, list), "singularities must be a list")
     singularities = []
-    for record in doc.get("singularities", []):
+    for record in records:
         _require(isinstance(record, dict), "singularity must be an object")
         try:
             location = parse_gaussian_rational(record["location"])
@@ -266,10 +285,13 @@ def divisor_to_doc(divisor: Divisor) -> dict:
 
 def divisor_from_doc(doc: Any) -> Divisor:
     _check_header(doc, "divisor")
+    records = doc.get("points", [])
+    _require(isinstance(records, list), "divisor points must be a list")
     points = []
-    for record in doc.get("points", []):
+    for record in records:
         try:
-            points.append((parse_gaussian_rational(record["location"]), int(record["multiplicity"])))
+            points.append((parse_gaussian_rational(record["location"]),
+                           _integer(record["multiplicity"], "multiplicity")))
         except (KeyError, TypeError, ValueError) as exc:
             raise DocumentError(f"bad divisor point: {exc}") from exc
     try:

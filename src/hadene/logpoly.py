@@ -11,7 +11,8 @@ and subtract), and the closed-form definite integrals
     integral from u=alpha to u=z/beta of  (two-variable integrand) du
 
 that evaluate the convolution formulas without any numeric step.  Antiderivatives
-of u^k (log u)^l come from the integration-by-parts recursion on l; the k = -1
+of u^k (log u)^l come from the closed form of the integration-by-parts
+recursion on l, whose rational factors are cached per (k, l); the k = -1
 column integrates to (log u)^(l+1)/(l+1).
 
 Branches are formal here: log(z/u) is rewritten as log z - log u, and endpoint
@@ -24,11 +25,13 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Mapping
 
 from .coeffs import (
     EC_ONE,
+    GR_ONE,
     ConstantSymbol,
     ExactCoeff,
     GaussianRational,
@@ -66,9 +69,32 @@ def log_location_power(location: GaussianRational, power: int) -> ExactCoeff:
     """Log(location)^power as an ExactCoeff; Log(1) is simplified to 0."""
     if power == 0:
         return EC_ONE
-    if location == GaussianRational.of(1):
+    if location == GR_ONE:
         return ExactCoeff.zero()
     return ExactCoeff.monomial({log_symbol(location): power})
+
+
+def _add_term(out: dict, key, value: ExactCoeff) -> None:
+    """out[key] += value, dropping the key when the sum cancels."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = value
+        return
+    acc = acc + value
+    if acc:
+        out[key] = acc
+    else:
+        del out[key]
+
+
+def _add_log_z_over(out: dict, zpow: int, zlogpow: int, l: int, base: ExactCoeff,
+                    location: GaussianRational) -> None:
+    """Add base * z^zpow (log z)^zlogpow (log z - Log(location))^l to out, expanded."""
+    # Log(1) = 0 leaves only the (log z)^l term
+    for j in range(l + 1) if location != GR_ONE else (l,):
+        sign = 1 if (l - j) % 2 == 0 else -1
+        logc = log_location_power(location, l - j) * (comb(l, j) * sign)
+        _add_term(out, (zpow, zlogpow + j), base * logc)
 
 
 class LogLaurentPoly:
@@ -235,17 +261,10 @@ class LogLaurentPoly:
     def scale_argument(self, location: GaussianRational) -> "LogLaurentPoly":
         """p(z / location): z^m -> location^(-m) z^m, log z -> log z - Log(location)."""
         loc = _gauss(location)
-        out = LogLaurentPoly()
+        out: dict[tuple[int, int], ExactCoeff] = {}
         for (m, l), coeff in self.terms.items():
-            base = coeff.scale(loc ** (-m))
-            piece: dict[tuple[int, int], ExactCoeff] = {}
-            for j in range(l + 1):
-                sign = 1 if (l - j) % 2 == 0 else -1
-                logc = log_location_power(loc, l - j) * (comb(l, j) * sign)
-                if logc:
-                    piece[(m, j)] = base * logc
-            out = out + LogLaurentPoly(piece)
-        return out
+            _add_log_z_over(out, m, 0, l, coeff.scale(loc ** (-m)), loc)
+        return LogLaurentPoly(out)
 
     def eval_at_location(self, location: GaussianRational) -> ExactCoeff:
         """p(location) as an exact constant: z -> location, log z -> Log(location)."""
@@ -355,11 +374,12 @@ class BiLogPoly:
         return BiLogPoly(out)
 
     def antiderivative_u(self) -> "BiLogPoly":
-        """Exact antiderivative in u; total by recursion on the log exponent."""
-        out = BiLogPoly()
+        """Exact antiderivative in u, term by term in closed form."""
+        out: dict[tuple[int, int, int, int], ExactCoeff] = {}
         for (k, l, zm, zl), coeff in self.terms.items():
-            out = out + _antiderivative_term(k, l, zm, zl, coeff)
-        return out
+            for upow, ulogpow, factor in _antiderivative_table(k, l):
+                _add_term(out, (upow, ulogpow, zm, zl), coeff * factor)
+        return BiLogPoly(out)
 
     def eval_u_at_location(self, location: GaussianRational) -> LogLaurentPoly:
         """u -> location: powers fold into the coefficient, log u -> Log(location)."""
@@ -375,18 +395,10 @@ class BiLogPoly:
     def eval_u_at_z_over_location(self, location: GaussianRational) -> LogLaurentPoly:
         """u -> z/location: u^k -> z^k loc^(-k), log u -> log z - Log(location)."""
         loc = _gauss(location)
-        out = LogLaurentPoly()
+        out: dict[tuple[int, int], ExactCoeff] = {}
         for (k, l, zm, zl), coeff in self.terms.items():
-            base = coeff.scale(loc ** (-k))
-            piece: dict[tuple[int, int], ExactCoeff] = {}
-            for j in range(l + 1):
-                sign = 1 if (l - j) % 2 == 0 else -1
-                logc = log_location_power(loc, l - j) * (comb(l, j) * sign)
-                if logc:
-                    key = (zm + k, zl + j)
-                    piece[key] = piece.get(key, ExactCoeff.zero()) + base * logc
-            out = out + LogLaurentPoly(piece)
-        return out
+            _add_log_z_over(out, zm + k, zl, l, coeff.scale(loc ** (-k)), loc)
+        return LogLaurentPoly(out)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -397,13 +409,21 @@ class BiLogPoly:
         return " + ".join(parts)
 
 
-def _antiderivative_term(k: int, l: int, zm: int, zl: int, coeff: ExactCoeff) -> BiLogPoly:
+@lru_cache(maxsize=1024)
+def _antiderivative_table(k: int, l: int) -> tuple[tuple[int, int, Fraction], ...]:
+    """The terms (upow, ulogpow, factor) of an antiderivative of u^k (log u)^l.
+
+    For k = -1 it is (log u)^(l+1)/(l+1).  Otherwise, integrating by parts l
+    times gives u^(k+1) sum_i (-1)^i l!/(l-i)! (log u)^(l-i) / (k+1)^(i+1).
+    """
     if k == -1:
-        return BiLogPoly({(0, l + 1, zm, zl): coeff * Fraction(1, l + 1)})
-    lead = BiLogPoly({(k + 1, l, zm, zl): coeff * Fraction(1, k + 1)})
-    if l == 0:
-        return lead
-    return lead + _antiderivative_term(k, l - 1, zm, zl, coeff * Fraction(-l, k + 1))
+        return ((0, l + 1, Fraction(1, l + 1)),)
+    out = []
+    factor = Fraction(1, k + 1)
+    for i in range(l + 1):
+        out.append((k + 1, l - i, factor))
+        factor *= Fraction(-(l - i), k + 1)
+    return tuple(out)
 
 
 def integrate_u(p: BiLogPoly, alpha: GaussianRational, beta: GaussianRational) -> LogLaurentPoly:

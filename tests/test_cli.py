@@ -107,6 +107,39 @@ def test_malformed_documents_raise():
         exact_coeff_from_doc([{"coeff": "not-a-number", "symbols": {}}])
 
 
+ONE = [{"coeff": "1", "symbols": {}}]
+FUNCTION = {"format": 1, "kind": "function"}
+DIVISOR = {"format": 1, "kind": "divisor"}
+
+# decoder, document, id: each record breaks one assumption about JSON types or sizes
+MALFORMED_RECORDS = [
+    (exact_coeff_from_doc, [{"coeff": "1", "symbols": [["2pii", 1]]}], "symbols-not-object"),
+    (exact_coeff_from_doc, [{"coeff": "1", "symbols": {"2pii": 0.5}}], "exponent-not-integer"),
+    (exact_coeff_from_doc, [{"coeff": 3, "symbols": {}}], "coeff-not-string"),
+    (log_poly_from_doc, [{"zpow": -1e300, "logpow": 0, "coeff": ONE}], "zpow-float"),
+    (log_poly_from_doc, [{"zpow": 10 ** 6 + 1, "logpow": 0, "coeff": ONE}], "zpow-too-large"),
+    (log_poly_from_doc, [{"zpow": 0, "logpow": 1025, "coeff": ONE}], "logpow-too-large"),
+    (function_spec_from_doc, {**FUNCTION, "singularities": 5}, "singularities-not-list"),
+    (function_spec_from_doc, {**FUNCTION, "singularities": [{"location": 2}]}, "location-not-string"),
+    (function_spec_from_doc, {**FUNCTION, "singularities": [{"location": "2", "germ": {"type": "polar", "coeffs": 5}}]},
+     "polar-coeffs-not-list"),
+    (divisor_from_doc, {**DIVISOR, "points": 5}, "points-not-list"),
+    (divisor_from_doc, {**DIVISOR, "points": [{"location": "2", "multiplicity": 0.5}]}, "multiplicity-float"),
+]
+
+
+@pytest.mark.parametrize("decode, doc", [case[:2] for case in MALFORMED_RECORDS],
+                         ids=[case[2] for case in MALFORMED_RECORDS])
+def test_malformed_records_are_document_errors(decode, doc):
+    with pytest.raises(DocumentError):
+        decode(doc)
+
+
+def test_log_polynomial_bounds_are_inclusive():
+    p = log_poly_from_doc([{"zpow": -10 ** 6, "logpow": 1024, "coeff": ONE}])
+    assert p == LogLaurentPoly.term(-10 ** 6, 1024)
+
+
 # --- CLI: series ------------------------------------------------------------------------
 
 
@@ -255,13 +288,14 @@ REFUSED_INPUTS = [
     (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9,nan"], 3, "'nan'"),
     (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--nodes", "64"], 5, "node budget 64 spent"),
     (["monodromy", "-f", "{negative_logpow}", "-g", "{li1}"], 2, "logpow -1 is negative"),
+    (["verify", "-f", "{zpow_overflow}", "-g", "{li1}", "--samples", "0.9"], 3, "overflows a double"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, message", REFUSED_INPUTS,
                          ids=["gamma-1/0", "series-coeff-1/0", "series-infinity", "series-overflowing-literal",
                               "series-non-finite-result", "verify-no-winding-0", "verify-nan-sample",
-                              "verify-node-budget", "negative-logpow"])
+                              "verify-node-budget", "negative-logpow", "verify-overflow"])
 def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, message):
     docs = {
         "li1": write_doc(tmp_path, "li1.json", li1_function_doc()),
@@ -278,6 +312,9 @@ def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, mess
     negative_logpow = li1_function_doc()
     negative_logpow["singularities"][0]["monodromy"][0]["logpow"] = -1
     docs["negative_logpow"] = write_doc(tmp_path, "negative_logpow.json", negative_logpow)
+    zpow_overflow = li1_function_doc()
+    zpow_overflow["singularities"][0]["monodromy"][0]["zpow"] = -1000000
+    docs["zpow_overflow"] = write_doc(tmp_path, "zpow_overflow.json", zpow_overflow)
     # strict JSON whose number overflows a double; json.dumps cannot write it
     docs["overflow"] = str(tmp_path / "overflow.json")
     (tmp_path / "overflow.json").write_text(

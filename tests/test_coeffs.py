@@ -1,13 +1,20 @@
 """Exact constants field: arithmetic, normalization, numeric bridge."""
 
+import copy
+import json
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from hadene.coeffs import (
     EC_ONE,
+    ConstantSymbol,
     ExactCoeff,
     GaussianRational,
     NotAUnit,
@@ -18,6 +25,7 @@ from hadene.coeffs import (
     parse_symbol,
     two_pi_i_symbol,
 )
+from hadene.documents import exact_coeff_from_doc
 
 
 def rational(p, q=1):
@@ -152,3 +160,122 @@ def test_power_of_exact_coeff():
     assert a ** 3 == ExactCoeff.two_pi_i(3)
     assert a ** 0 == EC_ONE
     assert a ** -2 == ExactCoeff.two_pi_i(-2)
+
+
+# --- the integer representation -------------------------------------------------------
+
+F0, F1 = Fraction(0), Fraction(1)
+
+
+def ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def ref_div(x, y):
+    (a, b), (c, d) = x, y
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+def ref_pow(x, k):
+    out = (F1, F0)
+    for _ in range(abs(k)):
+        out = ref_mul(out, x)
+    return out if k >= 0 else ref_div((F1, F0), out)
+
+
+def assert_normal_form(g):
+    a, b, d = g._a, g._b, g._d  # the private triple (a + b i) / d
+    assert d > 0 and math.gcd(a, b, d) == 1
+
+
+def test_gaussian_rational_arithmetic_matches_a_fraction_reference():
+    rng = random.Random(4)
+
+    def draw():
+        # few denominators, so that sums over equal denominators are common
+        re = Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6, 35)))
+        im = Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6, 35))) if rng.random() < 0.7 else 0
+        return GaussianRational.of(re, im)
+
+    for _ in range(1000):
+        x, y = draw(), draw()
+        X, Y = (x.re, x.im), (y.re, y.im)
+        k = rng.randint(-4, 4)
+        cases = [
+            (x + y, (X[0] + Y[0], X[1] + Y[1])),
+            (x - y, (X[0] - Y[0], X[1] - Y[1])),
+            (-x, (-X[0], -X[1])),
+            (x * y, ref_mul(X, Y)),
+        ]
+        if y:
+            cases.append((x / y, ref_div(X, Y)))
+        if x or k >= 0:
+            cases.append((x ** k, ref_pow(X, k)))
+        for got, (re, im) in cases:
+            assert (got.re, got.im) == (re, im)
+            assert_normal_form(got)
+            expected = GaussianRational.of(re, im)
+            assert got == expected and hash(got) == hash(expected)
+            assert complex(got) == complex(float(re), float(im))
+            assert parse_gaussian_rational(str(got)) == got
+
+
+def test_gaussian_rational_division_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational.of(1, 1) / GaussianRational.of(0)
+
+
+def test_equal_gaussian_rationals_hash_equal():
+    half = GaussianRational.of(Fraction(1, 2))
+    same = [GaussianRational.of(Fraction(2, 4)), GaussianRational.of("3/6"),
+            GaussianRational.of(1, 1) * GaussianRational.of(1, -1) / GaussianRational.of(4),
+            GaussianRational.of(Fraction(1, 3), Fraction(1, 5)) - GaussianRational.of(Fraction(-1, 6), Fraction(1, 5))]
+    for value in same:
+        assert value == half and hash(value) == hash(half)
+        assert_normal_form(value)
+    assert {half: "x"}[same[-1]] == "x"
+    assert GaussianRational.of(0, 0) == GaussianRational() and not GaussianRational.of(Fraction(0, 7))
+
+
+def test_symbols_are_interned():
+    assert parse_symbol("log(2)") is log_symbol(2)
+    assert log_symbol(Fraction(4, 2)) is log_symbol(GaussianRational.of(2))
+    assert ConstantSymbol("loc", 3) is loc_symbol(3) is parse_symbol("loc(3)")
+    assert parse_symbol("2pii") is two_pi_i_symbol()
+    assert log_symbol(2) is not loc_symbol(2) and log_symbol(2).id != loc_symbol(2).id
+    sym = log_symbol(Fraction(-3, 2))
+    assert copy.deepcopy(sym) is sym and pickle.loads(pickle.dumps(sym)) is sym
+    with pytest.raises(AttributeError):
+        sym.id = 0
+
+
+_OPPOSITE_ORDERS = """
+import json, sys
+from fractions import Fraction
+from hadene.coeffs import ExactCoeff, GaussianRational, log_symbol, loc_symbol, parse_symbol
+from hadene.documents import exact_coeff_to_doc
+makers = [lambda: log_symbol(Fraction(7, 3)), lambda: loc_symbol(-5), lambda: parse_symbol("log(1/2+1i)")]
+for make in makers[::int(sys.argv[1])]:
+    make()
+a, b, c = (make() for make in makers)
+x = (ExactCoeff.monomial({a: 1, b: -2}, GaussianRational.of(1, 2))
+     + ExactCoeff.monomial({c: 1, a: 1}, 3) + ExactCoeff.two_pi_i(-1, Fraction(5, 4)))
+y = ExactCoeff.monomial({b: 1, c: 2}, GaussianRational.of(0, -1)) + ExactCoeff.monomial({a: -1, b: 2})
+product = x * y
+print(json.dumps([exact_coeff_to_doc(product), repr(product), [s.id for s in (a, b, c)]]))
+"""
+
+
+def test_products_do_not_depend_on_the_order_symbols_were_interned():
+    # ids number symbols in the order a process first meets them, so run each
+    # order in a fresh interpreter
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    runs = [json.loads(subprocess.run([sys.executable, "-c", _OPPOSITE_ORDERS, step], env=env, check=True,
+                                      capture_output=True, text=True).stdout) for step in ("1", "-1")]
+    (doc1, repr1, ids1), (doc2, repr2, ids2) = runs
+    assert ids1 != ids2 and sorted(ids1) == sorted(ids2)
+    assert json.dumps(doc1) == json.dumps(doc2) and repr1 == repr2
+    assert exact_coeff_from_doc(doc1) == exact_coeff_from_doc(doc2)

@@ -185,6 +185,18 @@ def test_trapezoid_convergence_is_spectral():
         assert fine < coarse / 10.0
 
 
+def test_trapezoid_doubling_evaluates_each_node_once(monkeypatch):
+    # levels 32, 64 and 128: each doubling reuses the nodes of the level before
+    nodes = []
+    value_at = PolylogElement.principal_value
+    monkeypatch.setattr(PolylogElement, "principal_value",
+                        lambda self, u: nodes.append(u) or value_at(self, u))
+    z = 0.3 + 0.2j
+    value = pincherle_eval(PolylogElement(2), geometric_element(), z)
+    assert len(nodes) == len(set(nodes)) == 128
+    assert abs(value - li_value(2, z)) < 1e-10
+
+
 def test_ene_pincherle_li1_pair():
     # -sum n (1/n)(1/n) z^n = -Li_1, measured without any series identity
     li1 = PolylogElement(1)

@@ -252,3 +252,32 @@ def test_lp_eval_polylog_monodromy_closed_form():
 def test_lp_eval_rejects_zero():
     with pytest.raises(ZeroArgument):
         lp_eval(LogLaurentPoly.log_z(), BranchPoint(0.0, 0))
+
+
+# --- deep log powers ---------------------------------------------------------------
+
+
+def test_integrate_u_of_a_deep_log_power():
+    l = 1500
+    p = BiLogPoly({(0, l, 0, 0): EC_ONE})
+    result = integrate_u(p, gr(1), gr(1))
+    assert result.max_logpow() == l
+    assert result.derivative() == LogLaurentPoly.term(0, l)
+
+
+def test_integrate_u_derivative_is_the_integrand_at_z_over_beta():
+    # d/dz of the integral from alpha to z/beta is p(z/beta) / beta
+    p = BiLogPoly({(2, 40, 0, 0): TWO_PI_I, (-3, 17, 0, 0): ExactCoeff.from_rational(Fraction(-5, 3))})
+    result = integrate_u(p, gr(2), gr(3))
+    assert result.derivative() == p.eval_u_at_z_over_location(gr(3)).scale(ExactCoeff.from_rational(Fraction(1, 3)))
+
+
+def test_antiderivative_differentiates_back_at_deep_log_powers():
+    rng = random.Random(1500)
+    cases = [(-1, 0), (-1, 45), (-2, 30), (-7, 12)]
+    cases += [(rng.randint(-8, 8), rng.randint(0, 60)) for _ in range(16)]
+    for k, l in cases:
+        coeff = ExactCoeff.two_pi_i(
+            rng.randint(-1, 1), GaussianRational.of(Fraction(rng.randint(1, 9), rng.randint(1, 7)), rng.randint(-2, 2)))
+        p = BiLogPoly({(k, l, rng.randint(-2, 2), rng.randint(0, 2)): coeff, (k + 1, l // 2, 0, 0): EC_ONE})
+        assert p.antiderivative_u().derivative_u() == p
