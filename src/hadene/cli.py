@@ -20,7 +20,7 @@ import cmath
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coeffs import parse_gaussian_rational
 from .continuation import (
@@ -31,6 +31,7 @@ from .continuation import (
 )
 from .documents import (
     DocumentError,
+    _write_text,
     divisor_from_doc,
     divisor_to_doc,
     dump_document,
@@ -42,7 +43,6 @@ from .documents import (
     series_to_doc,
 )
 from .monodromy import (
-    GermNotTotallyHolomorphic,
     MonodromyResult,
     divisor_ene,
     ene_monodromy_general,
@@ -50,20 +50,13 @@ from .monodromy import (
     log_ladder_monodromy,
     polylog_monodromy,
 )
-from .series import BadConstantTerm, FieldMismatch, ZeroRoot, ene, ene_exp, hadamard
+from .series import FieldMismatch, ene, ene_exp, hadamard
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
 EXIT_QUADRATURE = 5
-
-_PRECONDITION_ERRORS = (
-    BadConstantTerm,
-    FieldMismatch,
-    ZeroRoot,
-    GermNotTotallyHolomorphic,
-)
 
 
 @dataclass
@@ -72,6 +65,7 @@ class JobConfig:
 
     order: int = 64
     tol: float = 1e-9
+    check_tol: float = 1e-6
     nodes: int = 1 << 16
     out: str | None = None
     fmt: str = "json"
@@ -80,8 +74,11 @@ class JobConfig:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("--order must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("--tol must be positive")
+        for name, value in (("--tol", self.tol), ("--check-tol", self.check_tol)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, not {value:g}")
+        if self.nodes < 1:
+            raise ValueError("--nodes must be >= 1")
         if self.fmt not in ("json", "csv"):
             raise ValueError("--format must be json or csv")
 
@@ -91,6 +88,7 @@ def _job_from_args(args) -> JobConfig:
     return JobConfig(
         order=getattr(args, "order", 64),
         tol=getattr(args, "tol", 1e-9),
+        check_tol=getattr(args, "check_tol", 1e-6),
         nodes=getattr(args, "nodes", 1 << 16),
         out=getattr(args, "out", None),
         fmt=getattr(args, "format", "json"),
@@ -185,28 +183,25 @@ def cmd_verify(args) -> int:
     f_spec, f_element = function_spec_from_doc(load_document(args.f))
     g_spec, g_element = function_spec_from_doc(load_document(args.g))
     if f_element is None or g_element is None:
-        raise GermNotTotallyHolomorphic(
-            "verify needs an oracle element realization in both function documents"
-        )
+        raise ValueError("verify needs an oracle element realization in both function documents")
     gamma = parse_gaussian_rational(args.gamma)
     samples = _parse_samples(args.samples)
     report = crosscheck(
         f_spec, g_spec, gamma, samples,
         f_element=f_element, g_element=g_element,
-        windings=job.windings, tol=min(job.tol, args.check_tol),
+        windings=job.windings, tol=min(job.tol, job.check_tol),
         node_budget=job.nodes,
     )
     if job.fmt == "csv":
         text = report.to_csv()
         if job.out:
-            with open(job.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            _write_text(job.out, text)
         sys.stdout.write(text)
     else:
         _emit(oracle_report_to_doc(report), job)
-    if not (report.max_abs_error <= args.check_tol):
+    if not (report.max_abs_error <= job.check_tol):
         sys.stderr.write(
-            f"verification failed: max abs error {report.max_abs_error:.3e} > {args.check_tol:g}\n"
+            f"verification failed: max abs error {report.max_abs_error:.3e} > {job.check_tol:g}\n"
         )
         return EXIT_VERIFY
     return EXIT_OK
@@ -407,13 +402,10 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         sys.stderr.write(f"document error: {exc}\n")
         return EXIT_PARSE
-    except _PRECONDITION_ERRORS as exc:
-        sys.stderr.write(f"precondition violated: {exc}\n")
-        return EXIT_PRECONDITION
     except (QuadratureNotConverged, GeometryInfeasible, PathTooCloseToSingularity) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_QUADRATURE
-    except ValueError as exc:
+    except (FieldMismatch, ValueError) as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")
         return EXIT_PRECONDITION
 

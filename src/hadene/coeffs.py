@@ -24,6 +24,10 @@ Representation, chosen so that the ring operations run on machine integers:
   (``sorted_terms``, ``symbols``, ``repr``, the document form) maps ids back to
   symbols and orders by the symbols' keys instead.
 
+``ExactCoeff`` shares its term-map core, ``_TermMap`` (normalizing constructor,
+addition, negation, equality), with the log polynomial rings of ``logpoly``;
+ring operations build normalized dicts directly and skip the constructor.
+
 Arithmetic is exact; only single monomials are invertible (every prefactor the
 monodromy formulas need divides by rationals, powers of ``2*pi*i`` or powers of
 locations, which are all monomial units).  ``eval`` bridges to complex doubles
@@ -54,6 +58,17 @@ class UnassignedSymbol(KeyError):
 
 
 _new = object.__new__
+
+
+def _power(base, k: int, one):
+    """base ** k for k >= 0 by repeated squaring."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
 
 
 def _reduced(a: int, b: int, d: int) -> "GaussianRational":
@@ -138,15 +153,7 @@ class GaussianRational:
     def __pow__(self, k: int) -> "GaussianRational":
         if k < 0:
             return GR_ONE / (self ** (-k))
-        out = GR_ONE
-        base = self
-        n = k
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, k, GR_ONE)
 
     def __complex__(self) -> complex:
         # integer true division rounds correctly, as float(Fraction) does
@@ -252,9 +259,6 @@ class ConstantSymbol:
     def __reduce__(self):
         return ConstantSymbol, (self.kind, self.base)
 
-    def default_value(self) -> complex:
-        return self._value
-
     def __str__(self) -> str:
         return self.key
 
@@ -312,6 +316,89 @@ def _symbolic(mono: Monomial) -> SymbolMonomial:
     return tuple(sorted(((_SYMBOLS[sid], exp) for sid, exp in mono), key=lambda it: it[0].key))
 
 
+def _add_term(out: dict, key, value) -> None:
+    """out[key] += value, dropping the key when the sum cancels."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = value
+        return
+    acc = acc + value
+    if acc:
+        out[key] = acc
+    else:
+        del out[key]
+
+
+class _TermMap:
+    """Finite map from exponent-tuple keys to nonzero coefficients.
+
+    The shared core of ExactCoeff (monomial -> GaussianRational) and of the
+    log polynomial rings in ``logpoly`` (exponent tuple -> ExactCoeff).  The
+    constructor normalizes any mapping: equal keys are summed, zero
+    coefficients dropped, and each key slot named in ``_LOG_SLOTS`` (a log
+    power) must be >= 0.  Ring operations build normalized dicts themselves
+    and hand them to ``_wrap``, which skips that pass.
+    """
+
+    __slots__ = ("terms",)
+    _LOG_SLOTS: tuple[int, ...] = ()
+
+    def __init__(self, terms: Mapping | None = None):
+        normalized: dict = {}
+        if terms:
+            for key, coeff in terms.items():
+                for slot in self._LOG_SLOTS:
+                    if key[slot] < 0:
+                        raise ValueError("log powers must be >= 0")
+                if coeff:
+                    _add_term(normalized, key, coeff)
+        self.terms = normalized
+
+    @classmethod
+    def _wrap(cls, terms: dict):
+        """An instance around a term map that is already normalized."""
+        out = _new(cls)
+        out.terms = terms
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        merged = dict(self.terms)
+        for key, coeff in other.terms.items():  # _add_term, inlined in the hottest loop
+            acc = merged.get(key)
+            if acc is None:
+                merged[key] = coeff
+            else:
+                acc = acc + coeff
+                if acc:
+                    merged[key] = acc
+                else:
+                    del merged[key]
+        return self._wrap(merged)
+
+    def __neg__(self):
+        return self._wrap({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+
 def _wrap(terms: dict[Monomial, GaussianRational]) -> "ExactCoeff":
     """An ExactCoeff around a term map that is already normalized."""
     out = _new(ExactCoeff)
@@ -319,20 +406,10 @@ def _wrap(terms: dict[Monomial, GaussianRational]) -> "ExactCoeff":
     return out
 
 
-class ExactCoeff:
+class ExactCoeff(_TermMap):
     """Element of the exact constants field: a normalized term map."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Monomial, GaussianRational] | None = None):
-        normalized: dict[Monomial, GaussianRational] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    normalized[mono] = normalized.get(mono, GR_ZERO) + coeff
-                    if not normalized[mono]:
-                        del normalized[mono]
-        self.terms = normalized
+    __slots__ = ()
 
     # -- constructors --------------------------------------------------------
 
@@ -359,53 +436,16 @@ class ExactCoeff:
 
     # -- predicates ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def symbols(self) -> set[ConstantSymbol]:
         return {_SYMBOLS[sid] for mono in self.terms for sid, _ in mono}
 
     def _key(self):
         return tuple((mono, c.re, c.im) for mono, c in self.sorted_terms())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactCoeff):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __hash__(self):
         return hash(self._key())
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     # -- ring operations -----------------------------------------------------
-
-    def __add__(self, other: "ExactCoeff") -> "ExactCoeff":
-        if not isinstance(other, ExactCoeff):
-            return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = merged.get(mono)
-            if acc is None:
-                merged[mono] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    merged[mono] = acc
-                else:
-                    del merged[mono]
-        return _wrap(merged)
-
-    def __neg__(self) -> "ExactCoeff":
-        return _wrap({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "ExactCoeff") -> "ExactCoeff":
-        return self + (-other)
 
     def __mul__(self, other) -> "ExactCoeff":
         if isinstance(other, ExactCoeff):
@@ -454,15 +494,7 @@ class ExactCoeff:
     def __pow__(self, k: int) -> "ExactCoeff":
         if k < 0:
             return self.invert_monomial() ** (-k)
-        out = EC_ONE
-        base = self
-        n = k
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, k, EC_ONE)
 
     def invert_monomial(self) -> "ExactCoeff":
         """Exact inverse, defined only for single-monomial values."""
@@ -511,7 +543,6 @@ class ExactCoeff:
         return " + ".join(parts)
 
 
-EC_ZERO = ExactCoeff()
 EC_ONE = ExactCoeff.from_rational(1)
 
 

@@ -360,6 +360,13 @@ def dump_document(doc: Any, path: str | None) -> str:
     except ValueError as exc:
         raise ValueError("the result holds a number that is not finite, which JSON cannot carry") from exc
     if path:
+        _write_text(path, text)
+    return text
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    return text
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from exc

@@ -15,6 +15,11 @@ of u^k (log u)^l come from the closed form of the integration-by-parts
 recursion on l, whose rational factors are cached per (k, l); the k = -1
 column integrates to (log u)^(l+1)/(l+1).
 
+LogLaurentPoly and BiLogPoly share the term-map core of ``coeffs`` and, above
+it, one product, one derivation and the substitutions of the variable in key
+slots (0, 1).  Every log shift expands through one binomial helper,
+_add_log_z_over, with the powers of the shift built once per call.
+
 Branches are formal here: log(z/u) is rewritten as log z - log u, and endpoint
 logs become Log(location) symbols (Log(1) simplifies to 0 eagerly, nothing else
 does).  Numeric evaluation picks a sheet explicitly through BranchPoint.
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Mapping
+from operator import add
 
 from .coeffs import (
     EC_ONE,
@@ -35,6 +40,8 @@ from .coeffs import (
     ConstantSymbol,
     ExactCoeff,
     GaussianRational,
+    _add_term,
+    _TermMap,
     as_exact,
     log_symbol,
 )
@@ -60,9 +67,7 @@ class BranchPoint:
 
 
 def _gauss(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    return GaussianRational.of(Fraction(value))
+    return value if isinstance(value, GaussianRational) else GaussianRational(value)
 
 
 def log_location_power(location: GaussianRational, power: int) -> ExactCoeff:
@@ -74,49 +79,92 @@ def log_location_power(location: GaussianRational, power: int) -> ExactCoeff:
     return ExactCoeff.monomial({log_symbol(location): power})
 
 
-def _add_term(out: dict, key, value: ExactCoeff) -> None:
-    """out[key] += value, dropping the key when the sum cancels."""
-    acc = out.get(key)
-    if acc is None:
-        out[key] = value
-        return
-    acc = acc + value
-    if acc:
-        out[key] = acc
-    else:
-        del out[key]
+def _signed_binomials(l: int) -> list[int]:
+    """(-1)^(l-j) C(l, j) for j = 0..l: (x - y)^l = sum_j row[j] x^j y^(l-j)."""
+    return [comb(l, j) * (-1) ** (l - j) for j in range(l + 1)]
 
 
 def _add_log_z_over(out: dict, zpow: int, zlogpow: int, l: int, base: ExactCoeff,
-                    location: GaussianRational) -> None:
-    """Add base * z^zpow (log z)^zlogpow (log z - Log(location))^l to out, expanded."""
-    # Log(1) = 0 leaves only the (log z)^l term
-    for j in range(l + 1) if location != GR_ONE else (l,):
-        sign = 1 if (l - j) % 2 == 0 else -1
-        logc = log_location_power(location, l - j) * (comb(l, j) * sign)
-        _add_term(out, (zpow, zlogpow + j), base * logc)
+                    ypowers: list[ExactCoeff]) -> None:
+    """Add base * z^zpow (log z)^zlogpow (log z - y)^l to out, expanded.
+
+    ypowers[n] = y^n, listed while nonzero: the powers past the list vanish, so
+    at y = 0 only (log z)^l is added and no binomial row is built.
+    """
+    row = _signed_binomials(l) if len(ypowers) > 1 else ()
+    for j in range(max(l + 1 - len(ypowers), 0), l + 1):
+        _add_term(out, (zpow, zlogpow + j), base * ypowers[l - j] * row[j] if j < l else base)
 
 
-class LogLaurentPoly:
+class _LogTermMap(_TermMap):
+    """Ring operations shared by LogLaurentPoly and BiLogPoly.
+
+    Keys are exponent tuples; slots (0, 1) hold the power and the log power of
+    the variable x (z, or u) that the derivation and the substitutions act on,
+    and any further slots are constants for it.
+    """
+
+    __slots__ = ()
+    _LOG_SLOTS = (1,)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            out: dict = {}
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    _add_term(out, tuple(map(add, k1, k2)), c1 * c2)
+            return self._wrap(out)
+        return self.scale(as_exact(other))
+
+    __rmul__ = __mul__
+
+    def scale(self, coeff: ExactCoeff):
+        if not coeff:
+            return self._wrap({})
+        return self._wrap({k: c * coeff for k, c in self.terms.items()})
+
+    def _derivative(self):
+        """d/dz (or d/du) term by term: x^m (log x)^l -> m x^(m-1)(log x)^l + l x^(m-1)(log x)^(l-1)."""
+        out: dict = {}
+        for key, coeff in self.terms.items():
+            m, l = key[0], key[1]
+            if m:
+                _add_term(out, (m - 1,) + key[1:], coeff * m)
+            if l:
+                _add_term(out, (m - 1, l - 1) + key[2:], coeff * l)
+        return self._wrap(out)
+
+    def _at_location(self, location: GaussianRational) -> dict:
+        """x -> location: x^k folds into the coefficient, log x -> Log(location).
+
+        The result maps the remaining key slots (the z part of a BiLogPoly, ()
+        for a LogLaurentPoly) to coefficients.
+        """
+        loc = _gauss(location)
+        logs = {l: log_location_power(loc, l) for l in {key[1] for key in self.terms}}
+        out: dict = {}
+        for key, coeff in self.terms.items():
+            if logs[key[1]]:
+                _add_term(out, key[2:], coeff.scale(loc ** key[0]) * logs[key[1]])
+        return out
+
+    def _at_z_over_location(self, location: GaussianRational) -> "LogLaurentPoly":
+        """x -> z/location: x^k -> z^k location^(-k), log x -> log z - Log(location)."""
+        loc = _gauss(location)
+        # Log(1) = 0: at location 1 every power past the zeroth vanishes
+        top = max((key[1] for key in self.terms), default=0) if loc != GR_ONE else 0
+        logs = [log_location_power(loc, n) for n in range(top + 1)]
+        out: dict[tuple[int, int], ExactCoeff] = {}
+        for key, coeff in self.terms.items():
+            k, l, zpow, zlogpow = (*key, 0, 0)[:4]  # a LogLaurentPoly key has no z part
+            _add_log_z_over(out, zpow + k, zlogpow, l, coeff.scale(loc ** (-k)), logs)
+        return LogLaurentPoly._wrap(out)
+
+
+class LogLaurentPoly(_LogTermMap):
     """Finite term map (zpow, logpow) -> ExactCoeff, normalized."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int], ExactCoeff] | None = None):
-        normalized: dict[tuple[int, int], ExactCoeff] = {}
-        if terms:
-            for key, coeff in terms.items():
-                zpow, logpow = key
-                if logpow < 0:
-                    raise ValueError("logpow must be >= 0")
-                if coeff:
-                    acc = normalized.get(key)
-                    acc = coeff if acc is None else acc + coeff
-                    if acc:
-                        normalized[key] = acc
-                    elif key in normalized:
-                        del normalized[key]
-        object.__setattr__(self, "terms", normalized)
+    __slots__ = ()
 
     # -- constructors ---------------------------------------------------------
 
@@ -141,17 +189,6 @@ class LogLaurentPoly:
         return LogLaurentPoly.term(1, 0)
 
     # -- basic structure ------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LogLaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __hash__(self):
         return hash(tuple(sorted((k, v._key()) for k, v in self.terms.items())))
@@ -186,65 +223,22 @@ class LogLaurentPoly:
             parts.append(f"[{coeff}]*{body}")
         return " + ".join(parts)
 
-    # -- ring operations ------------------------------------------------------
-
-    def __add__(self, other: "LogLaurentPoly") -> "LogLaurentPoly":
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, ExactCoeff.zero()) + coeff
-        return LogLaurentPoly(merged)
-
-    def __neg__(self) -> "LogLaurentPoly":
-        return LogLaurentPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "LogLaurentPoly") -> "LogLaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "LogLaurentPoly":
-        if isinstance(other, LogLaurentPoly):
-            out: dict[tuple[int, int], ExactCoeff] = {}
-            for (z1, l1), c1 in self.terms.items():
-                for (z2, l2), c2 in other.terms.items():
-                    key = (z1 + z2, l1 + l2)
-                    prod = c1 * c2
-                    out[key] = out.get(key, ExactCoeff.zero()) + prod
-            return LogLaurentPoly(out)
-        return self.scale(as_exact(other))
-
-    __rmul__ = __mul__
-
-    def scale(self, coeff: ExactCoeff) -> "LogLaurentPoly":
-        if not coeff:
-            return LogLaurentPoly()
-        return LogLaurentPoly({k: c * coeff for k, c in self.terms.items()})
-
     # -- calculus -------------------------------------------------------------
 
-    def derivative(self) -> "LogLaurentPoly":
-        """d/dz, term by term: z^m (log z)^l -> m z^(m-1)(log z)^l + l z^(m-1)(log z)^(l-1)."""
-        out: dict[tuple[int, int], ExactCoeff] = {}
-        for (m, l), coeff in self.terms.items():
-            if m:
-                key = (m - 1, l)
-                out[key] = out.get(key, ExactCoeff.zero()) + coeff * m
-            if l:
-                key = (m - 1, l - 1)
-                out[key] = out.get(key, ExactCoeff.zero()) + coeff * l
-        return LogLaurentPoly(out)
+    derivative = _LogTermMap._derivative
 
     def shift_log(self, amount: ExactCoeff) -> "LogLaurentPoly":
         """Substitute log z -> log z + amount, expanding powers binomially."""
-        out: dict[tuple[int, int], ExactCoeff] = {}
+        if not amount:
+            return self
+        neg = -amount
         powers = [EC_ONE]
-        max_l = self.max_logpow()
-        for _ in range(max_l):
-            powers.append(powers[-1] * amount)
+        for _ in range(self.max_logpow()):
+            powers.append(powers[-1] * neg)
+        out: dict[tuple[int, int], ExactCoeff] = {}
         for (m, l), coeff in self.terms.items():
-            for j in range(l + 1):
-                key = (m, j)
-                contrib = coeff * comb(l, j) * powers[l - j]
-                out[key] = out.get(key, ExactCoeff.zero()) + contrib
-        return LogLaurentPoly(out)
+            _add_log_z_over(out, m, 0, l, coeff, powers)
+        return LogLaurentPoly._wrap(out)
 
     def sigma_power(self, n: int) -> "LogLaurentPoly":
         """Continuation around the origin n times: log z -> log z + n * 2pii."""
@@ -258,21 +252,11 @@ class LogLaurentPoly:
 
     # -- substitutions --------------------------------------------------------
 
-    def scale_argument(self, location: GaussianRational) -> "LogLaurentPoly":
-        """p(z / location): z^m -> location^(-m) z^m, log z -> log z - Log(location)."""
-        loc = _gauss(location)
-        out: dict[tuple[int, int], ExactCoeff] = {}
-        for (m, l), coeff in self.terms.items():
-            _add_log_z_over(out, m, 0, l, coeff.scale(loc ** (-m)), loc)
-        return LogLaurentPoly(out)
+    scale_argument = _LogTermMap._at_z_over_location  # p(z / location)
 
     def eval_at_location(self, location: GaussianRational) -> ExactCoeff:
         """p(location) as an exact constant: z -> location, log z -> Log(location)."""
-        loc = _gauss(location)
-        total = ExactCoeff.zero()
-        for (m, l), coeff in self.terms.items():
-            total = total + coeff.scale(loc ** m) * log_location_power(loc, l)
-        return total
+        return self._at_location(location).get((), ExactCoeff.zero())
 
     def lp_eval(self, at: BranchPoint, assignment=None) -> complex:
         """Numeric value on the chosen sheet."""
@@ -283,95 +267,33 @@ class LogLaurentPoly:
         return total
 
 
-class BiLogPoly:
+class BiLogPoly(_LogTermMap):
     """Term map (upow, ulogpow, zpow, zlogpow) -> ExactCoeff: integrands in u."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int, int, int], ExactCoeff] | None = None):
-        normalized: dict[tuple[int, int, int, int], ExactCoeff] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if key[1] < 0 or key[3] < 0:
-                    raise ValueError("log powers must be >= 0")
-                if coeff:
-                    acc = normalized.get(key)
-                    acc = coeff if acc is None else acc + coeff
-                    if acc:
-                        normalized[key] = acc
-                    elif key in normalized:
-                        del normalized[key]
-        object.__setattr__(self, "terms", normalized)
+    __slots__ = ()
+    _LOG_SLOTS = (1, 3)
 
     @staticmethod
     def from_poly_in_u(p: LogLaurentPoly) -> "BiLogPoly":
         """Read p as a function of u: z^m (log z)^l -> u^m (log u)^l."""
-        return BiLogPoly({(m, l, 0, 0): c for (m, l), c in p.terms.items()})
+        return BiLogPoly._wrap({(m, l, 0, 0): c for (m, l), c in p.terms.items()})
 
     @staticmethod
     def from_poly_at_z_over_u(p: LogLaurentPoly) -> "BiLogPoly":
         """Substitute z -> z/u: z^m -> z^m u^(-m), log z -> log z - log u."""
         out: dict[tuple[int, int, int, int], ExactCoeff] = {}
         for (m, l), coeff in p.terms.items():
-            for j in range(l + 1):
-                sign = 1 if (l - j) % 2 == 0 else -1
-                key = (-m, l - j, m, j)
-                contrib = coeff * (comb(l, j) * sign)
-                out[key] = out.get(key, ExactCoeff.zero()) + contrib
-        return BiLogPoly(out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiLogPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: "BiLogPoly") -> "BiLogPoly":
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, ExactCoeff.zero()) + coeff
-        return BiLogPoly(merged)
-
-    def __neg__(self) -> "BiLogPoly":
-        return BiLogPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "BiLogPoly") -> "BiLogPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "BiLogPoly":
-        if isinstance(other, BiLogPoly):
-            out: dict[tuple[int, int, int, int], ExactCoeff] = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(k1, k2))
-                    out[key] = out.get(key, ExactCoeff.zero()) + c1 * c2
-            return BiLogPoly(out)
-        coeff = as_exact(other)
-        if not coeff:
-            return BiLogPoly()
-        return BiLogPoly({k: c * coeff for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
+            for j, sign_comb in enumerate(_signed_binomials(l)):
+                _add_term(out, (-m, l - j, m, j), coeff * sign_comb)
+        return BiLogPoly._wrap(out)
 
     def times_u_power(self, k: int) -> "BiLogPoly":
-        return BiLogPoly({(u + k, ul, z, zl): c for (u, ul, z, zl), c in self.terms.items()})
+        return BiLogPoly._wrap({(u + k, ul, z, zl): c for (u, ul, z, zl), c in self.terms.items()})
 
     def times_z_power(self, k: int) -> "BiLogPoly":
-        return BiLogPoly({(u, ul, z + k, zl): c for (u, ul, z, zl), c in self.terms.items()})
+        return BiLogPoly._wrap({(u, ul, z + k, zl): c for (u, ul, z, zl), c in self.terms.items()})
 
-    def derivative_u(self) -> "BiLogPoly":
-        """d/du term by term (z-parts are constants here)."""
-        out: dict[tuple[int, int, int, int], ExactCoeff] = {}
-        for (k, l, zm, zl), coeff in self.terms.items():
-            if k:
-                key = (k - 1, l, zm, zl)
-                out[key] = out.get(key, ExactCoeff.zero()) + coeff * k
-            if l:
-                key = (k - 1, l - 1, zm, zl)
-                out[key] = out.get(key, ExactCoeff.zero()) + coeff * l
-        return BiLogPoly(out)
+    derivative_u = _LogTermMap._derivative
 
     def antiderivative_u(self) -> "BiLogPoly":
         """Exact antiderivative in u, term by term in closed form."""
@@ -379,26 +301,13 @@ class BiLogPoly:
         for (k, l, zm, zl), coeff in self.terms.items():
             for upow, ulogpow, factor in _antiderivative_table(k, l):
                 _add_term(out, (upow, ulogpow, zm, zl), coeff * factor)
-        return BiLogPoly(out)
+        return BiLogPoly._wrap(out)
 
     def eval_u_at_location(self, location: GaussianRational) -> LogLaurentPoly:
         """u -> location: powers fold into the coefficient, log u -> Log(location)."""
-        loc = _gauss(location)
-        out: dict[tuple[int, int], ExactCoeff] = {}
-        for (k, l, zm, zl), coeff in self.terms.items():
-            value = coeff.scale(loc ** k) * log_location_power(loc, l)
-            if value:
-                key = (zm, zl)
-                out[key] = out.get(key, ExactCoeff.zero()) + value
-        return LogLaurentPoly(out)
+        return LogLaurentPoly._wrap(self._at_location(location))
 
-    def eval_u_at_z_over_location(self, location: GaussianRational) -> LogLaurentPoly:
-        """u -> z/location: u^k -> z^k loc^(-k), log u -> log z - Log(location)."""
-        loc = _gauss(location)
-        out: dict[tuple[int, int], ExactCoeff] = {}
-        for (k, l, zm, zl), coeff in self.terms.items():
-            _add_log_z_over(out, zm + k, zl, l, coeff.scale(loc ** (-k)), loc)
-        return LogLaurentPoly(out)
+    eval_u_at_z_over_location = _LogTermMap._at_z_over_location
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -22,10 +22,12 @@ gamma = alpha * beta:
       + Res_{u=alpha}( F0'(u) dG(z/u) )  +  Res_{u=beta}( G0(u) dF'(z/u) z/u^2 )
 
 Residues are computed symbolically from the stored polar coefficients,
-Res = sum_k a_k * H^(k-1)(pole) / (k-1)!, never by numeric limits.  All four
-routes reduce to the same two primitives (exact definite integral, exact
-residue), so every special case is a consequence of those primitives rather
-than a separate code path.
+Res = sum_k a_k * H^(k-1)(pole) / (k-1)!, never by numeric limits.  One
+driver sums over the factorizations for all four entry points; each product
+supplies only its pair term (integral plus polar residues), and the *_total
+variants differ only in refusing polar germ parts.  Every term reduces to the
+same two primitives (exact definite integral, exact residue), so every special
+case is a consequence of those primitives rather than a separate code path.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coeffs import ExactCoeff, GaussianRational, as_exact
-from .logpoly import BiLogPoly, LogLaurentPoly, integrate_u
+from .logpoly import BiLogPoly, LogLaurentPoly, _gauss, integrate_u
 from .series import TruncatedSeries
 
 NEG_INV_TWO_PI_I = ExactCoeff.two_pi_i(-1) * (-1)
@@ -45,12 +47,6 @@ INV_TWO_PI_I = ExactCoeff.two_pi_i(-1)
 
 class GermNotTotallyHolomorphic(ValueError):
     """A totally-holomorphic-only formula met a polar germ part."""
-
-
-def _gauss(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    return GaussianRational.of(Fraction(value))
 
 
 @dataclass(frozen=True)
@@ -154,28 +150,16 @@ def _sort_key(value: GaussianRational):
 
 def product_set(f: FunctionSpec, g: FunctionSpec):
     """All products alpha*beta grouped by exact value, multiplicity honored."""
-    groups: dict[tuple, tuple[GaussianRational, list]] = {}
-    for sf in f.singularities:
-        for sg in g.singularities:
-            gamma = sf.location * sg.location
-            key = _sort_key(gamma)
-            if key not in groups:
-                groups[key] = (gamma, [])
-            groups[key][1].append((sf, sg))
-    out = []
-    for key in sorted(groups):
-        gamma, pairs = groups[key]
-        pairs.sort(key=lambda p: (_sort_key(p[0].location), _sort_key(p[1].location)))
-        out.append((gamma, pairs))
-    return out
+    gammas = {sf.location * sg.location for sf in f.singularities for sg in g.singularities}
+    return [(gamma, _pairs_for_gamma(f, g, gamma)) for gamma in sorted(gammas, key=_sort_key)]
 
 
-def _pairs_for_gamma(f: FunctionSpec, g: FunctionSpec, gamma) -> list[tuple[Singularity, Singularity]]:
-    gamma = _gauss(gamma)
-    for value, pairs in product_set(f, g):
-        if value == gamma:
-            return pairs
-    return []
+def _pairs_for_gamma(f: FunctionSpec, g: FunctionSpec, gamma: GaussianRational):
+    """The singularity pairs whose locations multiply to gamma, in product_set's order."""
+    pairs = [(sf, sg) for sf in f.singularities for sg in g.singularities
+             if sf.location * sg.location == gamma]
+    pairs.sort(key=lambda p: (_sort_key(p[0].location), _sort_key(p[1].location)))
+    return pairs
 
 
 def residue_from_polar(
@@ -203,18 +187,19 @@ def _polar_of_derivative(polar: Sequence[ExactCoeff]) -> tuple[ExactCoeff, ...]:
     return tuple(out)
 
 
-def hadamard_monodromy_total(f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyResult:
-    """Monodromy of the Hadamard product at gamma, totally holomorphic case."""
+def _product_monodromy(pair_term, f: FunctionSpec, g: FunctionSpec, gamma,
+                       holomorphic_only: bool) -> MonodromyResult:
+    """Sum pair_term over the factorizations gamma = alpha * beta."""
     gamma = _gauss(gamma)
     pairs = _pairs_for_gamma(f, g, gamma)
     contributions = []
     total = LogLaurentPoly.zero()
     for sf, sg in pairs:
-        if not (sf.germ.is_totally_holomorphic and sg.germ.is_totally_holomorphic):
+        if holomorphic_only and (sf.germ.polar or sg.germ.polar):
             raise GermNotTotallyHolomorphic(
                 f"pair ({sf.location}, {sg.location}) carries a polar germ part"
             )
-        value = _hadamard_integral_term(sf, sg)
+        value = pair_term(sf, sg)
         contributions.append(value)
         total = total + value
     return MonodromyResult(
@@ -222,56 +207,22 @@ def hadamard_monodromy_total(f: FunctionSpec, g: FunctionSpec, gamma) -> Monodro
     )
 
 
-def _hadamard_integral_term(sf: Singularity, sg: Singularity) -> LogLaurentPoly:
+def _hadamard_pair(sf: Singularity, sg: Singularity) -> LogLaurentPoly:
+    """One factorization's Hadamard term: the integral, minus polar residues."""
     integrand = (
         BiLogPoly.from_poly_in_u(sf.monodromy)
         * BiLogPoly.from_poly_at_z_over_u(sg.monodromy)
     ).times_u_power(-1)
-    integral = integrate_u(integrand, sf.location, sg.location)
-    return integral.scale(NEG_INV_TWO_PI_I)
+    value = integrate_u(integrand, sf.location, sg.location).scale(NEG_INV_TWO_PI_I)
+    for polar_side, other in ((sf, sg), (sg, sf)):
+        if polar_side.germ.polar:
+            h = BiLogPoly.from_poly_at_z_over_u(other.monodromy).times_u_power(-1)
+            value = value - residue_from_polar(polar_side.germ.polar, h, polar_side.location)
+    return value
 
 
-def hadamard_monodromy_general(f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyResult:
-    """Monodromy of the Hadamard product at gamma, polar germ parts allowed."""
-    gamma = _gauss(gamma)
-    pairs = _pairs_for_gamma(f, g, gamma)
-    contributions = []
-    total = LogLaurentPoly.zero()
-    for sf, sg in pairs:
-        value = _hadamard_integral_term(sf, sg)
-        if sf.germ.polar:
-            h = BiLogPoly.from_poly_at_z_over_u(sg.monodromy).times_u_power(-1)
-            value = value - residue_from_polar(sf.germ.polar, h, sf.location)
-        if sg.germ.polar:
-            h = BiLogPoly.from_poly_at_z_over_u(sf.monodromy).times_u_power(-1)
-            value = value - residue_from_polar(sg.germ.polar, h, sg.location)
-        contributions.append(value)
-        total = total + value
-    return MonodromyResult(
-        gamma, tuple((sf.location, sg.location) for sf, sg in pairs), total, tuple(contributions)
-    )
-
-
-def ene_monodromy_total(f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyResult:
-    """Monodromy of the exponential ene product at gamma, totally holomorphic case."""
-    gamma = _gauss(gamma)
-    pairs = _pairs_for_gamma(f, g, gamma)
-    contributions = []
-    total = LogLaurentPoly.zero()
-    for sf, sg in pairs:
-        if not (sf.germ.is_totally_holomorphic and sg.germ.is_totally_holomorphic):
-            raise GermNotTotallyHolomorphic(
-                f"pair ({sf.location}, {sg.location}) carries a polar germ part"
-            )
-        value = _ene_core_terms(sf, sg)
-        contributions.append(value)
-        total = total + value
-    return MonodromyResult(
-        gamma, tuple((sf.location, sg.location) for sf, sg in pairs), total, tuple(contributions)
-    )
-
-
-def _ene_core_terms(sf: Singularity, sg: Singularity) -> LogLaurentPoly:
+def _ene_pair(sf: Singularity, sg: Singularity) -> LogLaurentPoly:
+    """One factorization's ene term: evaluation plus integral, plus polar residues."""
     # evaluation term: (1/2pii) dF(alpha) * dG(z/alpha)
     df_at_alpha = sf.monodromy.eval_at_location(sf.location)
     value = sg.monodromy.scale_argument(sf.location).scale(df_at_alpha * INV_TWO_PI_I)
@@ -280,36 +231,41 @@ def _ene_core_terms(sf: Singularity, sg: Singularity) -> LogLaurentPoly:
         sg.monodromy
     )
     value = value + integrate_u(integrand, sf.location, sg.location).scale(INV_TWO_PI_I)
+    if sf.germ.polar:
+        # Res_{u=alpha}( F0'(u) dG(z/u) ): differentiate the stored polar part
+        h = BiLogPoly.from_poly_at_z_over_u(sg.monodromy)
+        value = value + residue_from_polar(_polar_of_derivative(sf.germ.polar), h, sf.location)
+    if sg.germ.polar:
+        # Res_{u=beta}( G0(u) dF'(z/u) z/u^2 ): the z/u^2 Jacobian comes from
+        # symmetrizing the residue at z/beta through v = z/u (the du measure,
+        # unlike du/u, does not absorb it)
+        h = (
+            BiLogPoly.from_poly_at_z_over_u(sf.monodromy.derivative())
+            .times_u_power(-2)
+            .times_z_power(1)
+        )
+        value = value + residue_from_polar(sg.germ.polar, h, sg.location)
     return value
+
+
+def hadamard_monodromy_total(f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyResult:
+    """Monodromy of the Hadamard product at gamma, totally holomorphic case."""
+    return _product_monodromy(_hadamard_pair, f, g, gamma, True)
+
+
+def hadamard_monodromy_general(f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyResult:
+    """Monodromy of the Hadamard product at gamma, polar germ parts allowed."""
+    return _product_monodromy(_hadamard_pair, f, g, gamma, False)
+
+
+def ene_monodromy_total(f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyResult:
+    """Monodromy of the exponential ene product at gamma, totally holomorphic case."""
+    return _product_monodromy(_ene_pair, f, g, gamma, True)
 
 
 def ene_monodromy_general(f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyResult:
     """Monodromy of the exponential ene product at gamma, polar germ parts allowed."""
-    gamma = _gauss(gamma)
-    pairs = _pairs_for_gamma(f, g, gamma)
-    contributions = []
-    total = LogLaurentPoly.zero()
-    for sf, sg in pairs:
-        value = _ene_core_terms(sf, sg)
-        if sf.germ.polar:
-            # Res_{u=alpha}( F0'(u) dG(z/u) ): differentiate the stored polar part
-            h = BiLogPoly.from_poly_at_z_over_u(sg.monodromy)
-            value = value + residue_from_polar(_polar_of_derivative(sf.germ.polar), h, sf.location)
-        if sg.germ.polar:
-            # Res_{u=beta}( G0(u) dF'(z/u) z/u^2 ): the z/u^2 Jacobian comes from
-            # symmetrizing the residue at z/beta through v = z/u (the du measure,
-            # unlike du/u, does not absorb it)
-            h = (
-                BiLogPoly.from_poly_at_z_over_u(sf.monodromy.derivative())
-                .times_u_power(-2)
-                .times_z_power(1)
-            )
-            value = value + residue_from_polar(sg.germ.polar, h, sg.location)
-        contributions.append(value)
-        total = total + value
-    return MonodromyResult(
-        gamma, tuple((sf.location, sg.location) for sf, sg in pairs), total, tuple(contributions)
-    )
+    return _product_monodromy(_ene_pair, f, g, gamma, False)
 
 
 def ene_symmetry_check(f: FunctionSpec, g: FunctionSpec, gamma) -> bool:
@@ -319,14 +275,12 @@ def ene_symmetry_check(f: FunctionSpec, g: FunctionSpec, gamma) -> bool:
 
 def divisor_ene(f: Divisor, g: Divisor) -> Divisor:
     """Product divisor: n_gamma = sum over alpha*beta = gamma of n_alpha * n_beta."""
-    out: dict[tuple, tuple[GaussianRational, int]] = {}
+    out: dict[GaussianRational, int] = {}
     for loc_a, mult_a in f.points:
         for loc_b, mult_b in g.points:
             gamma = loc_a * loc_b
-            key = _sort_key(gamma)
-            prev = out.get(key, (gamma, 0))
-            out[key] = (gamma, prev[1] + mult_a * mult_b)
-    return Divisor.of([pair for pair in out.values() if pair[1]])
+            out[gamma] = out.get(gamma, 0) + mult_a * mult_b
+    return Divisor.of(out)
 
 
 # --- ready-made function specs -------------------------------------------------

@@ -289,13 +289,30 @@ REFUSED_INPUTS = [
     (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--nodes", "64"], 5, "node budget 64 spent"),
     (["monodromy", "-f", "{negative_logpow}", "-g", "{li1}"], 2, "logpow -1 is negative"),
     (["verify", "-f", "{zpow_overflow}", "-g", "{li1}", "--samples", "0.9"], 3, "overflows a double"),
+    # a file cannot be a directory, so no output path under it can be written
+    (["monodromy", "-f", "{li1}", "-g", "{li1}", "--out", "{li1}/out.json"], 2, "cannot write"),
+    (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--out", "{li1}/out.json"], 2,
+     "cannot write"),
+    (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--format", "csv",
+      "--out", "{li1}/out.csv"], 2, "cannot write"),
+    (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--check-tol", "nan"], 3,
+     "--check-tol must be finite and positive"),
+    (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--check-tol", "-1"], 3,
+     "--check-tol must be finite and positive"),
+    (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--tol", "nan"], 3,
+     "--tol must be finite and positive"),
+    (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--nodes", "0"], 3, "--nodes must be >= 1"),
+    (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--nodes", "-3"], 3, "--nodes must be >= 1"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, message", REFUSED_INPUTS,
                          ids=["gamma-1/0", "series-coeff-1/0", "series-infinity", "series-overflowing-literal",
                               "series-non-finite-result", "verify-no-winding-0", "verify-nan-sample",
-                              "verify-node-budget", "negative-logpow", "verify-overflow"])
+                              "verify-node-budget", "negative-logpow", "verify-overflow",
+                              "monodromy-unwritable-out", "verify-unwritable-out", "verify-csv-unwritable-out",
+                              "verify-check-tol-nan", "verify-check-tol-negative", "verify-tol-nan",
+                              "verify-nodes-0", "verify-nodes-negative"])
 def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, message):
     docs = {
         "li1": write_doc(tmp_path, "li1.json", li1_function_doc()),

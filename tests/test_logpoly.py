@@ -57,6 +57,14 @@ def test_distributivity_on_random_triples():
         assert a * (b + c) == a * b + a * c
 
 
+@pytest.mark.parametrize("ring, key", [(LogLaurentPoly, (0, -1)), (BiLogPoly, (0, -1, 0, 0)),
+                                       (BiLogPoly, (0, 0, 0, -1))],
+                         ids=["logpow", "ulogpow", "zlogpow"])
+def test_negative_log_power_is_refused(ring, key):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        ring({key: EC_ONE})
+
+
 # --- derivative ----------------------------------------------------------------
 
 

@@ -114,6 +114,15 @@ def test_total_rejects_polar_germ():
         hadamard_monodromy_total(f, g, 1)
 
 
+def test_ene_total_rejects_polar_germ():
+    f = koebe_polar_function_spec()
+    g = polylog_function_spec(2)
+    with pytest.raises(GermNotTotallyHolomorphic):
+        ene_monodromy_total(f, g, 1)
+    with pytest.raises(GermNotTotallyHolomorphic):
+        ene_monodromy_total(g, f, 1)
+
+
 def test_gamma_without_factorization_gives_zero():
     li1 = polylog_function_spec(1)
     result = hadamard_monodromy_total(li1, li1, 7)
