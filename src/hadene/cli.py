@@ -61,7 +61,7 @@ EXIT_QUADRATURE = 5
 
 @dataclass
 class JobConfig:
-    """Validated common options for one invocation."""
+    """Validated options for one invocation; each command offers only those it reads."""
 
     order: int = 64
     tol: float = 1e-9
@@ -335,14 +335,8 @@ def cmd_selftest(args) -> int:
 # --- argument parsing -----------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--order", type=int, default=64, help="truncation order (default 64)")
-    parser.add_argument("--tol", type=float, default=1e-9, help="quadrature tolerance")
-    parser.add_argument("--nodes", type=int, default=1 << 16,
-                        help="quadrature nodes and substeps one measurement may track (exit 5 when spent)")
+def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output path (stdout always gets a copy)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--winding", default="0", help="comma-separated log z sheets")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", choices=("hadamard", "ene_exp", "ene"), required=True)
     p.add_argument("-f", required=True, help="first series document")
     p.add_argument("-g", required=True, help="second series document")
-    _add_common(p)
+    p.add_argument("--order", type=int, default=64, help="truncation order (default 64)")
+    _add_out(p)
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("monodromy", help="symbolic product monodromy at gamma")
@@ -364,18 +359,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-f", required=True, help="function (or divisor) document")
     p.add_argument("-g", required=True, help="function (or divisor) document")
     p.add_argument("--gamma", default="1", help="product location, e.g. 3/2 or 1+2i")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_monodromy)
 
     p = sub.add_parser("divisor", help="product divisor of two divisor documents")
     p.add_argument("-f", required=True)
     p.add_argument("-g", required=True)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_divisor)
 
     p = sub.add_parser("polylog", help="ladder monodromy at 1 for weight k")
     p.add_argument("--k", type=int, required=True)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_polylog)
 
     p = sub.add_parser("verify", help="dual-engine check at sample points")
@@ -384,11 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", default="1")
     p.add_argument("--samples", required=True, help="comma-separated complex points, e.g. 0.9,0.92+0.05i")
     p.add_argument("--check-tol", type=float, default=1e-6, help="acceptance threshold for max error")
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-9, help="quadrature tolerance")
+    p.add_argument("--nodes", type=int, default=1 << 16,
+                   help="quadrature nodes and substeps one measurement may track (exit 5 when spent)")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--winding", default="0", help="comma-separated log z sheets")
+    _add_out(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("selftest", help="run the embedded fixture table")
-    _add_common(p)
     p.set_defaults(func=cmd_selftest)
 
     return parser

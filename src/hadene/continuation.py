@@ -9,12 +9,15 @@ The two instruments:
 * Convolution quadrature.  The coefficientwise products have integral forms
 
       hadamard:  (1/2pii) * contour integral of F(u) G(z/u) du/u
-      ene:      -(1/2pii) * contour integral of F'(u) G(z/u) du
+      ene:      -(1/2pii) * contour integral of thetaF(u) G(z/u) du/u
 
   over any positively oriented circle separating the singularities of F(u)
-  (outside) from those of G(z/u) (inside).  Full circles use the trapezoid
-  rule (spectrally accurate for periodic analytic integrands); other contours
-  use clearance-graded Gauss-Legendre panels.
+  (outside) from those of G(z/u) (inside), where theta = u d/du.  The ene
+  integrand -F'(u) G(z/u) du is the same form, so every element offers
+  theta() (the element of u F'(u)) and the ene quadrature is the Hadamard
+  quadrature of thetaF and G, negated.  Full circles use the trapezoid rule
+  (spectrally accurate for periodic analytic integrands); other contours use
+  clearance-graded Gauss-Legendre panels.
 
 * Monodromy measurement.  Dragging z once around a product point gamma
   deforms the circle into a "train track": for each factorization
@@ -142,8 +145,9 @@ def _polyval(coeffs: Sequence[complex], u: complex) -> complex:
     return acc
 
 
-def _polyder(coeffs: Sequence[complex]) -> list[complex]:
-    return [n * c for n, c in enumerate(coeffs)][1:] or [0j]
+def _theta_coeffs(coeffs: Sequence[complex]) -> list[complex]:
+    """Coefficients of u p'(u) for the polynomial p with these coefficients."""
+    return [n * c for n, c in enumerate(coeffs)]
 
 
 class AnalyticElement:
@@ -155,7 +159,8 @@ class AnalyticElement:
     def principal_value(self, u: complex) -> complex:
         raise NotImplementedError
 
-    def principal_derivative(self, u: complex) -> complex:
+    def theta(self) -> "AnalyticElement":
+        """The element of u F'(u), with the same singularities."""
         raise NotImplementedError
 
     def make_state(self, u0: complex) -> "_ElementState":
@@ -176,10 +181,11 @@ class RationalElement(AnalyticElement):
     def principal_value(self, u: complex) -> complex:
         return _polyval(self.num, u) / _polyval(self.den, u)
 
-    def principal_derivative(self, u: complex) -> complex:
-        n, d = _polyval(self.num, u), _polyval(self.den, u)
-        dn, dd = _polyval(_polyder(self.num), u), _polyval(_polyder(self.den), u)
-        return (dn * d - n * dd) / (d * d)
+    def theta(self) -> "RationalElement":
+        # u (n'd - nd') / d^2; both products have len(num) + len(den) - 1 coefficients
+        num = (np.convolve(_theta_coeffs(self.num), self.den)
+               - np.convolve(self.num, _theta_coeffs(self.den)))
+        return RationalElement(num, np.convolve(self.den, self.den), self.poles)
 
     def make_state(self, u0: complex) -> "_RationalState":
         return _RationalState(self, u0)
@@ -214,10 +220,12 @@ class LogBranchElement(AnalyticElement):
     def principal_value(self, u: complex) -> complex:
         return _polyval(self.prefactor, u) * cmath.log(1.0 - u / self.location)
 
-    def principal_derivative(self, u: complex) -> complex:
-        c = _polyval(self.prefactor, u)
-        dc = _polyval(_polyder(self.prefactor), u)
-        return dc * cmath.log(1.0 - u / self.location) + c / (u - self.location)
+    def theta(self) -> "SumElement":
+        # u c' log(1 - u/a) + u c / (u - a)
+        return SumElement([
+            LogBranchElement(self.location, _theta_coeffs(self.prefactor)),
+            RationalElement([0j, *self.prefactor], [-self.location, 1.0], poles=[self.location]),
+        ])
 
     def make_state(self, u0: complex) -> "_LogBranchState":
         return _LogBranchState(self, u0)
@@ -239,14 +247,10 @@ class PolylogElement(AnalyticElement):
             return -cmath.log(1.0 - u)
         return _polylog_series_value(self.k, u)
 
-    def principal_derivative(self, u: complex) -> complex:
+    def theta(self) -> AnalyticElement:
         if self.k == 1:
-            return 1.0 / (1.0 - u)
-        if u == 0:
-            return 1.0 + 0j
-        if self.k == 2:
-            return -cmath.log(1.0 - u) / u
-        return _polylog_series_value(self.k - 1, u) / u
+            return RationalElement([0.0, 1.0], [1.0, -1.0], poles=[1.0 + 0j])
+        return PolylogElement(self.k - 1)
 
     def make_state(self, u0: complex) -> "_PolylogState":
         return _PolylogState(self, u0)
@@ -271,8 +275,8 @@ class SeriesElement(AnalyticElement):
     def principal_value(self, u: complex) -> complex:
         return _polyval(self.coeffs, u)
 
-    def principal_derivative(self, u: complex) -> complex:
-        return _polyval(_polyder(self.coeffs), u)
+    def theta(self) -> "SeriesElement":
+        return SeriesElement(_theta_coeffs(self.coeffs), self.declared)
 
     def make_state(self, u0: complex) -> "_SeriesState":
         return _SeriesState(self, u0)
@@ -287,16 +291,14 @@ class SumElement(AnalyticElement):
         self.parts = list(parts)
 
     def singularities(self) -> list[complex]:
-        out: list[complex] = []
-        for part in self.parts:
-            out.extend(part.singularities())
-        return out
+        # each location once, in first-seen order: parts may share a location
+        return list(dict.fromkeys(s for part in self.parts for s in part.singularities()))
 
     def principal_value(self, u: complex) -> complex:
         return sum(part.principal_value(u) for part in self.parts)
 
-    def principal_derivative(self, u: complex) -> complex:
-        return sum(part.principal_derivative(u) for part in self.parts)
+    def theta(self) -> "SumElement":
+        return SumElement([part.theta() for part in self.parts])
 
     def make_state(self, u0: complex) -> "_SumState":
         return _SumState(self, [part.make_state(u0) for part in self.parts])
@@ -384,9 +386,6 @@ class _ElementState:
     def value(self) -> complex:
         raise NotImplementedError
 
-    def derivative_value(self) -> complex:
-        raise NotImplementedError
-
     def windings(self) -> dict[complex, int]:
         return {}
 
@@ -421,9 +420,6 @@ class _RationalState(_ElementState):
     def value(self) -> complex:
         return self.spec.principal_value(self.point)
 
-    def derivative_value(self) -> complex:
-        return self.spec.principal_derivative(self.point)
-
     def clone(self) -> "_RationalState":
         return _RationalState(self.spec, self.point)
 
@@ -452,9 +448,6 @@ class _SeriesState(_ElementState):
 
     def value(self) -> complex:
         return self.local[0]
-
-    def derivative_value(self) -> complex:
-        return self.local[1] if len(self.local) > 1 else 0j
 
     def clone(self) -> "_SeriesState":
         return _SeriesState(self.spec, self.point, list(self.local))
@@ -493,11 +486,6 @@ class _LogBranchState(_ElementState):
     def value(self) -> complex:
         return _polyval(self.spec.prefactor, self.point) * self.log_value
 
-    def derivative_value(self) -> complex:
-        c = _polyval(self.spec.prefactor, self.point)
-        dc = _polyval(_polyder(self.spec.prefactor), self.point)
-        return dc * self.log_value + c / (self.point - self.spec.location)
-
     def windings(self) -> dict[complex, int]:
         return {self.spec.location: round(self.arg_total / TWO_PI)}
 
@@ -530,9 +518,6 @@ class _SumState(_ElementState):
 
     def value(self) -> complex:
         return sum(state.value() for state in self.states)
-
-    def derivative_value(self) -> complex:
-        return sum(state.derivative_value() for state in self.states)
 
     def windings(self) -> dict[complex, int]:
         merged: dict[complex, int] = {}
@@ -620,11 +605,6 @@ class _PolylogState(_ElementState):
 
     def value(self) -> complex:
         return self.stack[-1]
-
-    def derivative_value(self) -> complex:
-        if self.spec.k == 1:
-            return 1.0 / (1.0 - self.point)
-        return self.stack[-2] / self.point
 
     def windings(self) -> dict[complex, int]:
         return {1.0 + 0j: round(self.arg_one / TWO_PI)}
@@ -761,12 +741,7 @@ def _trapezoid_circle(fn: Callable[[complex], complex], radius: float, tol: floa
 
 
 def _resolve_radius(f: AnalyticElement, g: AnalyticElement, z: complex,
-                    contour: ContourSpec | None, radius: float | None) -> float:
-    if contour is not None:
-        circle = contour.segments[0]
-        if len(contour.segments) != 1 or not isinstance(circle, Arc):
-            raise ValueError("convolution quadrature expects a single full circle")
-        radius = circle.radius
+                    radius: float | None) -> float:
     if radius is None:
         return _admissible_radius(f, g, z)
     # reject circles that fail to separate the declared singularities
@@ -781,27 +756,20 @@ def _resolve_radius(f: AnalyticElement, g: AnalyticElement, z: complex,
     return radius
 
 
-def pincherle_eval(f: AnalyticElement, g: AnalyticElement, z: complex,
-                   contour: ContourSpec | None = None, *, radius: float | None = None,
-                   tol: float = 1e-11) -> complex:
+def pincherle_eval(f: AnalyticElement, g: AnalyticElement, z: complex, *,
+                   radius: float | None = None, tol: float = 1e-11) -> complex:
     """Hadamard product value by convolution quadrature on a separating circle."""
-    radius = _resolve_radius(f, g, z, contour, radius)
+    radius = _resolve_radius(f, g, z, radius)
     value, _ = _trapezoid_circle(
         lambda u: f.principal_value(u) * g.principal_value(z / u), radius, tol
     )
     return value
 
 
-def ene_pincherle_eval(f: AnalyticElement, g: AnalyticElement, z: complex,
-                       contour: ContourSpec | None = None, *, radius: float | None = None,
-                       tol: float = 1e-11) -> complex:
-    """Exponential ene product value: -(1/2pii) integral of F'(u) G(z/u) du."""
-    radius = _resolve_radius(f, g, z, contour, radius)
-    # du = i r e^{i theta} d theta, so the trapezoid average picks up -u
-    value, _ = _trapezoid_circle(
-        lambda u: -u * f.principal_derivative(u) * g.principal_value(z / u), radius, tol
-    )
-    return value
+def ene_pincherle_eval(f: AnalyticElement, g: AnalyticElement, z: complex, *,
+                       radius: float | None = None, tol: float = 1e-11) -> complex:
+    """Exponential ene product value: -(1/2pii) integral of thetaF(u) G(z/u) du/u."""
+    return -pincherle_eval(f.theta(), g, z, radius=radius, tol=tol)
 
 
 # --- train-track construction -----------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from hadene.cli import main
 from hadene.coeffs import ExactCoeff, GaussianRational
-from hadene.continuation import LogBranchElement, PolylogElement
+from hadene.continuation import LogBranchElement, PolylogElement, SumElement, geometric_element
 from hadene.documents import (
     DocumentError,
     divisor_from_doc,
@@ -275,6 +275,19 @@ def test_cli_verify_csv_output(tmp_path, capsys):
     assert out.read_text().startswith("z_re,z_im,winding")
 
 
+def test_cli_verify_sum_element_with_two_parts_at_one_location(tmp_path, capsys):
+    # log(1 - u) + 1/(1 - u): both parts sit at 1, which the element lists once
+    spec = FunctionSpec.of("log_plus_pole", [Singularity(
+        GaussianRational.of(1), LogLaurentPoly.constant(ExactCoeff.two_pi_i()),
+        GermPart.polar_part([Fraction(-1)]))])
+    element = SumElement([LogBranchElement(1.0), geometric_element()])
+    f = write_doc(tmp_path, "log_plus_pole.json", function_spec_to_doc(spec, element=element))
+    g = write_doc(tmp_path, "li1.json", li1_function_doc())
+    code = main(["verify", "-f", f, "-g", g, "--gamma", "1", "--samples", "0.9,0.93+0.02i"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["max_abs_error"] < 1e-6
+
+
 # --- CLI: inputs and results refused with an exit code ------------------------------------------
 
 # argv (documents named by placeholders), exit code, text the message must contain
@@ -340,6 +353,17 @@ def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, mess
     out, err = capsys.readouterr()
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--tol", "nan"],
+    ["series", "--op", "ene", "-f", "F.json", "-g", "G.json", "--format", "csv"],
+], ids=["selftest-tol", "series-format"])
+def test_cli_commands_offer_only_the_options_they_read(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # --- CLI: selftest -----------------------------------------------------------------------------

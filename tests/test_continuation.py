@@ -17,6 +17,7 @@ from hadene.continuation import (
     QuadratureNotConverged,
     RationalElement,
     SeriesElement,
+    SumElement,
     _block_integral,
     build_traintrack,
     continue_along,
@@ -31,6 +32,7 @@ from hadene.logpoly import BranchPoint, LogLaurentPoly
 from hadene.monodromy import (
     FunctionSpec,
     Singularity,
+    ene_monodromy_general,
     hadamard_monodromy_general,
     koebe_polar_function_spec,
     polylog_function_spec,
@@ -228,6 +230,27 @@ def test_ene_pincherle_agrees_with_koebe_composed_quadrature():
     assert abs(direct - composed) < 1e-8
 
 
+def test_theta_is_u_times_the_derivative():
+    h = 1e-6
+    elements = [
+        geometric_element(), neg_koebe_element(), RationalElement([3.0], [1.0], poles=[]),
+        LogBranchElement(2.0, [1.0, -0.5j]), PolylogElement(1), PolylogElement(3),
+        SeriesElement([1.0, 2.0, -1.0, 0.5j], [1.5]),
+        SumElement([LogBranchElement(1.0), geometric_element()]),
+    ]
+    for element in elements:
+        theta = element.theta()
+        assert theta.singularities() == element.singularities()
+        for u in (0.3, -0.2 + 0.4j):
+            derivative = (element.principal_value(u + h) - element.principal_value(u - h)) / (2 * h)
+            assert abs(theta.principal_value(u) - u * derivative) < 1e-7
+
+
+def test_sum_element_lists_each_location_once():
+    elem = SumElement([LogBranchElement(2.0), LogBranchElement(1.0), geometric_element(), LogBranchElement(2.0)])
+    assert elem.singularities() == [2.0, 1.0]
+
+
 # --- train-track construction --------------------------------------------------------
 
 
@@ -354,6 +377,54 @@ def test_monodromy_detour_radius_sweep_converges():
         errors.append(abs(measured - expected))
     assert all(err < 1e-8 for err in errors)
     assert errors[-1] < errors[0] + 1e-9
+
+
+# --- both products measured against the symbolic engine -------------------------------------
+
+
+def log_branch(location, zpow):
+    """u^zpow log(1 - u/location) as an element and as a spec (monodromy 2pii z^zpow)."""
+    element = LogBranchElement(location, [0.0] * zpow + [1.0])
+    spec = FunctionSpec.of("log_branch", [Singularity(
+        GaussianRational.of(location), LogLaurentPoly.term(zpow, 0, 1).scale(ExactCoeff.two_pi_i()))])
+    return element, spec
+
+
+def measured_error(product, f, f_spec, g, g_spec, gamma, z0):
+    """|measured - symbolic| monodromy of one product at gamma, evaluated at z0.
+
+    The ene integrand -F'(u) G(z/u) du is -thetaF(u) G(z/u) du/u, so the ene
+    measurement is minus the Hadamard one of thetaF and G: no formula is consulted.
+    """
+    if product == "ene":
+        measured = -monodromy_numeric(f.theta(), g, gamma, z0, tol=1e-8)
+        symbolic = ene_monodromy_general(f_spec, g_spec, gamma)
+    else:
+        measured = monodromy_numeric(f, g, gamma, z0, tol=1e-8)
+        symbolic = hadamard_monodromy_general(f_spec, g_spec, gamma)
+    return abs(measured - symbolic.value.lp_eval(BranchPoint(z0, 0)))
+
+
+@pytest.mark.parametrize("k, l", [(k, l) for k in (1, 2, 3) for l in (1, 2, 3)])
+def test_ene_monodromy_polylog_pairs_match_measurement(k, l):
+    z0 = 1.0 + 0.1 * cmath.exp(1j * math.radians(160))
+    assert measured_error("ene", PolylogElement(k), polylog_function_spec(k),
+                          PolylogElement(l), polylog_function_spec(l), 1, z0) < 1e-8
+
+
+@pytest.mark.parametrize("f_side, g_side", [((2, 1), (3, 0)), ((3, 0), (2, 1))])
+def test_ene_monodromy_log_branch_pairs_match_measurement(f_side, g_side):
+    (f, f_spec), (g, g_spec) = log_branch(*f_side), log_branch(*g_side)
+    assert measured_error("ene", f, f_spec, g, g_spec, 6, 0.9 * 6 * (1 + 0.05j)) < 1e-8
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: the exact engine rewrites log(z/u) as log z - log u and drops 2pii*k "
+    "when Arg alpha + Arg beta wraps; both products are off by about 213 here"))
+@pytest.mark.parametrize("product", ["hadamard", "ene"])
+def test_wrapping_locations_match_measurement(product):
+    (f, f_spec), (g, g_spec) = log_branch(-2, 1), log_branch(-3, 1)
+    assert measured_error(product, f, f_spec, g, g_spec, 6, 5.4 * (1 + 0.05j)) < 1e-8
 
 
 # --- dual-engine crosscheck --------------------------------------------------------------

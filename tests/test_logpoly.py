@@ -273,6 +273,24 @@ def test_integrate_u_of_a_deep_log_power():
     assert result.derivative() == LogLaurentPoly.term(0, l)
 
 
+@pytest.mark.parametrize("l, location, bound", [(1500, 1, 1), (100, 2, 101 * 102 // 2)])
+def test_integrate_u_work_bound(monkeypatch, l, location, bound):
+    # exact coefficient products made for (log u)^l from location to location:
+    # at 1, where Log(1) = 0, no log-shift row is built; elsewhere one product
+    # per binomial term, (l+1)(l+2)/2 in all
+    calls = 0
+    product = ExactCoeff._product
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return product(self, other)
+
+    monkeypatch.setattr(ExactCoeff, "_product", counted)
+    integrate_u(BiLogPoly({(0, l, 0, 0): EC_ONE}), gr(location), gr(location))
+    assert calls <= bound
+
+
 def test_integrate_u_derivative_is_the_integrand_at_z_over_beta():
     # d/dz of the integral from alpha to z/beta is p(z/beta) / beta
     p = BiLogPoly({(2, 40, 0, 0): TWO_PI_I, (-3, 17, 0, 0): ExactCoeff.from_rational(Fraction(-5, 3))})
