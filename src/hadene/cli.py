@@ -58,6 +58,8 @@ EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
 EXIT_QUADRATURE = 5
 
+MAX_ORDER = 1 << 16
+
 
 @dataclass
 class JobConfig:
@@ -72,8 +74,8 @@ class JobConfig:
     windings: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("--order must be >= 1")
+        if not 1 <= self.order <= MAX_ORDER:
+            raise ValueError(f"--order must be in 1..{MAX_ORDER}")
         for name, value in (("--tol", self.tol), ("--check-tol", self.check_tol)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, not {value:g}")
@@ -350,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", choices=("hadamard", "ene_exp", "ene"), required=True)
     p.add_argument("-f", required=True, help="first series document")
     p.add_argument("-g", required=True, help="second series document")
-    p.add_argument("--order", type=int, default=64, help="truncation order (default 64)")
+    p.add_argument("--order", type=int, default=64,
+                   help=f"truncation order, 1..{MAX_ORDER} (default 64)")
     _add_out(p)
     p.set_defaults(func=cmd_series)
 

@@ -38,7 +38,11 @@ the singularities (longer chords are cut into equal substeps), updating
 logarithm branches through running sums of principal-log ratios and
 polylogarithm stacks through spectral (Chebyshev-Lobatto) integration of
 d Li_j = Li_{j-1}(u) du / u, every step of the array at once, down to
-Li_1 = -log(1 - u).
+Li_1 = -log(1 - u).  The ratios w = x + iy lie near 1, and their logs are
+0.5 log1p((x - 1)(x + 1) + y^2) + i atan2(y, x): log|w| would round at the
+size of 1, with a bias that builds up over the thousands of increments of a
+measurement, while log1p rounds at the size of the increment, as complex
+np.log does at several times the cost.
 """
 
 from __future__ import annotations
@@ -84,10 +88,6 @@ class Line:
     def length(self) -> float:
         return abs(self.b - self.a)
 
-    def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Points and derivatives at an array of parameters."""
-        return self.a + (self.b - self.a) * ts, np.full(len(ts), self.b - self.a)
-
 
 @dataclass(frozen=True)
 class Arc:
@@ -107,14 +107,19 @@ class Arc:
     def length(self) -> float:
         return abs(self.theta_end - self.theta_start) * self.radius
 
-    def sample(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Points and derivatives at an array of parameters."""
-        sweep = self.theta_end - self.theta_start
-        rel = self.radius * np.exp(1j * (self.theta_start + sweep * ts))
-        return self.center + rel, 1j * sweep * rel
-
 
 PathSegment = Line | Arc
+
+
+def _sample(segments: Sequence[PathSegment], owner: np.ndarray,
+            ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points and derivatives of segments[owner[i]] at ts[i], lines and arcs at once."""
+    rows = [(False, s.a, s.b - s.a, 0.0, 0.0) if isinstance(s, Line)
+            else (True, s.center, s.radius, s.theta_start, s.theta_end - s.theta_start)
+            for s in segments]
+    arc, base, scale, start, sweep = (np.array(col)[owner] for col in zip(*rows))
+    rel = scale * np.where(arc, np.exp(1j * (start + sweep * ts)), ts)
+    return base + rel, np.where(arc, 1j * sweep * rel, scale)
 
 
 @dataclass(frozen=True)
@@ -245,7 +250,7 @@ class PolylogElement(AnalyticElement):
     def principal_value(self, u: complex) -> complex:
         if self.k == 1:
             return -cmath.log(1.0 - u)
-        return _polylog_series_value(self.k, u)
+        return complex(_polylog_series(self.k, u)[-1])
 
     def theta(self) -> AnalyticElement:
         if self.k == 1:
@@ -304,21 +309,21 @@ class SumElement(AnalyticElement):
         return _SumState(self, [part.make_state(u0) for part in self.parts])
 
 
-def _polylog_series_value(k: int, u: complex, tol: float = 1e-17, n_max: int = 200000) -> complex:
+def _polylog_series(k: int, u: complex, tol: float = 1e-17) -> np.ndarray:
+    """Li_2(u), ..., Li_k(u) by their power series, up to the first n with |u|^n < tol."""
     mag = abs(u)
     if mag >= 0.9995:
         raise QuadratureNotConverged(
             f"polylog series evaluation needs |u| < 0.9995, got {mag:.6f}"
         )
-    total = 0j
-    power = 1.0 + 0j
-    for n in range(1, n_max + 1):
-        power *= u
-        term = power / n ** k
-        total += term
-        if abs(term) < tol * (1.0 + abs(total)) and mag ** n < tol:
-            break
-    return total
+    n = 1 if mag == 0.0 else int(math.log(tol) / math.log(mag)) + 1
+    ns = np.arange(1.0, n + 1.0)
+    terms = np.cumprod(np.full(n, complex(u))) / ns
+    values = np.empty(k - 1, dtype=complex)
+    for j in range(k - 1):
+        terms /= ns
+        values[j] = terms.sum()
+    return values
 
 
 # --- continuation states -----------------------------------------------------------
@@ -326,6 +331,12 @@ def _polylog_series_value(k: int, u: complex, tol: float = 1e-17, n_max: int = 2
 # Most path points one array step walks: bounds the (points x Lobatto nodes)
 # work arrays a polylogarithm stack holds at once.
 _TRACK_CHUNK = 128
+
+
+def _log_near_one(w: np.ndarray) -> np.ndarray:
+    """Principal log of ratios near 1 (see the module docstring)."""
+    x, y = w.real, w.imag
+    return 0.5 * np.log1p((x - 1.0) * (x + 1.0) + y * y) + 1j * np.arctan2(y, x)
 
 
 def _chord_steps(start: complex, targets: np.ndarray, obstacles: Sequence[complex],
@@ -476,7 +487,7 @@ class _LogBranchState(_ElementState):
 
     def _walk(self, path: np.ndarray) -> np.ndarray:
         w = 1.0 - np.concatenate(([self.point], path)) / self.spec.location
-        increments = np.cumsum(np.log(w[1:] / w[:-1]))
+        increments = np.cumsum(_log_near_one(w[1:] / w[:-1]))
         logs = self.log_value + increments
         self.log_value = complex(logs[-1])
         self.arg_total += float(increments[-1].imag)
@@ -533,7 +544,8 @@ _LOBATTO_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _lobatto_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chebyshev-Lobatto nodes on [-1,1] and the cumulative integration matrix."""
+    """Chebyshev-Lobatto nodes on [-1,1] and the transposed cumulative integration
+    matrix, complex so that the walk multiplies complex by complex."""
     if m not in _LOBATTO_CACHE:
         t = -np.cos(np.pi * np.arange(m) / (m - 1))
         vander = np.polynomial.chebyshev.chebvander(t, m - 1)
@@ -543,7 +555,7 @@ def _lobatto_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
             ci = np.polynomial.chebyshev.chebint(basis, lbnd=-1)
             rows.append(np.polynomial.chebyshev.chebval(t, ci))
         cumulative = np.array(rows).transpose() @ inv
-        _LOBATTO_CACHE[m] = (t, cumulative)
+        _LOBATTO_CACHE[m] = (t, np.ascontiguousarray(cumulative.T, dtype=complex))
     return _LOBATTO_CACHE[m]
 
 
@@ -562,11 +574,9 @@ class _PolylogState(_ElementState):
         self.point = u0
         self.nodes = nodes
         if stack is None:
-            if spec.k == 1:
-                self.stack = [-cmath.log(1.0 - u0)]
-            else:
-                self.stack = [(-cmath.log(1.0 - u0) if j == 1 else _polylog_series_value(j, u0))
-                              for j in range(1, spec.k + 1)]
+            self.stack = [-cmath.log(1.0 - u0)]
+            if spec.k > 1:
+                self.stack.extend(_polylog_series(spec.k, u0).tolist())
         else:
             self.stack = list(stack)
         self.arg_one = arg_one
@@ -579,16 +589,17 @@ class _PolylogState(_ElementState):
         prev = np.concatenate(([self.point], path[:-1]))
         self.point = complex(path[-1])
         if self.spec.k == 1:
-            drops = np.log((1.0 - path) / (1.0 - prev))
+            drops = _log_near_one((1.0 - path) / (1.0 - prev))
             self.arg_one += float(np.sum(drops.imag))
             li1 = _running(self.stack[0], -drops)
             self.stack = [complex(li1[-1])]
             return li1[1:]
         # every step's Lobatto nodes at once, one step per row
-        t, cum = _lobatto_rule(self.nodes)
+        t, cum_t = _lobatto_rule(self.nodes)
         us = prev[:, None] + (path - prev)[:, None] * ((t + 1.0) / 2.0)
+        w = 1.0 - us
         within = np.zeros_like(us)
-        within[:, 1:] = np.cumsum(np.log((1.0 - us[:, 1:]) / (1.0 - us[:, :-1])), axis=1)
+        within[:, 1:] = np.cumsum(_log_near_one(w[:, 1:] / w[:, :-1]), axis=1)
         self.arg_one += float(np.sum(within[:, -1].imag))
         starts = _running(self.stack[0], -within[:, -1])
         v_prev = starts[:-1, None] - within
@@ -596,7 +607,7 @@ class _PolylogState(_ElementState):
         scale = ((path - prev) / 2.0)[:, None]
         for j in range(1, self.spec.k):
             # d Li_{j+1} = Li_j(u) du / u, integrated over each step from its start
-            rise = scale * ((v_prev / us) @ cum.T)
+            rise = scale * ((v_prev / us) @ cum_t)
             starts = _running(self.stack[j], rise[:, -1])
             v_prev = starts[:-1, None] + rise
             new_stack.append(complex(starts[-1]))
@@ -648,11 +659,10 @@ def continue_along(element, path: Sequence[PathSegment], *, delta: float = 1e-6,
     else:
         spec = element
         state = spec.make_state(path[0].point(0.0))
-    targets = []
-    for seg in path:
-        n = max(2, steps_per_segment if isinstance(seg, Arc) else steps_per_segment // 2)
-        targets.append(seg.sample(np.arange(1, n + 1) / n)[0])
-    state.track(np.concatenate(targets), floor=delta)
+    counts = [max(2, steps_per_segment if isinstance(seg, Arc) else steps_per_segment // 2)
+              for seg in path]
+    ts = np.concatenate([np.arange(1, n + 1) / n for n in counts])
+    state.track(_sample(path, np.repeat(np.arange(len(path)), counts), ts)[0], floor=delta)
     return state.value(), Continuation(spec, state)
 
 
@@ -668,37 +678,33 @@ def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
-def _split_panels(seg: PathSegment, obstacles: Sequence[complex], frac: float,
-                  min_len: float) -> list[tuple[float, float]]:
-    """Clearance-graded parameter panels for one segment."""
-    total_len = seg.length()
-    out: list[tuple[float, float]] = []
-    stack = [(0.0, 1.0)]
-    while stack:
-        t0, t1 = stack.pop()
-        piece_len = total_len * (t1 - t0)
-        mid = seg.point((t0 + t1) / 2.0)
-        d = min((abs(mid - s) for s in obstacles), default=math.inf)
-        d = max(d - piece_len / 2.0, 1e-30)
-        if piece_len <= frac * d or piece_len <= min_len:
-            out.append((t0, t1))
-        else:
-            tm = (t0 + t1) / 2.0
-            stack.append((tm, t1))
-            stack.append((t0, tm))
-    out.sort()
-    return out
+def _split_panels(segments: Sequence[PathSegment], obstacles: Sequence[complex], frac: float,
+                  min_len: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clearance-graded parameter panels of several segments, bisected together a
+    level at a time: the segment index, t0 and t1 of every panel, sorted.
 
-
-def _panel_nodes(seg: PathSegment, obstacles: Sequence[complex], n_gl: int, frac: float,
-                 min_len: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Panel Gauss-Legendre nodes of one segment: points, derivatives, weights."""
-    x, w = _gl_rule(n_gl)
-    panels = np.array(_split_panels(seg, obstacles, frac, min_len))
-    half = (panels[:, 1:] - panels[:, :1]) / 2.0
-    mid = (panels[:, 1:] + panels[:, :1]) / 2.0
-    u, du = seg.sample((mid + half * x).ravel())
-    return u, du, (half * w).ravel()
+    A piece is kept when its length is at most `frac` of its clearance (the
+    distance from its midpoint to the nearest obstacle, less half its length)
+    or at most min_len; otherwise it is halved.
+    """
+    lengths = np.array([seg.length() for seg in segments])
+    obstacles = np.asarray(obstacles, dtype=complex)
+    owner = np.arange(len(segments))
+    t0, t1 = np.zeros(len(segments)), np.ones(len(segments))
+    kept = []
+    while owner.size:
+        piece = lengths[owner] * (t1 - t0)
+        tm = (t0 + t1) / 2.0
+        mid = _sample(segments, owner, tm)[0]
+        d = np.min(np.abs(mid[:, None] - obstacles), axis=1, initial=math.inf)
+        keep = (piece <= frac * np.maximum(d - piece / 2.0, 1e-30)) | (piece <= min_len)
+        kept.append((owner[keep], t0[keep], t1[keep]))
+        split = ~keep
+        owner, tm = np.tile(owner[split], 2), tm[split]
+        t0, t1 = np.concatenate((t0[split], tm)), np.concatenate((tm, t1[split]))
+    owner, t0, t1 = (np.concatenate(parts) for parts in zip(*kept))
+    order = np.lexsort((t0, owner))
+    return owner[order], t0[order], t1[order]
 
 
 # --- convolution quadrature ------------------------------------------------------------
@@ -922,8 +928,11 @@ def _block_integral(block: Sequence[PathSegment], name: str, f_state: _ElementSt
     branch back as it found it; the measurement rests on that, so it is
     checked on the winding counters.
     """
-    nodes = [_panel_nodes(seg, obstacles, n_gl, frac, min_len) for seg in block]
-    u, du, weights = (np.concatenate(parts) for parts in zip(*nodes))
+    x, w = _gl_rule(n_gl)
+    owner, t0, t1 = _split_panels(block, obstacles, frac, min_len)
+    half, mid = ((t1 - t0) / 2.0)[:, None], ((t1 + t0) / 2.0)[:, None]
+    u, du = _sample(block, np.repeat(owner, n_gl), (mid + half * x).ravel())
+    weights = (half * w).ravel()
     before = (f_state.windings(), g_state.windings())
     integrand = f_state.track(u) * g_state.track(z0 / u) / u * du
     after = (f_state.windings(), g_state.windings())
@@ -954,8 +963,8 @@ def _measure_detours(detours: Sequence[_Detour], f: AnalyticElement, g: Analytic
         total += value
         points += nodes
         if i + 1 < len(detours):
-            ends = np.array([t1 for _, t1 in _split_panels(detour.arc, obstacles, frac, min_len)])
-            u = detour.arc.sample(ends)[0]
+            owner, _, ends = _split_panels([detour.arc], obstacles, frac, min_len)
+            u = _sample([detour.arc], owner, ends)[0]
             f_state.track(u)
             g_state.track(z0 / u)
             points += len(u)
@@ -973,6 +982,8 @@ def monodromy_numeric(f: AnalyticElement, g: AnalyticElement, gamma: complex, z0
     tracking; no monodromy formula is consulted anywhere.  `node_budget` caps
     the quadrature nodes and substeps tracked over all refinement rounds.
     """
+    if not 1 <= max_rounds <= 3:
+        raise ValueError(f"max_rounds must be in 1..3, got {max_rounds}")
     pairs, r_default, eps_default = default_traintrack_geometry(f, g, gamma, z0)
     r = r_default if r is None else r
     eps = eps_default if eps is None else eps
@@ -1050,7 +1061,10 @@ def crosscheck(f_spec, g_spec, gamma, samples: Sequence[complex], *,
     if 0 not in windings:
         raise ValueError(f"only winding 0 is measured; windings {tuple(windings)} would check nothing")
     symbolic = hadamard_monodromy_general(f_spec, g_spec, gamma)
-    gamma_value = complex(symbolic.gamma)
+    try:
+        gamma_value = complex(symbolic.gamma)
+    except OverflowError as exc:
+        raise ValueError(f"gamma = {symbolic.gamma} overflows a double ({exc})") from exc
     report = OracleReport(gamma=gamma_value, metadata={"tol": tol, "engine": "traintrack"})
     for z0 in samples:
         for w in windings:

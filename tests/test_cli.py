@@ -316,6 +316,9 @@ REFUSED_INPUTS = [
      "--tol must be finite and positive"),
     (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--nodes", "0"], 3, "--nodes must be >= 1"),
     (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--nodes", "-3"], 3, "--nodes must be >= 1"),
+    (["series", "--op", "hadamard", "-f", "{huge}", "-g", "{huge}", "--order", "99999999999999999999"], 3,
+     "--order must be in 1..65536"),
+    (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--gamma", "1e400"], 3, "overflows a double"),
 ]
 
 
@@ -325,7 +328,8 @@ REFUSED_INPUTS = [
                               "verify-node-budget", "negative-logpow", "verify-overflow",
                               "monodromy-unwritable-out", "verify-unwritable-out", "verify-csv-unwritable-out",
                               "verify-check-tol-nan", "verify-check-tol-negative", "verify-tol-nan",
-                              "verify-nodes-0", "verify-nodes-negative"])
+                              "verify-nodes-0", "verify-nodes-negative", "series-order-too-large",
+                              "verify-gamma-overflow"])
 def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, message):
     docs = {
         "li1": write_doc(tmp_path, "li1.json", li1_function_doc()),

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from hadene.coeffs import ExactCoeff, GaussianRational
@@ -19,9 +20,14 @@ from hadene.continuation import (
     SeriesElement,
     SumElement,
     _block_integral,
+    _lobatto_rule,
+    _log_near_one,
+    _split_panels,
+    _traintrack_detours,
     build_traintrack,
     continue_along,
     crosscheck,
+    default_traintrack_geometry,
     ene_pincherle_eval,
     geometric_element,
     monodromy_numeric,
@@ -377,6 +383,107 @@ def test_monodromy_detour_radius_sweep_converges():
         errors.append(abs(measured - expected))
     assert all(err < 1e-8 for err in errors)
     assert errors[-1] < errors[0] + 1e-9
+
+
+@pytest.mark.parametrize("max_rounds", [0, -1, 4])
+def test_monodromy_refuses_max_rounds_outside_the_settings(max_rounds):
+    # 0 or less would compare nothing and report a stall; above 3 there is no setting
+    li1 = PolylogElement(1)
+    with pytest.raises(ValueError, match=r"max_rounds must be in 1\.\.3"):
+        monodromy_numeric(li1, li1, 1.0, 0.9, tol=1e-8, max_rounds=max_rounds)
+    measured = monodromy_numeric(li1, li1, 1.0, 0.9, tol=1e-8, max_rounds=1)
+    assert abs(measured - (-TWO_PI_I * math.log(0.9))) < 1e-8
+
+
+# --- tracking on arrays: the same measurement, the same work ------------------------------
+
+
+def tracking_ratios(seed):
+    """Ratios (1 - v')/(1 - v) as branch tracking forms them: chords u0 -> u1 with
+    |u1 - u0| <= 0.35 |1 - u0|, whole and cut at the 24 Chebyshev-Lobatto nodes."""
+    rng = np.random.default_rng(seed)
+    n = 2000
+    u0 = 1.0 + rng.uniform(0.05, 2.0, n) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+    step = 0.35 * np.abs(1.0 - u0) * np.sqrt(rng.uniform(0.0, 1.0, n))
+    u1 = u0 + step * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+    t, _ = _lobatto_rule(24)
+    us = u0[:, None] + (u1 - u0)[:, None] * ((t + 1.0) / 2.0)
+    return np.concatenate(((1.0 - u1) / (1.0 - u0), ((1.0 - us[:, 1:]) / (1.0 - us[:, :-1])).ravel()))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_log_near_one_rounds_at_the_size_of_the_increment(seed):
+    w = tracking_ratios(seed)
+    got, ref = _log_near_one(w), np.log(w)
+    # (x - 1)(x + 1) + y^2 carries about 3 eps |w - 1| of rounding; log|w| would carry eps
+    eps = np.finfo(float).eps
+    bound = 4.0 * eps * np.abs(w - 1.0)
+    assert np.all(np.abs(got.real - ref.real) <= bound)
+    assert np.max(np.abs(np.log(np.abs(w)) - ref.real) / bound) > 100.0
+    # numpy's vectorised arctan2 may round the last bit unlike the C library's atan2
+    assert np.all(np.abs(got.imag - ref.imag) <= np.spacing(np.abs(ref.imag)))
+
+
+def test_log_near_one_takes_the_branch_cut_as_np_log():
+    w = np.array([complex(x, y) for x in (-0.5, -1.0, -2.0, -3.0) for y in (0.0, -0.0)])
+    got, ref = _log_near_one(w), np.log(w)
+    assert np.array_equal(got.real, ref.real)
+    assert np.array_equal(got.imag, ref.imag)
+    assert np.array_equal(np.signbit(got.imag), np.signbit(w.imag))
+
+
+def scalar_panels(seg, obstacles, frac, min_len):
+    """One segment bisected piece by piece: the specification of _split_panels."""
+    total_len = seg.length()
+    out, stack = [], [(0.0, 1.0)]
+    while stack:
+        t0, t1 = stack.pop()
+        piece_len = total_len * (t1 - t0)
+        mid = seg.point((t0 + t1) / 2.0)
+        d = min((abs(mid - s) for s in obstacles), default=math.inf)
+        d = max(d - piece_len / 2.0, 1e-30)
+        if piece_len <= frac * d or piece_len <= min_len:
+            out.append((t0, t1))
+        else:
+            tm = (t0 + t1) / 2.0
+            stack += [(tm, t1), (t0, tm)]
+    return sorted(out)
+
+
+def benchmark_pair_points():
+    """z0 as the oracle benchmark draws them: near 1 for the tracked pairs, real for geometric."""
+    rng = np.random.default_rng(8301)
+    near = 1.0 + rng.uniform(0.07, 0.12, 12) * np.exp(1j * np.radians(rng.uniform(120.0, 240.0, 12)))
+    return [complex(z) for z in near] + [complex(x) for x in rng.uniform(0.88, 0.94, 4)]
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.25, 0.125, 0.0625])  # the four refinement rounds
+def test_block_wide_panels_equal_the_per_segment_bisection(frac):
+    two_logs = SumElement([LogBranchElement(2.0), LogBranchElement(2j)])
+    cases = [(PolylogElement(1), PolylogElement(1), 1.0, z0) for z0 in benchmark_pair_points()]
+    cases += [(two_logs, two_logs, 4j, z0) for z0 in (3.8j, 3.9j * cmath.exp(0.03j))]
+    for f, g, gamma, z0 in cases:
+        pairs, r, eps = default_traintrack_geometry(f, g, gamma, z0)
+        obstacles = [alpha for alpha, _ in pairs] + [z0 / beta for _, beta in pairs] + [0j]
+        for detour in _traintrack_detours(z0, pairs, r, eps):
+            for segments in (detour.block, (detour.arc,)):
+                owner, t0, t1 = _split_panels(segments, obstacles, frac, eps / 8.0)
+                for i, seg in enumerate(segments):
+                    mine = list(zip(t0[owner == i].tolist(), t1[owner == i].tolist()))
+                    assert mine == scalar_panels(seg, obstacles, frac, eps / 8.0)
+
+
+@pytest.mark.parametrize("f, g, z0", [
+    (PolylogElement(2), PolylogElement(2), 1.0 + 0.1 * cmath.exp(1j * math.radians(160))),
+    (PolylogElement(1), PolylogElement(1), 0.9),
+    (LogBranchElement(1.0, [0.0, 1.0]), LogBranchElement(1.0), 1.0 + 0.1 * cmath.exp(1j * math.radians(160))),
+], ids=["li2xli2", "li1xli1", "logbranch"])
+def test_measurement_tracks_a_pinned_number_of_nodes(f, g, z0):
+    # quadrature nodes, transit-arc points and substeps over every round: a faster
+    # tracker must do this same work
+    monodromy_numeric(f, g, 1.0, z0, tol=1e-8, node_budget=4736)
+    with pytest.raises(QuadratureNotConverged, match="node budget 4735 spent: 4736 quadrature nodes"):
+        monodromy_numeric(f, g, 1.0, z0, tol=1e-8, node_budget=4735)
 
 
 # --- both products measured against the symbolic engine -------------------------------------

@@ -1,4 +1,4 @@
-"""Seeded mutation fuzz of the documents the CLI reads: the exit-code contract holds."""
+"""Seeded mutation fuzz of the documents and values the CLI reads: the exit-code contract holds."""
 
 import copy
 import json
@@ -6,6 +6,7 @@ import random
 
 from hadene.cli import main
 from hadene.coeffs import ExactCoeff, GaussianRational, log_symbol
+from hadene.continuation import PolylogElement
 from hadene.documents import divisor_to_doc, function_spec_to_doc, series_to_doc
 from hadene.logpoly import LogLaurentPoly
 from hadene.monodromy import Divisor, FunctionSpec, GermPart, Singularity, polylog_function_spec
@@ -17,6 +18,15 @@ MUTATIONS = 300
 # values of every JSON type, plus the literals the decoders treat specially
 REPLACEMENTS = [None, True, False, 0, -1, 3, 2 ** 70, 0.5, -1e300, "", "x", "1/0", "2/3+1/2i",
                 "log(2)", "2pii", "polar", "rational", [], [1], [[1, 0]], {}, {"a": 1}]
+
+CLI_MUTATIONS = 120
+CLI_OPTIONS = ("--order", "--gamma", "--samples")
+# command-line values: numbers of every shape the parsers meet, out of range, huge,
+# non-finite, malformed, empty, and option-like
+CLI_VALUES = ["", " ", "0", "-1", "1", "2", "8", "3/2", "-2/3", "1+i", "2i", "-2i", "i", "1/0",
+              "0/1", "nan", "inf", "-inf", "1e400", "-1e400i", "1e-400", "1e300", "2**70",
+              "99999999999999999999", "x", "0.9", "0.92+0.03i", "0.9+0.05j", "1.2", ",",
+              "0.9,,0.91", "0.9,x", "--", "-f"]
 
 
 def _function_doc():
@@ -35,6 +45,7 @@ def _function_doc():
 def _bases():
     """(command line without -f/-g, f document, g document)."""
     li1 = function_spec_to_doc(polylog_function_spec(1))
+    li1_element = function_spec_to_doc(polylog_function_spec(1), PolylogElement(1))
     divisor = divisor_to_doc(Divisor.of({GaussianRational.of(2): 1, GaussianRational.of(-1, 1): -2}))
     rational = series_to_doc(polylog_series(1, 6))
     complex_series = series_to_doc(TruncatedSeries([1, 0.5j, -2.0], "complex"), polynomial=True)
@@ -45,7 +56,15 @@ def _bases():
         (["divisor"], divisor, divisor),
         (["series", "--op", "ene", "--order", "8"], rational, rational),
         (["series", "--op", "hadamard", "--order", "8"], complex_series, complex_series),
+        (["verify", "--gamma", "1", "--samples", "0.9,0.92+0.03i"], li1_element, li1_element),
     ]
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as stop:  # argparse refuses a malformed option value
+        return stop.code
 
 
 def _paths(node, path=()):
@@ -106,3 +125,25 @@ def test_mutated_documents_keep_the_exit_code_contract(tmp_path, capsys):
         capsys.readouterr()
     # the mutations reach both the refusals and the successful paths
     assert codes.get(0, 0) > 0 and codes.get(2, 0) > 0
+
+
+def test_mutated_command_line_values_keep_the_exit_code_contract(tmp_path, capsys):
+    rng = random.Random(2)
+    slots = [(command, f_doc, g_doc, index) for command, f_doc, g_doc in _bases()
+             for index, arg in enumerate(command) if arg in CLI_OPTIONS]
+    assert {slot[0][slot[3]] for slot in slots} == set(CLI_OPTIONS)
+    f_path, g_path = tmp_path / "f.json", tmp_path / "g.json"
+    codes = {}
+    for n in range(CLI_MUTATIONS):
+        command, f_doc, g_doc, index = slots[n % len(slots)]
+        argv = list(command)
+        argv[index + 1] = rng.choice(CLI_VALUES)
+        f_path.write_text(json.dumps(f_doc))
+        g_path.write_text(json.dumps(g_doc))
+        argv += ["-f", str(f_path), "-g", str(g_path)]
+        code = _exit_code(argv)
+        assert code in CONTRACT, argv
+        codes[code] = codes.get(code, 0) + 1
+        capsys.readouterr()
+    # the values reach argparse's refusals, the program's own, and successful runs
+    assert codes.get(0, 0) > 0 and codes.get(2, 0) > 0 and codes.get(3, 0) > 0
