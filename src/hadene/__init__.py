@@ -8,28 +8,14 @@ Two independent engines:
 * a numerical one that measures the same monodromies by deforming
   convolution contours and tracking branches, consulting no formula.
 
+The oracle (`continuation`) needs numpy; the exact modules do not.  Its names
+are served here on first use (PEP 562), so `import hadene` and the exact CLI
+commands start without numpy; only measuring (`verify`, `selftest`) loads it.
+
 See README.md for a tour; the examples live under demos/.
 """
 
 from .coeffs import ConstantSymbol, ExactCoeff, GaussianRational
-from .continuation import (
-    AnalyticElement,
-    Arc,
-    ContourSpec,
-    Line,
-    LogBranchElement,
-    OracleReport,
-    PolylogElement,
-    RationalElement,
-    SeriesElement,
-    SumElement,
-    build_traintrack,
-    continue_along,
-    crosscheck,
-    ene_pincherle_eval,
-    monodromy_numeric,
-    pincherle_eval,
-)
 from .logpoly import BiLogPoly, BranchPoint, LogLaurentPoly, integrate_u, lp_eval
 from .monodromy import (
     Divisor,
@@ -61,3 +47,22 @@ from .series import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = frozenset({
+    "AnalyticElement", "Arc", "ContourSpec", "Line", "LogBranchElement", "OracleReport",
+    "PolylogElement", "RationalElement", "SeriesElement", "SumElement", "build_traintrack",
+    "continue_along", "crosscheck", "ene_pincherle_eval", "monodromy_numeric", "pincherle_eval",
+})
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import continuation
+
+    value = globals()[name] = getattr(continuation, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES)

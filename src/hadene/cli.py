@@ -11,6 +11,9 @@ Commands
 Exit codes are a stable contract: 0 success, 2 document/parse error,
 3 precondition violation, 4 verification failure, 5 quadrature or geometry
 failure.
+
+Only `verify` and `selftest` load the contour oracle (`continuation`) and
+numpy, inside the command; the exact commands start without them.
 """
 
 from __future__ import annotations
@@ -23,12 +26,6 @@ import time
 from dataclasses import dataclass
 
 from .coeffs import parse_gaussian_rational
-from .continuation import (
-    GeometryInfeasible,
-    PathTooCloseToSingularity,
-    QuadratureNotConverged,
-    crosscheck,
-)
 from .documents import (
     DocumentError,
     _write_text,
@@ -181,6 +178,8 @@ def cmd_polylog(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .continuation import GeometryInfeasible, PathTooCloseToSingularity, QuadratureNotConverged, crosscheck
+
     job = _job_from_args(args)
     f_spec, f_element = function_spec_from_doc(load_document(args.f))
     g_spec, g_element = function_spec_from_doc(load_document(args.g))
@@ -188,12 +187,17 @@ def cmd_verify(args) -> int:
         raise ValueError("verify needs an oracle element realization in both function documents")
     gamma = parse_gaussian_rational(args.gamma)
     samples = _parse_samples(args.samples)
-    report = crosscheck(
-        f_spec, g_spec, gamma, samples,
-        f_element=f_element, g_element=g_element,
-        windings=job.windings, tol=min(job.tol, job.check_tol),
-        node_budget=job.nodes,
-    )
+    try:
+        report = crosscheck(
+            f_spec, g_spec, gamma, samples,
+            f_element=f_element, g_element=g_element,
+            windings=job.windings, tol=min(job.tol, job.check_tol),
+            node_budget=job.nodes,
+        )
+    except (QuadratureNotConverged, GeometryInfeasible, PathTooCloseToSingularity) as exc:
+        # two of these are ValueErrors, which main would report as exit 3
+        sys.stderr.write(f"numeric failure: {exc}\n")
+        return EXIT_QUADRATURE
     if job.fmt == "csv":
         text = report.to_csv()
         if job.out:
@@ -404,9 +408,6 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         sys.stderr.write(f"document error: {exc}\n")
         return EXIT_PARSE
-    except (QuadratureNotConverged, GeometryInfeasible, PathTooCloseToSingularity) as exc:
-        sys.stderr.write(f"numeric failure: {exc}\n")
-        return EXIT_QUADRATURE
     except (FieldMismatch, ValueError) as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")
         return EXIT_PRECONDITION

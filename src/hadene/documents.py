@@ -10,21 +10,15 @@ from __future__ import annotations
 
 import cmath
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .coeffs import ExactCoeff, parse_gaussian_rational, parse_rational, parse_symbol
-from .continuation import (
-    AnalyticElement,
-    LogBranchElement,
-    OracleReport,
-    PolylogElement,
-    RationalElement,
-    SeriesElement,
-    SumElement,
-)
 from .logpoly import LogLaurentPoly
 from .monodromy import Divisor, FunctionSpec, GermPart, MonodromyResult, Singularity
 from .series import FIELD_COMPLEX, FIELD_RATIONAL, TruncatedSeries
+
+if TYPE_CHECKING:  # the oracle (and numpy) loads only where an element is read or written
+    from .continuation import AnalyticElement, OracleReport
 
 FORMAT_VERSION = 1
 # Largest |zpow| and logpow a log-polynomial record may carry.  The exact
@@ -32,6 +26,10 @@ FORMAT_VERSION = 1
 # pair of singularities grow as the cube of their log powers.
 MAX_ZPOW = 10 ** 6
 MAX_LOGPOW = 1024
+# Largest weight k of a polylog element.  The oracle's work per node grows with
+# k: `verify` of Li_256 x Li_256 at one sample takes 1.6-2.5 s on a 2-vCPU
+# host, Li_512 x Li_512 takes 3-4 s, and k = 100000 runs past a minute.
+MAX_POLYLOG_K = 256
 
 
 class DocumentError(ValueError):
@@ -174,6 +172,8 @@ def _germ_from_doc(doc: Any) -> GermPart:
 def _element_to_doc(element: AnalyticElement | None) -> dict | None:
     if element is None:
         return None
+    from .continuation import LogBranchElement, PolylogElement, RationalElement, SeriesElement, SumElement
+
     if isinstance(element, PolylogElement):
         return {"kind": "polylog", "k": element.k}
     if isinstance(element, LogBranchElement):
@@ -203,11 +203,15 @@ def _element_to_doc(element: AnalyticElement | None) -> dict | None:
 def _element_from_doc(doc: Any) -> AnalyticElement | None:
     if doc is None:
         return None
+    from .continuation import LogBranchElement, PolylogElement, RationalElement, SeriesElement, SumElement
+
     _require(isinstance(doc, dict), "element must be an object")
     kind = doc.get("kind")
     try:
         if kind == "polylog":
-            return PolylogElement(int(doc["k"]))
+            k = _integer(doc["k"], "polylog weight k", MAX_POLYLOG_K)
+            _require(k >= 1, f"polylog weight k must be >= 1, not {k}")
+            return PolylogElement(k)
         if kind == "logbranch":
             loc = complex(doc["location"][0], doc["location"][1])
             pref = [complex(c[0], c[1]) for c in doc.get("prefactor", [[1.0, 0.0]])]
@@ -350,8 +354,12 @@ def load_document(path: str) -> Any:
             return json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise DocumentError(f"{path} nests arrays or objects too deeply") from None
 
 
 def dump_document(doc: Any, path: str | None) -> str:

@@ -10,6 +10,7 @@ from hadene.cli import main
 from hadene.coeffs import ExactCoeff, GaussianRational
 from hadene.continuation import LogBranchElement, PolylogElement, SumElement, geometric_element
 from hadene.documents import (
+    MAX_POLYLOG_K,
     DocumentError,
     divisor_from_doc,
     divisor_to_doc,
@@ -319,6 +320,12 @@ REFUSED_INPUTS = [
     (["series", "--op", "hadamard", "-f", "{huge}", "-g", "{huge}", "--order", "99999999999999999999"], 3,
      "--order must be in 1..65536"),
     (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--gamma", "1e400"], 3, "overflows a double"),
+    (["divisor", "-f", "{not_utf8}", "-g", "{not_utf8}"], 2, "is not UTF-8 text"),
+    (["divisor", "-f", "{deep}", "-g", "{deep}"], 2, "nests arrays or objects too deeply"),
+    (["verify", "-f", "{k_too_large}", "-g", "{li1}", "--samples", "0.9"], 2,
+     f"polylog weight k {MAX_POLYLOG_K + 1} exceeds {MAX_POLYLOG_K}"),
+    (["verify", "-f", "{k_float}", "-g", "{li1}", "--samples", "0.9"], 2, "polylog weight k must be an integer"),
+    (["verify", "-f", "{k_zero}", "-g", "{li1}", "--samples", "0.9"], 2, "polylog weight k must be >= 1"),
 ]
 
 
@@ -329,7 +336,8 @@ REFUSED_INPUTS = [
                               "monodromy-unwritable-out", "verify-unwritable-out", "verify-csv-unwritable-out",
                               "verify-check-tol-nan", "verify-check-tol-negative", "verify-tol-nan",
                               "verify-nodes-0", "verify-nodes-negative", "series-order-too-large",
-                              "verify-gamma-overflow"])
+                              "verify-gamma-overflow", "document-not-utf8", "document-nested-too-deeply",
+                              "verify-polylog-k-too-large", "verify-polylog-k-float", "verify-polylog-k-zero"])
 def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, message):
     docs = {
         "li1": write_doc(tmp_path, "li1.json", li1_function_doc()),
@@ -349,6 +357,14 @@ def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, mess
     zpow_overflow = li1_function_doc()
     zpow_overflow["singularities"][0]["monodromy"][0]["zpow"] = -1000000
     docs["zpow_overflow"] = write_doc(tmp_path, "zpow_overflow.json", zpow_overflow)
+    for name, k in (("k_too_large", MAX_POLYLOG_K + 1), ("k_float", 2.5), ("k_zero", 0)):
+        polylog_k = li1_function_doc()
+        polylog_k["element"]["k"] = k
+        docs[name] = write_doc(tmp_path, f"{name}.json", polylog_k)
+    docs["not_utf8"] = str(tmp_path / "not_utf8.json")
+    (tmp_path / "not_utf8.json").write_bytes(b'{"format": 1, "kind": "divisor", "points": []}\xff')
+    docs["deep"] = str(tmp_path / "deep.json")
+    (tmp_path / "deep.json").write_text("[" * 200000 + "]" * 200000)
     # strict JSON whose number overflows a double; json.dumps cannot write it
     docs["overflow"] = str(tmp_path / "overflow.json")
     (tmp_path / "overflow.json").write_text(

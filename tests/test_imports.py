@@ -1,0 +1,100 @@
+"""The exact side starts without the oracle: numpy loads only where something is measured."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hadene
+from hadene import continuation
+from hadene.continuation import PolylogElement
+from hadene.documents import divisor_to_doc, function_spec_to_doc, series_to_doc
+from hadene.monodromy import Divisor, polylog_function_spec
+from hadene.series import polylog_series
+
+ROOT = Path(__file__).resolve().parent.parent
+ORACLE_MODULES = ("numpy", "hadene.continuation")
+
+# the oracle names `hadene` has exported since it was first published
+ORACLE_NAMES = (
+    "AnalyticElement", "Arc", "ContourSpec", "Line", "LogBranchElement", "OracleReport",
+    "PolylogElement", "RationalElement", "SeriesElement", "SumElement", "build_traintrack",
+    "continue_along", "crosscheck", "ene_pincherle_eval", "monodromy_numeric", "pincherle_eval",
+)
+
+# argv as JSON in sys.argv[1] (null: only `import hadene`); prints the exit code
+# and which oracle modules the interpreter holds afterwards
+_CHILD = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+code = None
+if argv is None:
+    import hadene
+else:
+    from hadene import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+print(json.dumps({"code": code, "loaded": [m for m in %r if m in sys.modules]}))
+""" % (ORACLE_MODULES,)
+
+
+def _fresh_interpreter(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.fixture
+def docs(tmp_path):
+    def write(name, doc):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    return {
+        "series": write("series", series_to_doc(polylog_series(1, 6))),
+        "li1": write("li1", function_spec_to_doc(polylog_function_spec(1))),
+        "li1_element": write("li1_element", function_spec_to_doc(polylog_function_spec(1),
+                                                                  element=PolylogElement(1))),
+        "divisor": write("divisor", divisor_to_doc(Divisor.of({2: 1, 3: -1}))),
+    }
+
+
+EXACT_COMMANDS = [
+    ["polylog", "--k", "3"],
+    ["monodromy", "--product", "ene", "-f", "{li1}", "-g", "{li1}"],
+    ["series", "--op", "hadamard", "-f", "{series}", "-g", "{series}"],
+    ["divisor", "-f", "{divisor}", "-g", "{divisor}"],
+]
+
+
+def test_import_hadene_loads_neither_numpy_nor_the_oracle():
+    assert _fresh_interpreter(None) == {"code": None, "loaded": []}
+
+
+@pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=[argv[0] for argv in EXACT_COMMANDS])
+def test_exact_commands_load_neither_numpy_nor_the_oracle(docs, argv):
+    assert _fresh_interpreter([arg.format(**docs) for arg in argv]) == {"code": 0, "loaded": []}
+
+
+def test_verify_loads_numpy_and_the_oracle(docs):
+    argv = ["verify", "-f", docs["li1_element"], "-g", docs["li1_element"], "--samples", "0.9"]
+    assert _fresh_interpreter(argv) == {"code": 0, "loaded": list(ORACLE_MODULES)}
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_lazy_oracle_names_are_the_oracle_objects(name):
+    assert getattr(hadene, name) is getattr(continuation, name)
+    assert name in dir(hadene)
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hadene.no_such_name
+    assert not hasattr(hadene, "QuadratureNotConverged")
