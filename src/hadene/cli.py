@@ -23,7 +23,7 @@ import cmath
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .coeffs import parse_gaussian_rational
 from .documents import (
@@ -60,7 +60,10 @@ MAX_ORDER = 1 << 16
 
 @dataclass
 class JobConfig:
-    """Validated options for one invocation; each command offers only those it reads."""
+    """Validated options for one invocation; each command offers only those it reads.
+
+    The fields state the defaults: the parser leaves out options not given.
+    """
 
     order: int = 64
     tol: float = 1e-9
@@ -83,16 +86,11 @@ class JobConfig:
 
 
 def _job_from_args(args) -> JobConfig:
-    windings = tuple(int(w) for w in str(getattr(args, "winding", "0")).split(",") if w != "")
-    return JobConfig(
-        order=getattr(args, "order", 64),
-        tol=getattr(args, "tol", 1e-9),
-        check_tol=getattr(args, "check_tol", 1e-6),
-        nodes=getattr(args, "nodes", 1 << 16),
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "format", "json"),
-        windings=windings or (0,),
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(JobConfig) if hasattr(args, f.name)}
+    if "windings" in given:
+        windings = tuple(int(w) for w in given["windings"].split(",") if w != "")
+        given["windings"] = windings or JobConfig.windings
+    return JobConfig(**given)
 
 
 def _emit(doc, job: JobConfig) -> None:
@@ -356,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", choices=("hadamard", "ene_exp", "ene"), required=True)
     p.add_argument("-f", required=True, help="first series document")
     p.add_argument("-g", required=True, help="second series document")
-    p.add_argument("--order", type=int, default=64,
-                   help=f"truncation order, 1..{MAX_ORDER} (default 64)")
+    p.add_argument("--order", type=int, default=argparse.SUPPRESS,
+                   help=f"truncation order, 1..{MAX_ORDER} (default {JobConfig.order})")
     _add_out(p)
     p.set_defaults(func=cmd_series)
 
@@ -385,12 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", required=True)
     p.add_argument("--gamma", default="1")
     p.add_argument("--samples", required=True, help="comma-separated complex points, e.g. 0.9,0.92+0.05i")
-    p.add_argument("--check-tol", type=float, default=1e-6, help="acceptance threshold for max error")
-    p.add_argument("--tol", type=float, default=1e-9, help="quadrature tolerance")
-    p.add_argument("--nodes", type=int, default=1 << 16,
+    p.add_argument("--check-tol", type=float, default=argparse.SUPPRESS,
+                   help="acceptance threshold for max error")
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS, help="quadrature tolerance")
+    p.add_argument("--nodes", type=int, default=argparse.SUPPRESS,
                    help="quadrature nodes and substeps one measurement may track (exit 5 when spent)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--winding", default="0", help="comma-separated log z sheets")
+    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=argparse.SUPPRESS)
+    p.add_argument("--winding", dest="windings", metavar="WINDING", default=argparse.SUPPRESS,
+                   help="comma-separated log z sheets")
     _add_out(p)
     p.set_defaults(func=cmd_verify)
 

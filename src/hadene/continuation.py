@@ -48,6 +48,7 @@ np.log does at several times the cost.
 from __future__ import annotations
 
 import cmath
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -192,8 +193,8 @@ class RationalElement(AnalyticElement):
                - np.convolve(self.num, _theta_coeffs(self.den)))
         return RationalElement(num, np.convolve(self.den, self.den), self.poles)
 
-    def make_state(self, u0: complex) -> "_RationalState":
-        return _RationalState(self, u0)
+    def make_state(self, u0: complex) -> "_SingleValuedState":
+        return _SingleValuedState(self, u0)
 
 
 def geometric_element() -> RationalElement:
@@ -262,10 +263,9 @@ class PolylogElement(AnalyticElement):
 
 
 class SeriesElement(AnalyticElement):
-    """Truncated-series evaluation and recentering; approximate by nature.
-
-    Continuation recenters the polynomial at each step, which is only as good
-    as the truncation allows.
+    """A truncated series: a polynomial, so single-valued, and evaluated by
+    Horner's rule wherever it is continued.  It approximates the function it
+    truncates only as well as the truncation allows, hence is_approximate.
     """
 
     is_approximate = True
@@ -283,8 +283,8 @@ class SeriesElement(AnalyticElement):
     def theta(self) -> "SeriesElement":
         return SeriesElement(_theta_coeffs(self.coeffs), self.declared)
 
-    def make_state(self, u0: complex) -> "_SeriesState":
-        return _SeriesState(self, u0)
+    def make_state(self, u0: complex) -> "_SingleValuedState":
+        return _SingleValuedState(self, u0)
 
 
 class SumElement(AnalyticElement):
@@ -387,6 +387,10 @@ class _ElementState:
     point: complex
     substeps = 0  # path points walked so far beyond the targets given
 
+    def __init__(self, spec: AnalyticElement, u0: complex):
+        self.spec = spec
+        self.point = u0
+
     def obstacles(self) -> list[complex]:
         raise NotImplementedError
 
@@ -401,7 +405,8 @@ class _ElementState:
         return {}
 
     def clone(self) -> "_ElementState":
-        raise NotImplementedError
+        # a shallow copy suffices: every _walk rebinds its state, never mutates it in place
+        return copy.copy(self)
 
     def track(self, targets: np.ndarray, floor: float = 0.0) -> np.ndarray:
         """Advance through the targets along straight chords; the values there.
@@ -416,13 +421,11 @@ class _ElementState:
         return values[ends]
 
 
-class _RationalState(_ElementState):
-    def __init__(self, spec: RationalElement, u0: complex):
-        self.spec = spec
-        self.point = u0
+class _SingleValuedState(_ElementState):
+    """An element without branches: its value anywhere is its principal value."""
 
     def obstacles(self) -> list[complex]:
-        return self.spec.poles
+        return self.spec.singularities()
 
     def _walk(self, path: np.ndarray) -> np.ndarray:
         self.point = complex(path[-1])
@@ -431,56 +434,12 @@ class _RationalState(_ElementState):
     def value(self) -> complex:
         return self.spec.principal_value(self.point)
 
-    def clone(self) -> "_RationalState":
-        return _RationalState(self.spec, self.point)
-
-
-class _SeriesState(_ElementState):
-    """Continuation by polynomial recentering (approximate)."""
-
-    def __init__(self, spec: SeriesElement, u0: complex, coeffs: list[complex] | None = None):
-        self.spec = spec
-        self.point = u0
-        # local expansion around the current point
-        self.local = list(spec.coeffs) if coeffs is None else coeffs
-        if coeffs is None and u0 != 0:
-            self.local = _recenter(self.local, u0)
-
-    def obstacles(self) -> list[complex]:
-        return self.spec.declared
-
-    def _walk(self, path: np.ndarray) -> np.ndarray:
-        values = np.empty(len(path), dtype=complex)
-        for i, target in enumerate(path.tolist()):
-            self.local = _recenter(self.local, target - self.point)
-            self.point = target
-            values[i] = self.local[0]
-        return values
-
-    def value(self) -> complex:
-        return self.local[0]
-
-    def clone(self) -> "_SeriesState":
-        return _SeriesState(self.spec, self.point, list(self.local))
-
-
-def _recenter(coeffs: Sequence[complex], delta: complex) -> list[complex]:
-    """Coefficients of p(delta + v) as a polynomial in v (synthetic Taylor shift)."""
-    out = list(coeffs)
-    n = len(out)
-    for j in range(n - 1):
-        for i in range(n - 2, j - 1, -1):
-            out[i] += delta * out[i + 1]
-    return out
-
 
 class _LogBranchState(_ElementState):
-    def __init__(self, spec: LogBranchElement, u0: complex, log_value: complex | None = None,
-                 arg_total: float = 0.0):
-        self.spec = spec
-        self.point = u0
-        self.log_value = cmath.log(1.0 - u0 / spec.location) if log_value is None else log_value
-        self.arg_total = arg_total
+    def __init__(self, spec: LogBranchElement, u0: complex):
+        super().__init__(spec, u0)
+        self.log_value = cmath.log(1.0 - u0 / spec.location)
+        self.arg_total = 0.0
 
     def obstacles(self) -> list[complex]:
         return [self.spec.location]
@@ -500,9 +459,6 @@ class _LogBranchState(_ElementState):
     def windings(self) -> dict[complex, int]:
         return {self.spec.location: round(self.arg_total / TWO_PI)}
 
-    def clone(self) -> "_LogBranchState":
-        return _LogBranchState(self.spec, self.point, self.log_value, self.arg_total)
-
 
 class _SumState(_ElementState):
     def __init__(self, spec: "SumElement", states: list[_ElementState]):
@@ -517,14 +473,8 @@ class _SumState(_ElementState):
     def substeps(self) -> int:
         return sum(state.substeps for state in self.states)
 
-    def obstacles(self) -> list[complex]:
-        out: list[complex] = []
-        for state in self.states:
-            out.extend(state.obstacles())
-        return out
-
     def track(self, targets: np.ndarray, floor: float = 0.0) -> np.ndarray:
-        # each part substeps against its own singularities
+        # each part substeps against its own singularities, so a sum has no obstacles of its own
         return sum(state.track(targets, floor) for state in self.states)
 
     def value(self) -> complex:
@@ -540,6 +490,8 @@ class _SumState(_ElementState):
         return _SumState(self.spec, [state.clone() for state in self.states])
 
 
+# Chebyshev-Lobatto nodes per step of a polylogarithm stack walk.
+_LOBATTO_NODES = 24
 _LOBATTO_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -568,18 +520,12 @@ def _running(start: complex, increments: np.ndarray) -> np.ndarray:
 
 
 class _PolylogState(_ElementState):
-    def __init__(self, spec: PolylogElement, u0: complex, stack: list[complex] | None = None,
-                 arg_one: float = 0.0, nodes: int = 24):
-        self.spec = spec
-        self.point = u0
-        self.nodes = nodes
-        if stack is None:
-            self.stack = [-cmath.log(1.0 - u0)]
-            if spec.k > 1:
-                self.stack.extend(_polylog_series(spec.k, u0).tolist())
-        else:
-            self.stack = list(stack)
-        self.arg_one = arg_one
+    def __init__(self, spec: PolylogElement, u0: complex):
+        super().__init__(spec, u0)
+        self.stack = [-cmath.log(1.0 - u0)]
+        if spec.k > 1:
+            self.stack.extend(_polylog_series(spec.k, u0).tolist())
+        self.arg_one = 0.0
 
     def obstacles(self) -> list[complex]:
         # the stack recursion integrates against du/u, so 0 must be avoided too
@@ -595,7 +541,7 @@ class _PolylogState(_ElementState):
             self.stack = [complex(li1[-1])]
             return li1[1:]
         # every step's Lobatto nodes at once, one step per row
-        t, cum_t = _lobatto_rule(self.nodes)
+        t, cum_t = _lobatto_rule(_LOBATTO_NODES)
         us = prev[:, None] + (path - prev)[:, None] * ((t + 1.0) / 2.0)
         w = 1.0 - us
         within = np.zeros_like(us)
@@ -620,50 +566,29 @@ class _PolylogState(_ElementState):
     def windings(self) -> dict[complex, int]:
         return {1.0 + 0j: round(self.arg_one / TWO_PI)}
 
-    def clone(self) -> "_PolylogState":
-        return _PolylogState(self.spec, self.point, self.stack, self.arg_one, self.nodes)
-
-
-@dataclass
-class Continuation:
-    """Result of continue_along: the branch-tracked element at the path end."""
-
-    element: AnalyticElement
-    state: _ElementState
-
-    @property
-    def point(self) -> complex:
-        return self.state.point
-
-    def value(self) -> complex:
-        return self.state.value()
-
-    def windings(self) -> dict[complex, int]:
-        return self.state.windings()
-
 
 def continue_along(element, path: Sequence[PathSegment], *, delta: float = 1e-6,
-                   steps_per_segment: int = 64) -> tuple[complex, Continuation]:
-    """Continue an element along a path, returning (end value, updated element).
+                   steps_per_segment: int = 64) -> tuple[complex, _ElementState]:
+    """Continue an element along a path, returning (end value, state at the end).
 
-    `element` is an AnalyticElement (started on the principal branch at the
-    path start) or a Continuation being resumed; the path must then begin at
-    its current point.
+    `element` is an AnalyticElement, started on the principal branch at the
+    path start, or a state an earlier call returned, resumed from a copy (so it
+    can be resumed again); the path must then begin at its point.  A state has
+    point, value(), windings() and spec, the element it tracks.
     """
     if not path:
         raise ValueError("continue_along needs a nonempty path")
-    if isinstance(element, Continuation):
-        spec, state = element.element, element.state.clone()
+    if isinstance(element, _ElementState):
+        state = element.clone()
         if abs(path[0].point(0.0) - state.point) > 1e-9:
             raise ValueError("path does not start at the element's current point")
     else:
-        spec = element
-        state = spec.make_state(path[0].point(0.0))
+        state = element.make_state(path[0].point(0.0))
     counts = [max(2, steps_per_segment if isinstance(seg, Arc) else steps_per_segment // 2)
               for seg in path]
     ts = np.concatenate([np.arange(1, n + 1) / n for n in counts])
     state.track(_sample(path, np.repeat(np.arange(len(path)), counts), ts)[0], floor=delta)
-    return state.value(), Continuation(spec, state)
+    return state.value(), state
 
 
 # --- quadrature ----------------------------------------------------------------------
@@ -724,8 +649,12 @@ def _admissible_radius(f: AnalyticElement, g: AnalyticElement, z: complex) -> fl
     return math.sqrt(max(lower, 1e-12) * upper) if lower > 0 else 0.5 * upper
 
 
-def _trapezoid_circle(fn: Callable[[complex], complex], radius: float, tol: float,
-                      n0: int = 32, n_max: int = 1 << 16, phase: float = 0.0) -> tuple[complex, int]:
+# The trapezoid rule's first and largest node counts.
+_TRAPEZOID_START = 32
+_TRAPEZOID_MAX = 1 << 16
+
+
+def _trapezoid_circle(fn: Callable[[complex], complex], radius: float, tol: float) -> tuple[complex, int]:
     """Trapezoid rule on |u| = radius, doubling n until two levels agree within tol.
 
     The nodes of one level are the even nodes of the next, so each doubling
@@ -733,11 +662,10 @@ def _trapezoid_circle(fn: Callable[[complex], complex], radius: float, tol: floa
     """
     previous = None
     acc = 0j
-    n = n0
-    while n <= n_max:
+    n = _TRAPEZOID_START
+    while n <= _TRAPEZOID_MAX:
         for j in range(n) if previous is None else range(1, n, 2):
-            theta = phase + TWO_PI * j / n
-            acc += fn(radius * cmath.exp(1j * theta))
+            acc += fn(radius * cmath.exp(1j * (TWO_PI * j / n)))
         value = acc / n
         if previous is not None and abs(value - previous) <= tol:
             return value, n

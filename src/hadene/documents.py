@@ -30,6 +30,10 @@ MAX_LOGPOW = 1024
 # k: `verify` of Li_256 x Li_256 at one sample takes 1.6-2.5 s on a 2-vCPU
 # host, Li_512 x Li_512 takes 3-4 s, and k = 100000 runs past a minute.
 MAX_POLYLOG_K = 256
+# Deepest nesting of sum element records.  The oracle walks a sum's parts
+# recursively, so a deep enough sum exhausts Python's recursion limit: a verify
+# of Li_1 wrapped in 450 single-part sums did.
+MAX_ELEMENT_DEPTH = 64
 
 
 class DocumentError(ValueError):
@@ -200,7 +204,7 @@ def _element_to_doc(element: AnalyticElement | None) -> dict | None:
     raise DocumentError(f"unsupported element {type(element).__name__}")
 
 
-def _element_from_doc(doc: Any) -> AnalyticElement | None:
+def _element_from_doc(doc: Any, depth: int = 0) -> AnalyticElement | None:
     if doc is None:
         return None
     from .continuation import LogBranchElement, PolylogElement, RationalElement, SeriesElement, SumElement
@@ -223,7 +227,10 @@ def _element_from_doc(doc: Any) -> AnalyticElement | None:
             conv = lambda pairs: [complex(c[0], c[1]) for c in pairs]
             return SeriesElement(conv(doc["coeffs"]), conv(doc.get("singularities", [])))
         if kind == "sum":
-            return SumElement([_element_from_doc(part) for part in doc["parts"]])
+            _require(depth < MAX_ELEMENT_DEPTH, f"element nests sum records deeper than {MAX_ELEMENT_DEPTH}")
+            return SumElement([_element_from_doc(part, depth + 1) for part in doc["parts"]])
+    except DocumentError:  # names its fault already; a part's is not wrapped per level
+        raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise DocumentError(f"bad element record: {exc}") from exc
     raise DocumentError(f"unknown element kind {kind!r}")

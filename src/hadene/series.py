@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffs import ExactCoeff, GaussianRational
+from .coeffs import ExactCoeff, GaussianRational, as_exact
 
 
 class FieldMismatch(TypeError):
@@ -63,9 +63,7 @@ def _coerce(value, field: str):
         return value if isinstance(value, Fraction) else Fraction(value)
     if field == FIELD_COMPLEX:
         return complex(value)
-    if isinstance(value, ExactCoeff):
-        return value
-    return ExactCoeff.from_rational(Fraction(value))
+    return as_exact(value)
 
 
 class TruncatedSeries:
@@ -233,8 +231,12 @@ def _log_generic(f: TruncatedSeries) -> TruncatedSeries:
 def _poly_from_roots_generic(roots: Sequence, order: int, field: str) -> TruncatedSeries:
     out = [_ONES[field]] + [_ZEROS[field]] * order
     for degree, r in enumerate(roots, 1):
-        slope = -Fraction(1) / Fraction(r) if field == FIELD_RATIONAL else -1.0 / complex(r)
-        slope = _coerce(slope, field)
+        if field == FIELD_COMPLEX:
+            slope = -1.0 / complex(r)
+        elif isinstance(r, GaussianRational):  # exactly, in the exact field
+            slope = _coerce(GaussianRational(-1) / r, field)
+        else:
+            slope = _coerce(-1 / Fraction(r), field)
         for i in range(min(degree, order), 0, -1):
             # summed in the order of the schoolbook product by (1 + slope z)
             out[i] = out[i - 1] * slope + out[i]

@@ -10,6 +10,7 @@ from hadene.cli import main
 from hadene.coeffs import ExactCoeff, GaussianRational
 from hadene.continuation import LogBranchElement, PolylogElement, SumElement, geometric_element
 from hadene.documents import (
+    MAX_ELEMENT_DEPTH,
     MAX_POLYLOG_K,
     DocumentError,
     divisor_from_doc,
@@ -326,6 +327,8 @@ REFUSED_INPUTS = [
      f"polylog weight k {MAX_POLYLOG_K + 1} exceeds {MAX_POLYLOG_K}"),
     (["verify", "-f", "{k_float}", "-g", "{li1}", "--samples", "0.9"], 2, "polylog weight k must be an integer"),
     (["verify", "-f", "{k_zero}", "-g", "{li1}", "--samples", "0.9"], 2, "polylog weight k must be >= 1"),
+    (["verify", "-f", "{deep_sum}", "-g", "{li1}", "--samples", "0.9"], 2,
+     f"element nests sum records deeper than {MAX_ELEMENT_DEPTH}"),
 ]
 
 
@@ -337,7 +340,8 @@ REFUSED_INPUTS = [
                               "verify-check-tol-nan", "verify-check-tol-negative", "verify-tol-nan",
                               "verify-nodes-0", "verify-nodes-negative", "series-order-too-large",
                               "verify-gamma-overflow", "document-not-utf8", "document-nested-too-deeply",
-                              "verify-polylog-k-too-large", "verify-polylog-k-float", "verify-polylog-k-zero"])
+                              "verify-polylog-k-too-large", "verify-polylog-k-float", "verify-polylog-k-zero",
+                              "verify-sum-nested-too-deeply"])
 def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, message):
     docs = {
         "li1": write_doc(tmp_path, "li1.json", li1_function_doc()),
@@ -361,6 +365,10 @@ def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, mess
         polylog_k = li1_function_doc()
         polylog_k["element"]["k"] = k
         docs[name] = write_doc(tmp_path, f"{name}.json", polylog_k)
+    deep_sum = li1_function_doc()
+    for _ in range(MAX_ELEMENT_DEPTH + 1):
+        deep_sum["element"] = {"kind": "sum", "parts": [deep_sum["element"]]}
+    docs["deep_sum"] = write_doc(tmp_path, "deep_sum.json", deep_sum)
     docs["not_utf8"] = str(tmp_path / "not_utf8.json")
     (tmp_path / "not_utf8.json").write_bytes(b'{"format": 1, "kind": "divisor", "points": []}\xff')
     docs["deep"] = str(tmp_path / "deep.json")

@@ -135,6 +135,26 @@ def test_series_element_recenters():
     assert abs(value - 1.0 / (1.0 - (0.5 + 0.1j))) < 1e-6
 
 
+def test_series_element_full_loop_returns_its_polynomial_value():
+    # a truncated series is a polynomial, so a loop must hand p(0.6) back; a
+    # Taylor shift per path point would amplify rounding by about (1/0.4)^80
+    geo = SeriesElement([1.0] * 80, declared_singularities=[1.0])
+    value, _ = continue_along(geo, [Arc(0j, 0.6, 0.0, 2 * math.pi)])
+    assert abs(value - geo.principal_value(0.6)) < 1e-12
+
+
+def test_resuming_a_state_leaves_it_unchanged():
+    elem = SumElement([LogBranchElement(1.0), PolylogElement(2)])
+    _, state = continue_along(elem, [Arc(1.0, 0.3, math.pi, 2 * math.pi)])
+    point, value = state.point, state.value()
+    second_half = [Arc(1.0, 0.3, 2 * math.pi, 3 * math.pi)]
+    first, _ = continue_along(state, second_half)
+    again, _ = continue_along(state, second_half)
+    assert first == again
+    assert (state.point, state.value()) == (point, value)
+    assert state.spec is elem
+
+
 # --- convolution quadrature --------------------------------------------------------
 
 
@@ -326,6 +346,14 @@ def test_monodromy_rational_pair_vanishes():
     geo = geometric_element()
     measured = monodromy_numeric(geo, geo, 1.0, 0.9, tol=1e-8)
     assert abs(measured) < 1e-10
+
+
+def test_monodromy_of_a_series_part_vanishes():
+    # the polynomial part of F adds no monodromy, so F (.) Li_1 measures as Li_1 (.) Li_1
+    li1 = PolylogElement(1)
+    f = SumElement([li1, SeriesElement([1.0] * 80, declared_singularities=[1.0])])
+    measured = monodromy_numeric(f, li1, 1.0, 0.9, tol=1e-8)
+    assert abs(measured - (-TWO_PI_I * math.log(0.9))) < 1e-8
 
 
 def test_monodromy_koebe_li2_is_constant_period():

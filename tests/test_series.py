@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from hadene.coeffs import GaussianRational, as_exact
 from hadene.series import (
     FIELD_COMPLEX,
+    FIELD_EXACT,
     FIELD_RATIONAL,
     BadConstantTerm,
     FieldMismatch,
@@ -231,6 +233,17 @@ def test_poly_from_roots_two_three():
 
 def test_poly_from_no_roots_is_one():
     assert list(poly_from_roots([], 2).coeffs) == [1, 0, 0]
+
+
+def test_exact_poly_from_roots_equals_the_rational_one():
+    roots = [Fraction(2), Fraction(-3, 2), 5]
+    exact = poly_from_roots(roots, 6, field=FIELD_EXACT)
+    assert exact.field == FIELD_EXACT
+    assert list(exact.coeffs) == [as_exact(c) for c in poly_from_roots(roots, 6).coeffs]
+    # Gaussian rational roots: (1 - z/(1+i)) (1 - z/2)
+    gaussian = poly_from_roots([GaussianRational(1, 1), GaussianRational(2)], 2, field=FIELD_EXACT)
+    assert list(gaussian.coeffs) == [as_exact(1), as_exact(GaussianRational(-1, Fraction(1, 2))),
+                                     as_exact(GaussianRational(Fraction(1, 4), Fraction(-1, 4)))]
 
 
 def test_poly_from_roots_rejects_zero():
