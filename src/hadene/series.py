@@ -23,8 +23,10 @@ coefficients n, and the product identity used throughout is
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
-from typing import Sequence
+from operator import add, mul, neg
+from typing import Iterable, Sequence
 
 from .coeffs import ExactCoeff, GaussianRational, as_exact
 
@@ -51,11 +53,16 @@ _ONES = {FIELD_RATIONAL: Fraction(1), FIELD_COMPLEX: 1 + 0j, FIELD_EXACT: ExactC
 
 def _infer_field(coeffs: Sequence) -> str:
     for c in coeffs:
-        if isinstance(c, ExactCoeff):
+        if isinstance(c, (ExactCoeff, GaussianRational)):
             return FIELD_EXACT
         if isinstance(c, (complex, float)):
             return FIELD_COMPLEX
     return FIELD_RATIONAL
+
+
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError("order must be >= 0")
 
 
 def _coerce(value, field: str):
@@ -81,6 +88,15 @@ class TruncatedSeries:
             raise ValueError("a series needs at least the constant term")
         self.order = len(self.coeffs) - 1
 
+    @classmethod
+    def _wrap(cls, coeffs: Iterable, field: str) -> "TruncatedSeries":
+        """A series around coefficients that are already in ``field``."""
+        out = object.__new__(cls)
+        out.field = field
+        out.coeffs = tuple(coeffs)
+        out.order = len(out.coeffs) - 1
+        return out
+
     @staticmethod
     def zero(order: int, field: str = FIELD_RATIONAL) -> "TruncatedSeries":
         return TruncatedSeries([_ZEROS[field]] * (order + 1), field)
@@ -103,15 +119,17 @@ class TruncatedSeries:
         return f"TruncatedSeries[{self.field}; N={self.order}]({head}{tail})"
 
     def truncate(self, order: int) -> "TruncatedSeries":
+        _check_order(order)
         if order >= self.order:
             return self
-        return TruncatedSeries(self.coeffs[: order + 1], self.field)
+        return self._wrap(self.coeffs[: order + 1], self.field)
 
     def pad(self, order: int) -> "TruncatedSeries":
         """Extend with zero coefficients up to ``order``; the inverse of truncate."""
+        _check_order(order)
         if order <= self.order:
             return self
-        return TruncatedSeries(self.coeffs + (_ZEROS[self.field],) * (order - self.order), self.field)
+        return self._wrap(self.coeffs + (_ZEROS[self.field],) * (order - self.order), self.field)
 
     def _require_same_field(self, other: "TruncatedSeries") -> None:
         if self.field != other.field:
@@ -119,13 +137,10 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_field(other)
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], self.field
-        )
+        return self._wrap(map(add, self.coeffs, other.coeffs), self.field)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs], self.field)
+        return self._wrap(map(neg, self.coeffs), self.field)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
@@ -134,25 +149,31 @@ class TruncatedSeries:
 def hadamard(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Coefficientwise product: coefficient n of the result is A_n * B_n."""
     f._require_same_field(g)
-    n = min(f.order, g.order)
-    return TruncatedSeries([f.coeffs[i] * g.coeffs[i] for i in range(n + 1)], f.field)
+    if f.field == FIELD_RATIONAL:
+        out = [Fraction(a.numerator * b.numerator, a.denominator * b.denominator)
+               for a, b in zip(f.coeffs, g.coeffs)]
+    else:
+        out = map(mul, f.coeffs, g.coeffs)
+    return TruncatedSeries._wrap(out, f.field)
 
 
 def ene_exp(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Weighted coefficientwise product: coefficient n is -n * A_n * B_n."""
     f._require_same_field(g)
-    n = min(f.order, g.order)
-    out = [_ZEROS[f.field]]
-    for i in range(1, n + 1):
-        out.append(_coerce(-i, f.field) * f.coeffs[i] * g.coeffs[i])
-    return TruncatedSeries(out, f.field)
+    if f.field == FIELD_RATIONAL:
+        out = [Fraction(-n * a.numerator * b.numerator, a.denominator * b.denominator)
+               for n, (a, b) in enumerate(zip(f.coeffs, g.coeffs))]
+    else:
+        out = [_ZEROS[f.field]]
+        for i in range(1, min(f.order, g.order) + 1):
+            out.append(_coerce(-i, f.field) * f.coeffs[i] * g.coeffs[i])
+    return TruncatedSeries._wrap(out, f.field)
 
 
 def koebe(order: int, field: str = FIELD_RATIONAL) -> TruncatedSeries:
     """Expansion of z/(1-z)^2: coefficients 0, 1, 2, 3, ..."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return TruncatedSeries([_coerce(n, field) for n in range(order + 1)], field)
+    _check_order(order)
+    return TruncatedSeries._wrap([_coerce(n, field) for n in range(order + 1)], field)
 
 
 def exp_series(f: TruncatedSeries) -> TruncatedSeries:
@@ -160,7 +181,8 @@ def exp_series(f: TruncatedSeries) -> TruncatedSeries:
     if f.coeffs[0] != _ZEROS[f.field]:
         raise BadConstantTerm("exp_series requires c_0 = 0")
     if f.field == FIELD_RATIONAL:
-        return TruncatedSeries(_exp_rational(f.coeffs), FIELD_RATIONAL)
+        ka = [Fraction(k * c.numerator, c.denominator) for k, c in enumerate(f.coeffs)]
+        return TruncatedSeries._wrap(_rational_recurrence(ka, False), FIELD_RATIONAL)
     return _exp_generic(f)
 
 
@@ -169,7 +191,7 @@ def log_series(f: TruncatedSeries) -> TruncatedSeries:
     if f.coeffs[0] != _ONES[f.field]:
         raise BadConstantTerm("log_series requires c_0 = 1")
     if f.field == FIELD_RATIONAL:
-        return TruncatedSeries(_log_rational(f.coeffs), FIELD_RATIONAL)
+        return TruncatedSeries._wrap(_rational_recurrence(f.coeffs, True), FIELD_RATIONAL)
     return _log_generic(f)
 
 
@@ -181,6 +203,7 @@ def ene(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 
 def poly_from_roots(roots: Sequence, order: int, field: str | None = None) -> TruncatedSeries:
     """Truncation of prod_j (1 - z / root_j); all roots must be nonzero."""
+    _check_order(order)
     coerced = []
     for r in roots:
         if isinstance(r, GaussianRational):
@@ -189,19 +212,20 @@ def poly_from_roots(roots: Sequence, order: int, field: str | None = None) -> Tr
         elif r == 0:
             raise ZeroRoot("roots must be nonzero")
         coerced.append(r)
-    if field is None:
-        field = FIELD_COMPLEX if any(isinstance(r, (complex, float)) for r in coerced) else FIELD_RATIONAL
+    field = field or _infer_field(coerced)
     if field == FIELD_RATIONAL:
-        return TruncatedSeries(_poly_from_roots_rational(coerced, order), FIELD_RATIONAL)
+        return TruncatedSeries._wrap(_poly_from_roots_rational(coerced, order), FIELD_RATIONAL)
     return _poly_from_roots_generic(coerced, order, field)
 
 
 # --- kernels ---------------------------------------------------------------------------
 #
 # The generic kernels run the recurrences in the field's own arithmetic and serve
-# the complex and ExactCoeff fields.  Over the rationals the same recurrences run on
-# Python integers over a common denominator, and one Fraction is built per output
-# coefficient; the results are equal (==) to the generic ones.
+# the complex and ExactCoeff fields.  Over the rationals, exp and log share one
+# recurrence on Python integers over common denominators (_rational_recurrence):
+# each step is one C-level dot product and one Fraction, whose reduction is the
+# step's only gcd over the full numbers.  The results are equal (==) to the
+# generic ones.
 
 
 def _exp_generic(f: TruncatedSeries) -> TruncatedSeries:
@@ -243,50 +267,40 @@ def _poly_from_roots_generic(roots: Sequence, order: int, field: str) -> Truncat
     return TruncatedSeries(out, field)
 
 
-def _step(terms: Sequence[tuple[int, int, int]], nums: list[int], dens: list[int], m: int,
-          num: int, common: int) -> Fraction:
-    """(num/common + sum_{j<=m} t_j * nums[m-j]/dens[m-j]) / m, reduced once.
+def _rational_recurrence(b: Sequence[Fraction], log: bool) -> list[Fraction]:
+    """x_0..x_N from m x_m = h_m + sum_{j>=1} b_j v_{m-j}.
 
-    The terms are (j, numerator of t_j, denominator of t_j), sorted by j.  The sum
-    runs on integers over a common denominator that grows term by term.  It builds
-    no list of terms: freeing one such list per step left the process's resident
-    memory about 3 KB larger per exp_series call of order 64.
+    exp (b_j = j a_j):  x_0 = v_0 = 1, h_m = 0, v_m = x_m = E_m.
+    log (b_j = a_j):    x_0 = v_0 = 0, h_m = m a_m, v_m = -m x_m = -m L_m.
+
+    The fixed operand is B_j / D over one common denominator D, set once.  The
+    running values are V_i / Q over one running denominator Q, newest first, and
+    only the last K of them are kept, K being the last index with b_K != 0.  Q and
+    the window are rescaled only when a new value's denominator does not divide
+    w Q (w = 1 for exp, -m for log).
     """
-    for j, tn, td in terms:
-        if j > m:
-            break
-        e = nums[m - j]
-        if e:
-            d = td * dens[m - j]
-            scale = d // math.gcd(common, d)
-            if scale != 1:
-                num *= scale
-                common *= scale
-            num += tn * e * (common // d)
-    return Fraction(num, m * common)
-
-
-def _exp_rational(a: Sequence[Fraction]) -> list[Fraction]:
-    """m E_m = sum_{k>=1} (k a_k) E_{m-k}."""
-    terms = [(k, k * c.numerator, c.denominator) for k, c in enumerate(a) if k and c]
-    out, nums, dens = [Fraction(1)], [1], [1]
-    for m in range(1, len(a)):
-        value = _step(terms, nums, dens, m, 0, 1)
-        out.append(value)
-        nums.append(value.numerator)
-        dens.append(value.denominator)
-    return out
-
-
-def _log_rational(a: Sequence[Fraction]) -> list[Fraction]:
-    """m L_m = m a_m - sum_{0<k<m} (k L_k) a_{m-k}."""
-    terms = [(j, c.numerator, c.denominator) for j, c in enumerate(a) if j and c]
-    out, nums, dens = [Fraction(0)], [0], [1]   # nums[k] / dens[k] = -k L_k
-    for m in range(1, len(a)):
-        value = _step(terms, nums, dens, m, m * a[m].numerator, a[m].denominator)
-        out.append(value)
-        nums.append(-m * value.numerator)
-        dens.append(value.denominator)
+    K = len(b) - 1
+    while K and not b[K]:
+        K -= 1
+    D = math.lcm(*(c.denominator for c in b[1:K + 1]))
+    B = [c.numerator * (D // c.denominator) for c in b[1:K + 1]]
+    Q, DQ = 1, D
+    window = deque(() if log else (1,), K)
+    out = [Fraction(0 if log else 1)]
+    for m in range(1, len(b)):
+        num = sum(map(mul, B, window))
+        if log and m <= K:
+            num += m * B[m - 1] * Q
+        x = Fraction(num, m * DQ)
+        out.append(x)
+        q, wQ = x.denominator, -m * Q if log else Q
+        g = math.gcd(wQ, q)
+        if g != q:
+            grow = q // g
+            Q *= grow
+            DQ *= grow
+            window = deque(map(grow.__mul__, window), K)
+        window.appendleft(x.numerator * (wQ // g))
     return out
 
 
@@ -308,8 +322,9 @@ def polylog_series(k: int, order: int) -> TruncatedSeries:
     """Coefficients n^(-k): the weight-k polylogarithm truncation."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_order(order)
     coeffs = [Fraction(0)] + [Fraction(1, n ** k) for n in range(1, order + 1)]
-    return TruncatedSeries(coeffs, FIELD_RATIONAL)
+    return TruncatedSeries._wrap(coeffs, FIELD_RATIONAL)
 
 
 def eval_series(f: TruncatedSeries, z: complex) -> complex:

@@ -246,6 +246,15 @@ def test_exact_poly_from_roots_equals_the_rational_one():
                                      as_exact(GaussianRational(Fraction(1, 4), Fraction(-1, 4)))]
 
 
+def test_gaussian_rational_roots_select_the_exact_field():
+    for roots in ([GaussianRational(1, 1)], [GaussianRational(2)], [Fraction(3), GaussianRational(0, 2)]):
+        inferred = poly_from_roots(roots, 3)
+        assert inferred.field == FIELD_EXACT
+        assert inferred == poly_from_roots(roots, 3, field=FIELD_EXACT)
+    assert list(poly_from_roots([GaussianRational(2)], 3).coeffs) == [
+        as_exact(c) for c in poly_from_roots([Fraction(2)], 3).coeffs]
+
+
 def test_poly_from_roots_rejects_zero():
     with pytest.raises(ZeroRoot):
         poly_from_roots([Fraction(0)], 2)
@@ -295,6 +304,99 @@ def test_rational_kernels_equal_the_generic_recurrences():
     one_plus_li2 = TruncatedSeries([Fraction(1)] + list(li2.coeffs[1:]))
     assert log_series(one_plus_li2) == _log_generic(one_plus_li2)
     assert exp_series(li2) == _exp_generic(li2)
+
+
+def assert_kernels_match_generic(f):
+    """log of f and exp of f - 1 equal the generic recurrences."""
+    assert log_series(f) == _log_generic(f)
+    g = TruncatedSeries([0] + list(f.coeffs[1:]))
+    assert exp_series(g) == _exp_generic(g)
+
+
+def test_rational_kernels_on_root_polynomials_with_short_windows():
+    # the log window (the root count) is shorter than the order
+    rng = random.Random(12)
+    for count in (1, 2, 3, 4):
+        roots = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5))
+                 for _ in range(count)]
+        f = poly_from_roots(roots, 128)
+        assert_kernels_match_generic(f)
+        assert ene(f, f) == poly_from_roots([a * b for a in roots for b in roots], 128)
+
+
+def test_rational_kernels_on_dense_integer_series():
+    rng = random.Random(13)
+    for _ in range(3):
+        f = TruncatedSeries([1] + [rng.randint(-3, 3) for _ in range(64)])
+        assert_kernels_match_generic(f)
+        assert exp_series(log_series(f)) == f
+
+
+def test_rational_kernels_on_runs_of_zeros():
+    half = Fraction(1, 2)
+    interior = TruncatedSeries([1, half, 0, 0, 0, Fraction(-3, 7), 0, 0, 2] + [0] * 24)
+    sparse = TruncatedSeries([1] + [0] * 9 + [Fraction(5, 3)] + [0] * 10 + [Fraction(-1, 4)])
+    trailing = TruncatedSeries([1, Fraction(2, 3), Fraction(-1, 5)] + [0] * 30)
+    for f in (interior, sparse, trailing, TruncatedSeries([1] + [0] * 20)):
+        assert_kernels_match_generic(f)
+
+
+def test_rational_kernels_rescale_on_polylog_denominators():
+    li2 = polylog_series(2, 128)
+    one_plus_li2 = TruncatedSeries([Fraction(1)] + list(li2.coeffs[1:]))
+    assert log_series(one_plus_li2) == _log_generic(one_plus_li2)
+    assert exp_series(li2) == _exp_generic(li2)
+    assert exp_series(log_series(one_plus_li2)) == one_plus_li2
+
+
+def test_rational_kernels_at_orders_zero_and_one():
+    for f in (TruncatedSeries([1]), TruncatedSeries([1, Fraction(-2, 3)]), TruncatedSeries([1, 0])):
+        assert_kernels_match_generic(f)
+    assert list(log_series(TruncatedSeries([1])).coeffs) == [0]
+    assert list(exp_series(TruncatedSeries([0])).coeffs) == [1]
+    assert list(exp_series(TruncatedSeries([0, Fraction(5, 2)])).coeffs) == [1, Fraction(5, 2)]
+
+
+def test_rational_products_equal_fraction_arithmetic():
+    rng = random.Random(14)
+    order = 256
+
+    def coeff():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.8 else Fraction(0)
+
+    f = TruncatedSeries([coeff() for _ in range(order + 1)])
+    g = TruncatedSeries([coeff() for _ in range(order + 11)])
+    assert any(c < 0 for c in f.coeffs) and any(c == 0 for c in f.coeffs)
+    expected = [a * b for a, b in zip(f.coeffs, g.coeffs)]
+    assert list(hadamard(f, g).coeffs) == expected
+    assert list(ene_exp(f, g).coeffs) == [-n * c for n, c in enumerate(expected)]
+    assert list(koebe(order).coeffs) == [Fraction(n) for n in range(order + 1)]
+    for series in (hadamard(f, g), ene_exp(f, g), koebe(order)):
+        assert series.order == order and series.field == FIELD_RATIONAL
+        assert all(type(c) is Fraction for c in series.coeffs)
+
+
+# --- orders -------------------------------------------------------------------
+
+
+def test_truncate_and_pad_refuse_negative_orders():
+    f = TruncatedSeries([1, 2, 3, 4, 5])
+    with pytest.raises(ValueError):
+        f.truncate(-3)
+    with pytest.raises(ValueError):
+        f.pad(-1)
+    assert f.truncate(0) == TruncatedSeries([1])
+
+
+def test_polylog_series_refuses_negative_orders():
+    with pytest.raises(ValueError):
+        polylog_series(2, -2)
+    assert list(polylog_series(2, 0).coeffs) == [0]
+
+
+def test_poly_from_roots_refuses_negative_orders():
+    with pytest.raises(ValueError):
+        poly_from_roots([Fraction(2)], -1)
 
 
 # --- polylog ------------------------------------------------------------------
