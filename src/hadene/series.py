@@ -23,9 +23,8 @@ coefficients n, and the product identity used throughout is
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
-from operator import add, mul, neg
+from operator import mul
 from typing import Iterable, Sequence
 
 from .coeffs import ExactCoeff, GaussianRational, as_exact
@@ -122,14 +121,14 @@ class TruncatedSeries:
         _check_order(order)
         if order >= self.order:
             return self
-        return self._wrap(self.coeffs[: order + 1], self.field)
+        return TruncatedSeries(self.coeffs[: order + 1], self.field)
 
     def pad(self, order: int) -> "TruncatedSeries":
         """Extend with zero coefficients up to ``order``; the inverse of truncate."""
         _check_order(order)
         if order <= self.order:
             return self
-        return self._wrap(self.coeffs + (_ZEROS[self.field],) * (order - self.order), self.field)
+        return TruncatedSeries(self.coeffs + (_ZEROS[self.field],) * (order - self.order), self.field)
 
     def _require_same_field(self, other: "TruncatedSeries") -> None:
         if self.field != other.field:
@@ -137,10 +136,13 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_field(other)
-        return self._wrap(map(add, self.coeffs, other.coeffs), self.field)
+        n = min(self.order, other.order)
+        return TruncatedSeries(
+            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], self.field
+        )
 
     def __neg__(self) -> "TruncatedSeries":
-        return self._wrap(map(neg, self.coeffs), self.field)
+        return TruncatedSeries([-c for c in self.coeffs], self.field)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
@@ -149,18 +151,13 @@ class TruncatedSeries:
 def hadamard(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Coefficientwise product: coefficient n of the result is A_n * B_n."""
     f._require_same_field(g)
-    if f.field == FIELD_RATIONAL:
-        out = [Fraction(a.numerator * b.numerator, a.denominator * b.denominator)
-               for a, b in zip(f.coeffs, g.coeffs)]
-    else:
-        out = map(mul, f.coeffs, g.coeffs)
-    return TruncatedSeries._wrap(out, f.field)
+    return TruncatedSeries._wrap(map(mul, f.coeffs, g.coeffs), f.field)
 
 
 def ene_exp(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Weighted coefficientwise product: coefficient n is -n * A_n * B_n."""
     f._require_same_field(g)
-    if f.field == FIELD_RATIONAL:
+    if f.field == FIELD_RATIONAL:  # one Fraction per coefficient, not two products
         out = [Fraction(-n * a.numerator * b.numerator, a.denominator * b.denominator)
                for n, (a, b) in enumerate(zip(f.coeffs, g.coeffs))]
     else:
@@ -173,7 +170,7 @@ def ene_exp(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 def koebe(order: int, field: str = FIELD_RATIONAL) -> TruncatedSeries:
     """Expansion of z/(1-z)^2: coefficients 0, 1, 2, 3, ..."""
     _check_order(order)
-    return TruncatedSeries._wrap([_coerce(n, field) for n in range(order + 1)], field)
+    return TruncatedSeries(range(order + 1), field)
 
 
 def exp_series(f: TruncatedSeries) -> TruncatedSeries:
@@ -214,7 +211,7 @@ def poly_from_roots(roots: Sequence, order: int, field: str | None = None) -> Tr
         coerced.append(r)
     field = field or _infer_field(coerced)
     if field == FIELD_RATIONAL:
-        return TruncatedSeries._wrap(_poly_from_roots_rational(coerced, order), FIELD_RATIONAL)
+        return TruncatedSeries(_poly_from_roots_rational(coerced, order), FIELD_RATIONAL)
     return _poly_from_roots_generic(coerced, order, field)
 
 
@@ -222,10 +219,11 @@ def poly_from_roots(roots: Sequence, order: int, field: str | None = None) -> Tr
 #
 # The generic kernels run the recurrences in the field's own arithmetic and serve
 # the complex and ExactCoeff fields.  Over the rationals, exp and log share one
-# recurrence on Python integers over common denominators (_rational_recurrence):
-# each step is one C-level dot product and one Fraction, whose reduction is the
-# step's only gcd over the full numbers.  The results are equal (==) to the
-# generic ones.
+# recurrence on Python integers (_rational_recurrence): the fixed operand sits over
+# one common denominator, the running values over another, and only as many of
+# them are kept as the operand has terms.  Each step is one C-level dot product,
+# one Fraction and one gcd that decides whether the running denominator grows; no
+# gcd is taken per term.  The results are equal (==) to the generic ones.
 
 
 def _exp_generic(f: TruncatedSeries) -> TruncatedSeries:
@@ -274,18 +272,19 @@ def _rational_recurrence(b: Sequence[Fraction], log: bool) -> list[Fraction]:
     log (b_j = a_j):    x_0 = v_0 = 0, h_m = m a_m, v_m = -m x_m = -m L_m.
 
     The fixed operand is B_j / D over one common denominator D, set once.  The
-    running values are V_i / Q over one running denominator Q, newest first, and
-    only the last K of them are kept, K being the last index with b_K != 0.  Q and
-    the window are rescaled only when a new value's denominator does not divide
-    w Q (w = 1 for exp, -m for log).
+    running values are V_i / Q over one running denominator Q, in a window that
+    holds the newest K of them, newest first, K being the last index with
+    b_K != 0 (at least 1).  When a new value's denominator does not divide w Q (w = 1 for exp,
+    -m for log), Q grows and the window is rescaled in place, after the value
+    that leaves it has been dropped.
     """
     K = len(b) - 1
-    while K and not b[K]:
+    while K > 1 and not b[K]:
         K -= 1
     D = math.lcm(*(c.denominator for c in b[1:K + 1]))
     B = [c.numerator * (D // c.denominator) for c in b[1:K + 1]]
     Q, DQ = 1, D
-    window = deque(() if log else (1,), K)
+    window = [] if log else [1]
     out = [Fraction(0 if log else 1)]
     for m in range(1, len(b)):
         num = sum(map(mul, B, window))
@@ -293,14 +292,16 @@ def _rational_recurrence(b: Sequence[Fraction], log: bool) -> list[Fraction]:
             num += m * B[m - 1] * Q
         x = Fraction(num, m * DQ)
         out.append(x)
+        del window[K - 1:]
         q, wQ = x.denominator, -m * Q if log else Q
         g = math.gcd(wQ, q)
         if g != q:
             grow = q // g
             Q *= grow
             DQ *= grow
-            window = deque(map(grow.__mul__, window), K)
-        window.appendleft(x.numerator * (wQ // g))
+            for i, v in enumerate(window):
+                window[i] = v * grow
+        window.insert(0, x.numerator * (wQ // g))
     return out
 
 
@@ -324,7 +325,7 @@ def polylog_series(k: int, order: int) -> TruncatedSeries:
         raise ValueError("k must be >= 1")
     _check_order(order)
     coeffs = [Fraction(0)] + [Fraction(1, n ** k) for n in range(1, order + 1)]
-    return TruncatedSeries._wrap(coeffs, FIELD_RATIONAL)
+    return TruncatedSeries(coeffs, FIELD_RATIONAL)
 
 
 def eval_series(f: TruncatedSeries, z: complex) -> complex:

@@ -388,6 +388,11 @@ def test_truncate_and_pad_refuse_negative_orders():
     assert f.truncate(0) == TruncatedSeries([1])
 
 
+def test_koebe_refuses_an_unknown_field():
+    with pytest.raises(ValueError):
+        koebe(3, "bogus")
+
+
 def test_polylog_series_refuses_negative_orders():
     with pytest.raises(ValueError):
         polylog_series(2, -2)
