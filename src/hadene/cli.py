@@ -387,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="acceptance threshold for max error")
     p.add_argument("--tol", type=float, default=argparse.SUPPRESS, help="quadrature tolerance")
     p.add_argument("--nodes", type=int, default=argparse.SUPPRESS,
-                   help="quadrature nodes and substeps one measurement may track (exit 5 when spent)")
+                   help="quadrature nodes, transit-arc nodes included, one measurement may track "
+                        "(exit 5 when spent)")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=argparse.SUPPRESS)
     p.add_argument("--winding", dest="windings", metavar="WINDING", default=argparse.SUPPRESS,
                    help="comma-separated log z sheets")

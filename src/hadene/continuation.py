@@ -32,13 +32,18 @@ The two instruments:
   value is exact up to quadrature error for any finite loop radius (homotopy
   invariance); the small loops capture polar-part residues automatically.
 
-Branch tracking is chord-wise and runs on arrays of points: elements advance
-along straight chords whose length is capped at 0.35 of their clearance from
-the singularities (longer chords are cut into equal substeps), updating
-logarithm branches through running sums of principal-log ratios and
-polylogarithm stacks through spectral (Chebyshev-Lobatto) integration of
-d Li_j = Li_{j-1}(u) du / u, every step of the array at once, down to
-Li_1 = -log(1 - u).  The ratios w = x + iy lie near 1, and their logs are
+Branch tracking runs on the quadrature's own Gauss-Legendre panels.  A state
+advances over a chain of graded panels, each given by its n nodes, dv/dtau at
+them (tau runs over [-1, 1] across the panel) and its end; a panel starts
+where the one before it ends.  Logarithm branches advance by running sums of
+principal-log ratios over each panel's start, nodes and end.  Polylogarithm
+stacks integrate d Li_{j+1} = Li_j(v) dv / v on the panel's own nodes through
+the cumulative-integration matrix of the Legendre interpolant, whose
+full-panel row is the Gauss-Legendre weights, up from Li_1 = -log(1 - v); the
+interpolant converges at the geometric rate that governs the panel's
+quadrature.  Panels are graded against every singularity either state can
+meet, and 0, which the stack recursion integrates against.  The ratios
+w = x + iy lie near 1, and their logs are
 0.5 log1p((x - 1)(x + 1) + y^2) + i atan2(y, x): log|w| would round at the
 size of 1, with a bias that builds up over the thousands of increments of a
 measurement, while log1p rounds at the size of the increment, as complex
@@ -112,13 +117,18 @@ class Arc:
 PathSegment = Line | Arc
 
 
-def _sample(segments: Sequence[PathSegment], owner: np.ndarray,
-            ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Points and derivatives of segments[owner[i]] at ts[i], lines and arcs at once."""
+def _segment_table(segments: Sequence[PathSegment]) -> tuple[np.ndarray, ...]:
+    """One array per column, one row per segment: arc?, base, scale, start angle, sweep."""
     rows = [(False, s.a, s.b - s.a, 0.0, 0.0) if isinstance(s, Line)
             else (True, s.center, s.radius, s.theta_start, s.theta_end - s.theta_start)
             for s in segments]
-    arc, base, scale, start, sweep = (np.array(col)[owner] for col in zip(*rows))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def _sample(table: tuple[np.ndarray, ...], owner: np.ndarray,
+            ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points and derivatives of segment owner[i] of the table at ts[i], lines and arcs at once."""
+    arc, base, scale, start, sweep = (col[owner] for col in table)
     rel = scale * np.where(arc, np.exp(1j * (start + sweep * ts)), ts)
     return base + rel, np.where(arc, 1j * sweep * rel, scale)
 
@@ -326,11 +336,114 @@ def _polylog_series(k: int, u: complex, tol: float = 1e-17) -> np.ndarray:
     return values
 
 
-# --- continuation states -----------------------------------------------------------
+# --- Gauss-Legendre panels -----------------------------------------------------------
 
-# Most path points one array step walks: bounds the (points x Lobatto nodes)
-# work arrays a polylogarithm stack holds at once.
-_TRACK_CHUNK = 128
+
+_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_CUMULATIVE_CACHE: dict[int, np.ndarray] = {}
+
+
+def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    if n not in _GL_CACHE:
+        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
+    return _GL_CACHE[n]
+
+
+def _gl_cumulative(n: int) -> np.ndarray:
+    """The (n + 1) x n matrix taking values at the n Gauss-Legendre nodes to the
+    integrals of their interpolant from -1 to each node and, in the last row,
+    to 1: that row is the weights.  Complex, so that a tracker multiplies
+    complex by complex."""
+    if n not in _CUMULATIVE_CACHE:
+        leg = np.polynomial.legendre
+        x, w = _gl_rule(n)
+        # the rule is exact to degree 2n - 1, so the interpolant's Legendre
+        # coefficients are weighted sums: c_k = (k + 1/2) sum_i w_i P_k(x_i) f_i
+        to_coeffs = (leg.legvander(x, n - 1) * w[:, None]).T * (np.arange(n) + 0.5)[:, None]
+        antiderivatives = leg.legint(np.eye(n), lbnd=-1)
+        cumulative = leg.legvander(np.append(x, 1.0), n) @ antiderivatives @ to_coeffs
+        cumulative[-1] = w
+        _CUMULATIVE_CACHE[n] = cumulative.astype(complex)
+    return _CUMULATIVE_CACHE[n]
+
+
+def _split_panels(segments: Sequence[PathSegment], obstacles: Sequence[complex], frac: float,
+                  min_len: float, *, pieces: int = 1,
+                  floor: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clearance-graded parameter panels of several segments, bisected together a
+    level at a time: the segment index, t0 and t1 of every panel, sorted.
+
+    Each segment starts as `pieces` equal pieces.  A piece is kept when its
+    length is at most `frac` of its clearance (the distance from its midpoint
+    to the nearest obstacle, less half its length), or at most min_len and at
+    most half its clearance; otherwise it is halved.  A piece whose midpoint
+    lies within max(floor, 1e-13 (1 + |obstacle|)) of an obstacle raises
+    PathTooCloseToSingularity.
+    """
+    table = _segment_table(segments)
+    obstacles = np.asarray(obstacles, dtype=complex)
+    floor = max(floor, 1e-13 * (1.0 + np.max(np.abs(obstacles), initial=0.0)))
+    first = np.arange(len(segments) * pieces)
+    owner, t0, t1 = first // pieces, first % pieces / pieces, (first % pieces + 1) / pieces
+    piece = np.array([seg.length() for seg in segments])[owner] / pieces
+    kept = []
+    while owner.size:
+        tm = (t0 + t1) / 2.0
+        mid = _sample(table, owner, tm)[0]
+        d = np.abs(mid[:, None] - obstacles).min(axis=1, initial=math.inf)
+        if d.min() <= floor:
+            i = int(np.argmin(d))
+            raise PathTooCloseToSingularity(
+                f"path point {complex(mid[i])} lies within {d[i]:.3e} of a singularity"
+            )
+        clearance = np.maximum(d - piece / 2.0, 1e-30)
+        keep = piece <= np.where(piece <= min_len, max(frac, 0.5), frac) * clearance
+        kept.append((owner[keep], t0[keep], t1[keep]))
+        split = ~keep
+        owner, piece, tm = owner[split], piece[split] / 2.0, tm[split]
+        owner, piece = np.concatenate((owner, owner)), np.concatenate((piece, piece))
+        t0, t1 = np.concatenate((t0[split], tm)), np.concatenate((tm, t1[split]))
+    owner, t0, t1 = (np.concatenate(parts) for parts in zip(*kept))
+    order = np.lexsort((t0, owner))
+    return owner[order], t0[order], t1[order]
+
+
+@dataclass(frozen=True)
+class _Panels:
+    """A chain of Gauss-Legendre panels, one row each: `points` holds the n nodes
+    and then the end, `dv` holds dv/dtau at the nodes.  Each panel starts where
+    the one before it ends, the first at the point of the state that advances
+    over them, so the rows read in turn are the path itself."""
+
+    points: np.ndarray
+    dv: np.ndarray
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.points[:, :-1]
+
+    def path(self, start: complex) -> np.ndarray:
+        """start, then every node and end in path order."""
+        return np.concatenate(([start], self.points.ravel()))
+
+    def image(self, z0: complex) -> "_Panels":
+        """The same panels carried to v = z0/u."""
+        v = z0 / self.points
+        return _Panels(v, -v[:, :-1] / self.nodes * self.dv)
+
+
+def _graded_panels(segments: Sequence[PathSegment], n: int, obstacles: Sequence[complex],
+                   frac: float, min_len: float, *, pieces: int = 1, floor: float = 0.0) -> _Panels:
+    """The n-node Gauss-Legendre panels of _split_panels(segments, obstacles, ...)."""
+    owner, t0, t1 = _split_panels(segments, obstacles, frac, min_len, pieces=pieces, floor=floor)
+    half = ((t1 - t0) / 2.0)[:, None]
+    ts = (t1 + t0)[:, None] / 2.0 + half * np.append(_gl_rule(n)[0], 1.0)
+    points, velocity = (a.reshape(-1, n + 1) for a in
+                        _sample(_segment_table(segments), np.repeat(owner, n + 1), ts.ravel()))
+    return _Panels(points, velocity[:, :-1] * half)
+
+
+# --- continuation states -----------------------------------------------------------
 
 
 def _log_near_one(w: np.ndarray) -> np.ndarray:
@@ -339,53 +452,24 @@ def _log_near_one(w: np.ndarray) -> np.ndarray:
     return 0.5 * np.log1p((x - 1.0) * (x + 1.0) + y * y) + 1j * np.arctan2(y, x)
 
 
-def _chord_steps(start: complex, targets: np.ndarray, obstacles: Sequence[complex],
-                 floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Path points from start through every target, and the index of each target.
+def _log_steps(w: np.ndarray) -> np.ndarray:
+    """log w[i] - log w[0] along a path, for i >= 1, by running sums of principal-log ratios."""
+    return np.cumsum(_log_near_one(w[1:] / w[:-1]))
 
-    Each chord must clear every obstacle by more than max(floor, 1e-13 (1 + |target|)).
-    A chord longer than 0.35 of its clearance is cut into equal substeps; each
-    substep then meets the rule, since a sub-chord is at least as far from every
-    obstacle as the whole chord.
-    """
-    prev = np.concatenate(([start], targets[:-1]))
-    delta = targets - prev
-    length = np.abs(delta)
-    denom = length ** 2
-    moving = denom > 0.0
-    clearance = np.full(len(targets), math.inf)
-    for s in obstacles:
-        rel = s - prev
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.clip((rel.real * delta.real + rel.imag * delta.imag) / denom, 0.0, 1.0)
-        clearance = np.minimum(clearance, np.abs(s - (prev + delta * t)))
-    # a chord that does not move takes no step and needs no clearance (its t is nan)
-    clearance[~moving] = math.inf
-    close = clearance <= np.maximum(floor, 1e-13 * (1.0 + np.abs(targets)))
-    if close.any():
-        i = int(np.argmax(close))
-        raise PathTooCloseToSingularity(
-            f"chord {complex(prev[i])} -> {complex(targets[i])} passes within "
-            f"{clearance[i]:.3e} of a singularity"
-        )
-    with np.errstate(divide="ignore"):
-        n_sub = np.where(length <= 0.35 * clearance, 1,
-                         np.maximum(2, np.ceil(length / (0.35 * clearance)))).astype(int)
-    if (n_sub == 1).all():
-        return targets, np.arange(len(targets))
-    ends = np.cumsum(n_sub) - 1
-    owner = np.repeat(np.arange(len(targets)), n_sub)
-    step = np.arange(len(owner)) - ends[owner] + n_sub[owner]
-    path = prev[owner] + delta[owner] * (step / n_sub[owner])
-    path[ends] = targets
-    return path, ends
+
+def _chain(start: complex, within: np.ndarray) -> np.ndarray:
+    """Values along a chain of panels: start, plus the totals (last columns) of
+    the panels before, plus the integrals from each panel's start."""
+    offsets = np.empty(len(within), dtype=complex)
+    offsets[0] = start
+    offsets[1:] = start + np.cumsum(within[:-1, -1])
+    return offsets[:, None] + within
 
 
 class _ElementState:
     """Branch-tracked value of an element at a moving point."""
 
     point: complex
-    substeps = 0  # path points walked so far beyond the targets given
 
     def __init__(self, spec: AnalyticElement, u0: complex):
         self.spec = spec
@@ -394,8 +478,8 @@ class _ElementState:
     def obstacles(self) -> list[complex]:
         raise NotImplementedError
 
-    def _walk(self, path: np.ndarray) -> np.ndarray:
-        """Move through the path points in turn; the values there."""
+    def advance(self, panels: _Panels) -> np.ndarray:
+        """Move along the chain of panels; the values at their nodes."""
         raise NotImplementedError
 
     def value(self) -> complex:
@@ -405,20 +489,8 @@ class _ElementState:
         return {}
 
     def clone(self) -> "_ElementState":
-        # a shallow copy suffices: every _walk rebinds its state, never mutates it in place
+        # a shallow copy suffices: every advance rebinds its state, never mutates it in place
         return copy.copy(self)
-
-    def track(self, targets: np.ndarray, floor: float = 0.0) -> np.ndarray:
-        """Advance through the targets along straight chords; the values there.
-
-        Raises PathTooCloseToSingularity for a chord within `floor` of an
-        obstacle; see _chord_steps for the substep rule.
-        """
-        path, ends = _chord_steps(self.point, targets, self.obstacles(), floor)
-        values = np.concatenate([self._walk(path[lo:lo + _TRACK_CHUNK])
-                                 for lo in range(0, len(path), _TRACK_CHUNK)])
-        self.substeps += len(path) - len(targets)
-        return values[ends]
 
 
 class _SingleValuedState(_ElementState):
@@ -427,9 +499,9 @@ class _SingleValuedState(_ElementState):
     def obstacles(self) -> list[complex]:
         return self.spec.singularities()
 
-    def _walk(self, path: np.ndarray) -> np.ndarray:
-        self.point = complex(path[-1])
-        return self.spec.principal_value(path)
+    def advance(self, panels: _Panels) -> np.ndarray:
+        self.point = complex(panels.points[-1, -1])
+        return self.spec.principal_value(panels.nodes)
 
     def value(self) -> complex:
         return self.spec.principal_value(self.point)
@@ -444,14 +516,13 @@ class _LogBranchState(_ElementState):
     def obstacles(self) -> list[complex]:
         return [self.spec.location]
 
-    def _walk(self, path: np.ndarray) -> np.ndarray:
-        w = 1.0 - np.concatenate(([self.point], path)) / self.spec.location
-        increments = np.cumsum(_log_near_one(w[1:] / w[:-1]))
-        logs = self.log_value + increments
-        self.log_value = complex(logs[-1])
-        self.arg_total += float(increments[-1].imag)
-        self.point = complex(path[-1])
-        return _polyval(self.spec.prefactor, path) * logs
+    def advance(self, panels: _Panels) -> np.ndarray:
+        steps = _log_steps(1.0 - panels.path(self.point) / self.spec.location)
+        logs = (self.log_value + steps).reshape(panels.points.shape)
+        self.log_value = complex(logs[-1, -1])
+        self.arg_total += float(steps[-1].imag)
+        self.point = complex(panels.points[-1, -1])
+        return _polyval(self.spec.prefactor, panels.nodes) * logs[:, :-1]
 
     def value(self) -> complex:
         return _polyval(self.spec.prefactor, self.point) * self.log_value
@@ -469,13 +540,11 @@ class _SumState(_ElementState):
     def point(self) -> complex:
         return self.states[0].point
 
-    @property
-    def substeps(self) -> int:
-        return sum(state.substeps for state in self.states)
+    def obstacles(self) -> list[complex]:
+        return [s for state in self.states for s in state.obstacles()]
 
-    def track(self, targets: np.ndarray, floor: float = 0.0) -> np.ndarray:
-        # each part substeps against its own singularities, so a sum has no obstacles of its own
-        return sum(state.track(targets, floor) for state in self.states)
+    def advance(self, panels: _Panels) -> np.ndarray:
+        return sum(state.advance(panels) for state in self.states)
 
     def value(self) -> complex:
         return sum(state.value() for state in self.states)
@@ -490,35 +559,6 @@ class _SumState(_ElementState):
         return _SumState(self.spec, [state.clone() for state in self.states])
 
 
-# Chebyshev-Lobatto nodes per step of a polylogarithm stack walk.
-_LOBATTO_NODES = 24
-_LOBATTO_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _lobatto_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chebyshev-Lobatto nodes on [-1,1] and the transposed cumulative integration
-    matrix, complex so that the walk multiplies complex by complex."""
-    if m not in _LOBATTO_CACHE:
-        t = -np.cos(np.pi * np.arange(m) / (m - 1))
-        vander = np.polynomial.chebyshev.chebvander(t, m - 1)
-        inv = np.linalg.inv(vander)
-        rows = []
-        for basis in np.eye(m):
-            ci = np.polynomial.chebyshev.chebint(basis, lbnd=-1)
-            rows.append(np.polynomial.chebyshev.chebval(t, ci))
-        cumulative = np.array(rows).transpose() @ inv
-        _LOBATTO_CACHE[m] = (t, np.ascontiguousarray(cumulative.T, dtype=complex))
-    return _LOBATTO_CACHE[m]
-
-
-def _running(start: complex, increments: np.ndarray) -> np.ndarray:
-    """start followed by its running sums with the increments."""
-    out = np.empty(len(increments) + 1, dtype=complex)
-    out[0] = start
-    out[1:] = start + np.cumsum(increments)
-    return out
-
-
 class _PolylogState(_ElementState):
     def __init__(self, spec: PolylogElement, u0: complex):
         super().__init__(spec, u0)
@@ -528,43 +568,36 @@ class _PolylogState(_ElementState):
         self.arg_one = 0.0
 
     def obstacles(self) -> list[complex]:
-        # the stack recursion integrates against du/u, so 0 must be avoided too
+        # the stack recursion integrates against dv/v, so 0 must be avoided too
         return [1.0 + 0j, 0j]
 
-    def _walk(self, path: np.ndarray) -> np.ndarray:
-        prev = np.concatenate(([self.point], path[:-1]))
-        self.point = complex(path[-1])
-        if self.spec.k == 1:
-            drops = _log_near_one((1.0 - path) / (1.0 - prev))
-            self.arg_one += float(np.sum(drops.imag))
-            li1 = _running(self.stack[0], -drops)
-            self.stack = [complex(li1[-1])]
-            return li1[1:]
-        # every step's Lobatto nodes at once, one step per row
-        t, cum_t = _lobatto_rule(_LOBATTO_NODES)
-        us = prev[:, None] + (path - prev)[:, None] * ((t + 1.0) / 2.0)
-        w = 1.0 - us
-        within = np.zeros_like(us)
-        within[:, 1:] = np.cumsum(_log_near_one(w[:, 1:] / w[:, :-1]), axis=1)
-        self.arg_one += float(np.sum(within[:, -1].imag))
-        starts = _running(self.stack[0], -within[:, -1])
-        v_prev = starts[:-1, None] - within
-        new_stack = [complex(starts[-1])]
-        scale = ((path - prev) / 2.0)[:, None]
-        for j in range(1, self.spec.k):
-            # d Li_{j+1} = Li_j(u) du / u, integrated over each step from its start
-            rise = scale * ((v_prev / us) @ cum_t)
-            starts = _running(self.stack[j], rise[:, -1])
-            v_prev = starts[:-1, None] + rise
-            new_stack.append(complex(starts[-1]))
-        self.stack = new_stack
-        return starts[1:]
+    def advance(self, panels: _Panels) -> np.ndarray:
+        steps = _log_steps(1.0 - panels.path(self.point))
+        self.arg_one += float(steps[-1].imag)
+        li = (self.stack[0] - steps).reshape(panels.points.shape)  # Li_1 = -log(1 - v)
+        stack = [complex(li[-1, -1])]
+        if self.spec.k > 1:
+            cumulative = _gl_cumulative(panels.nodes.shape[1]).T
+            slope = panels.dv / panels.nodes
+            for start in self.stack[1:]:
+                # d Li_{j+1} = Li_j(v) dv / v, integrated over each panel from its start
+                li = _chain(start, (li[:, :-1] * slope) @ cumulative)
+                stack.append(complex(li[-1, -1]))
+        self.stack = stack
+        self.point = complex(panels.points[-1, -1])
+        return li[:, :-1]
 
     def value(self) -> complex:
         return self.stack[-1]
 
     def windings(self) -> dict[complex, int]:
         return {1.0 + 0j: round(self.arg_one / TWO_PI)}
+
+
+# Gauss-Legendre nodes per panel of continue_along, and the panels' largest
+# length as a fraction of their clearance.
+_CONTINUE_NODES = 12
+_CONTINUE_FRAC = 0.35
 
 
 def continue_along(element, path: Sequence[PathSegment], *, delta: float = 1e-6,
@@ -574,62 +607,24 @@ def continue_along(element, path: Sequence[PathSegment], *, delta: float = 1e-6,
     `element` is an AnalyticElement, started on the principal branch at the
     path start, or a state an earlier call returned, resumed from a copy (so it
     can be resumed again); the path must then begin at its point.  A state has
-    point, value(), windings() and spec, the element it tracks.
+    point, value(), windings() and spec, the element it tracks.  Each segment
+    is cut into `steps_per_segment` equal panels, halved until each is at most
+    0.35 of its clearance from the state's singularities; a panel whose
+    midpoint lies within `delta` of one raises PathTooCloseToSingularity.
     """
     if not path:
         raise ValueError("continue_along needs a nonempty path")
+    if steps_per_segment < 1:
+        raise ValueError(f"steps_per_segment must be at least 1, got {steps_per_segment}")
     if isinstance(element, _ElementState):
         state = element.clone()
         if abs(path[0].point(0.0) - state.point) > 1e-9:
             raise ValueError("path does not start at the element's current point")
     else:
         state = element.make_state(path[0].point(0.0))
-    counts = [max(2, steps_per_segment if isinstance(seg, Arc) else steps_per_segment // 2)
-              for seg in path]
-    ts = np.concatenate([np.arange(1, n + 1) / n for n in counts])
-    state.track(_sample(path, np.repeat(np.arange(len(path)), counts), ts)[0], floor=delta)
+    state.advance(_graded_panels(path, _CONTINUE_NODES, state.obstacles(), _CONTINUE_FRAC, 0.0,
+                                 pieces=steps_per_segment, floor=delta))
     return state.value(), state
-
-
-# --- quadrature ----------------------------------------------------------------------
-
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
-def _split_panels(segments: Sequence[PathSegment], obstacles: Sequence[complex], frac: float,
-                  min_len: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clearance-graded parameter panels of several segments, bisected together a
-    level at a time: the segment index, t0 and t1 of every panel, sorted.
-
-    A piece is kept when its length is at most `frac` of its clearance (the
-    distance from its midpoint to the nearest obstacle, less half its length)
-    or at most min_len; otherwise it is halved.
-    """
-    lengths = np.array([seg.length() for seg in segments])
-    obstacles = np.asarray(obstacles, dtype=complex)
-    owner = np.arange(len(segments))
-    t0, t1 = np.zeros(len(segments)), np.ones(len(segments))
-    kept = []
-    while owner.size:
-        piece = lengths[owner] * (t1 - t0)
-        tm = (t0 + t1) / 2.0
-        mid = _sample(segments, owner, tm)[0]
-        d = np.min(np.abs(mid[:, None] - obstacles), axis=1, initial=math.inf)
-        keep = (piece <= frac * np.maximum(d - piece / 2.0, 1e-30)) | (piece <= min_len)
-        kept.append((owner[keep], t0[keep], t1[keep]))
-        split = ~keep
-        owner, tm = np.tile(owner[split], 2), tm[split]
-        t0, t1 = np.concatenate((t0[split], tm)), np.concatenate((tm, t1[split]))
-    owner, t0, t1 = (np.concatenate(parts) for parts in zip(*kept))
-    order = np.lexsort((t0, owner))
-    return owner[order], t0[order], t1[order]
 
 
 # --- convolution quadrature ------------------------------------------------------------
@@ -856,30 +851,28 @@ def _block_integral(block: Sequence[PathSegment], name: str, f_state: _ElementSt
     branch back as it found it; the measurement rests on that, so it is
     checked on the winding counters.
     """
-    x, w = _gl_rule(n_gl)
-    owner, t0, t1 = _split_panels(block, obstacles, frac, min_len)
-    half, mid = ((t1 - t0) / 2.0)[:, None], ((t1 + t0) / 2.0)[:, None]
-    u, du = _sample(block, np.repeat(owner, n_gl), (mid + half * x).ravel())
-    weights = (half * w).ravel()
+    _, w = _gl_rule(n_gl)
+    panels = _graded_panels(block, n_gl, obstacles, frac, min_len)
     before = (f_state.windings(), g_state.windings())
-    integrand = f_state.track(u) * g_state.track(z0 / u) / u * du
+    integrand = f_state.advance(panels) * g_state.advance(panels.image(z0)) / panels.nodes * panels.dv
     after = (f_state.windings(), g_state.windings())
     if after != before:
         raise QuadratureNotConverged(
             f"{name} did not restore the branches it loops: windings {before} -> {after}"
         )
-    return complex(np.sum(weights * integrand)), len(u)
+    return complex(np.sum(integrand @ w)), panels.nodes.size
 
 
 def _measure_detours(detours: Sequence[_Detour], f: AnalyticElement, g: AnalyticElement,
                      z0: complex, obstacles: Sequence[complex], n_gl: int, frac: float,
                      min_len: float) -> tuple[complex, int]:
     """Sum of the detour-block integrals at one refinement, and the number of
-    quadrature nodes, arc points and substeps tracked.
+    quadrature nodes and transit-arc nodes tracked.
 
     The states start on the principal branches at the first anchor and ride
-    the circle arcs between blocks by branch tracking alone, so every block
-    starts on the branch a traversal of the whole deformed contour gives it.
+    the circle arcs between blocks by branch tracking alone, on the same
+    graded panels, so every block starts on the branch a traversal of the
+    whole deformed contour gives it.
     """
     start = detours[0].block[0].point(0.0)
     f_state, g_state = f.make_state(start), g.make_state(z0 / start)
@@ -891,12 +884,11 @@ def _measure_detours(detours: Sequence[_Detour], f: AnalyticElement, g: Analytic
         total += value
         points += nodes
         if i + 1 < len(detours):
-            owner, _, ends = _split_panels([detour.arc], obstacles, frac, min_len)
-            u = _sample([detour.arc], owner, ends)[0]
-            f_state.track(u)
-            g_state.track(z0 / u)
-            points += len(u)
-    return total / TWO_PI_I, points + f_state.substeps + g_state.substeps
+            panels = _graded_panels([detour.arc], n_gl, obstacles, frac, min_len)
+            f_state.advance(panels)
+            g_state.advance(panels.image(z0))
+            points += panels.nodes.size
+    return total / TWO_PI_I, points
 
 
 def monodromy_numeric(f: AnalyticElement, g: AnalyticElement, gamma: complex, z0: complex, *,
@@ -907,8 +899,10 @@ def monodromy_numeric(f: AnalyticElement, g: AnalyticElement, gamma: complex, z0
     The monodromy is I(deformed) - I(circle).  On the circle arcs every factor
     stays on its principal branch, so that difference is the sum of the
     detour-block integrals alone, which is what gets integrated, with branch
-    tracking; no monodromy formula is consulted anywhere.  `node_budget` caps
-    the quadrature nodes and substeps tracked over all refinement rounds.
+    tracking; no monodromy formula is consulted anywhere.  The panels are
+    graded against every singularity of f, every z0/beta for a singularity
+    beta of g, matched at gamma or not, and 0.  `node_budget` caps the
+    quadrature nodes and transit-arc nodes tracked over all refinement rounds.
     """
     if not 1 <= max_rounds <= 3:
         raise ValueError(f"max_rounds must be in 1..3, got {max_rounds}")
@@ -916,18 +910,19 @@ def monodromy_numeric(f: AnalyticElement, g: AnalyticElement, gamma: complex, z0
     r = r_default if r is None else r
     eps = eps_default if eps is None else eps
     detours = _traintrack_detours(z0, pairs, r, eps)
-    obstacles = [alpha for alpha, _ in pairs] + [z0 / beta for _, beta in pairs] + [0j]
+    obstacles = [*f.singularities(), *(z0 / beta for beta in g.singularities()), 0j]
     min_len = eps / 8.0
 
     tracked = 0
     previous = None
     settings = [(12, 0.5), (16, 0.25), (24, 0.125), (32, 0.0625)]
     for n_gl, frac in settings[: max_rounds + 1]:
-        value, steps = _measure_detours(detours, f, g, z0, obstacles, n_gl, frac, min_len)
-        tracked += steps
+        value, nodes = _measure_detours(detours, f, g, z0, obstacles, n_gl, frac, min_len)
+        tracked += nodes
         if node_budget is not None and tracked > node_budget:
             raise QuadratureNotConverged(
-                f"node budget {node_budget} spent: {tracked} quadrature nodes and substeps tracked"
+                f"node budget {node_budget} spent: {tracked} quadrature nodes "
+                "(transit arcs included) tracked"
             )
         if previous is not None and abs(value - previous) <= tol:
             return value

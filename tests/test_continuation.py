@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from hadene.continuation import (
     SeriesElement,
     SumElement,
     _block_integral,
-    _lobatto_rule,
+    _gl_cumulative,
+    _gl_rule,
     _log_near_one,
     _split_panels,
     _traintrack_detours,
@@ -427,14 +429,14 @@ def test_monodromy_refuses_max_rounds_outside_the_settings(max_rounds):
 
 
 def tracking_ratios(seed):
-    """Ratios (1 - v')/(1 - v) as branch tracking forms them: chords u0 -> u1 with
-    |u1 - u0| <= 0.35 |1 - u0|, whole and cut at the 24 Chebyshev-Lobatto nodes."""
+    """Ratios (1 - v')/(1 - v) as branch tracking forms them: panels u0 -> u1 with
+    |u1 - u0| <= 0.35 |1 - u0|, whole and cut at their 24 Gauss-Legendre nodes."""
     rng = np.random.default_rng(seed)
     n = 2000
     u0 = 1.0 + rng.uniform(0.05, 2.0, n) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
     step = 0.35 * np.abs(1.0 - u0) * np.sqrt(rng.uniform(0.0, 1.0, n))
     u1 = u0 + step * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
-    t, _ = _lobatto_rule(24)
+    t = np.concatenate(([-1.0], _gl_rule(24)[0], [1.0]))
     us = u0[:, None] + (u1 - u0)[:, None] * ((t + 1.0) / 2.0)
     return np.concatenate(((1.0 - u1) / (1.0 - u0), ((1.0 - us[:, 1:]) / (1.0 - us[:, :-1])).ravel()))
 
@@ -512,6 +514,58 @@ def test_measurement_tracks_a_pinned_number_of_nodes(f, g, z0):
     monodromy_numeric(f, g, 1.0, z0, tol=1e-8, node_budget=4736)
     with pytest.raises(QuadratureNotConverged, match="node budget 4735 spent: 4736 quadrature nodes"):
         monodromy_numeric(f, g, 1.0, z0, tol=1e-8, node_budget=4735)
+
+
+@pytest.mark.parametrize("n", [12, 16, 24, 32])
+def test_cumulative_matrix_integrates_polynomials_below_its_order(n):
+    # row i integrates the interpolant from -1 to node i, the last row from -1 to 1
+    x, w = _gl_rule(n)
+    cumulative = _gl_cumulative(n)
+    upper = np.append(x, 1.0)
+    for m in range(n):
+        exact = (upper ** (m + 1) - (-1.0) ** (m + 1)) / (m + 1)
+        assert np.max(np.abs(cumulative @ x ** m - exact)) < 1e-13
+    assert np.array_equal(cumulative[-1], w)
+
+
+def two_logs():
+    return SumElement([LogBranchElement(2.0), LogBranchElement(2j)])
+
+
+def test_two_pair_measurement_tracks_a_pinned_number_of_nodes():
+    # gamma = 4i has two factorizations, so the states ride one transit arc per
+    # round between the blocks, on its own Gauss-Legendre panels: 10,728 nodes
+    # over every round where the chord walker counted 9,570 arc points and substeps
+    elem = two_logs()
+    monodromy_numeric(elem, elem, 4j, 3.8j, tol=1e-8, node_budget=10728)
+    with pytest.raises(QuadratureNotConverged, match="node budget 10727 spent: 10728 quadrature nodes"):
+        monodromy_numeric(elem, elem, 4j, 3.8j, tol=1e-8, node_budget=10727)
+
+
+def test_unmatched_singularity_next_to_a_detour_is_graded_against():
+    # g is singular at 1, matched with alpha = 1 at gamma = 1, and at beta', which
+    # is not matched: its image z0/beta' = 0.93 + 0.02i lies two loop radii
+    # (eps = 0.01) off the detour line from the anchor to z0/1 = 0.9.  Its parts
+    # are single-valued along the block, and the block runs every piece once each
+    # way on the same panels, so they cancel from the measured value even on
+    # panels graded without them; the node count shows the panels graded against
+    # beta' as well (4,736 without it).
+    image = GaussianRational.of(Fraction(93, 100), Fraction(2, 100))
+    beta = GaussianRational.of(Fraction(9, 10)) / image
+    f, f_spec = PolylogElement(2), polylog_function_spec(2)
+    g = SumElement([PolylogElement(1), LogBranchElement(complex(beta))])
+    g_spec = FunctionSpec.of("g", [polylog_function_spec(1).singularities[0],
+                                   Singularity(beta, LogLaurentPoly.constant(ExactCoeff.two_pi_i()))])
+    pairs, r, eps = default_traintrack_geometry(f, g, 1.0, 0.9)
+    assert pairs == [(1.0, 1.0)] and eps == pytest.approx(0.01)
+    block = _traintrack_detours(0.9, pairs, r, eps)[0].block
+    near = min(abs(seg.point(t) - complex(image)) for seg in block for t in np.linspace(0.0, 1.0, 2001))
+    assert near < 3 * eps
+    measured = monodromy_numeric(f, g, 1.0, 0.9, tol=1e-8, node_budget=5152)
+    symbolic = hadamard_monodromy_general(f_spec, g_spec, 1).value.lp_eval(BranchPoint(0.9, 0))
+    assert abs(measured - symbolic) < 1e-8
+    with pytest.raises(QuadratureNotConverged, match="node budget 5151 spent: 5152 quadrature nodes"):
+        monodromy_numeric(f, g, 1.0, 0.9, tol=1e-8, node_budget=5151)
 
 
 # --- both products measured against the symbolic engine -------------------------------------
