@@ -32,6 +32,7 @@ from .documents import (
     divisor_from_doc,
     divisor_to_doc,
     dump_document,
+    element_from_doc,
     function_spec_from_doc,
     load_document,
     monodromy_result_to_doc,
@@ -140,8 +141,8 @@ def cmd_monodromy(args) -> int:
         result = divisor_ene(divisor_from_doc(f_doc), divisor_from_doc(g_doc))
         _emit(divisor_to_doc(result), job)
         return EXIT_OK
-    f_spec, _ = function_spec_from_doc(f_doc)
-    g_spec, _ = function_spec_from_doc(g_doc)
+    f_spec = function_spec_from_doc(f_doc)
+    g_spec = function_spec_from_doc(g_doc)
     gamma = parse_gaussian_rational(args.gamma)
     engine = hadamard_monodromy_general if args.product == "hadamard" else ene_monodromy_general
     result: MonodromyResult = engine(f_spec, g_spec, gamma)
@@ -179,8 +180,10 @@ def cmd_verify(args) -> int:
     from .continuation import GeometryInfeasible, PathTooCloseToSingularity, QuadratureNotConverged, crosscheck
 
     job = _job_from_args(args)
-    f_spec, f_element = function_spec_from_doc(load_document(args.f))
-    g_spec, g_element = function_spec_from_doc(load_document(args.g))
+    f_doc = load_document(args.f)
+    f_spec, f_element = function_spec_from_doc(f_doc), element_from_doc(f_doc.get("element"))
+    g_doc = load_document(args.g)
+    g_spec, g_element = function_spec_from_doc(g_doc), element_from_doc(g_doc.get("element"))
     if f_element is None or g_element is None:
         raise ValueError("verify needs an oracle element realization in both function documents")
     gamma = parse_gaussian_rational(args.gamma)

@@ -630,18 +630,27 @@ def continue_along(element, path: Sequence[PathSegment], *, delta: float = 1e-6,
 # --- convolution quadrature ------------------------------------------------------------
 
 
-def _admissible_radius(f: AnalyticElement, g: AnalyticElement, z: complex) -> float:
-    f_sing = f.singularities()
-    g_sing = g.singularities()
-    upper = min((abs(s) for s in f_sing), default=math.inf)
-    lower = max((abs(z) / abs(s) for s in g_sing), default=0.0)
-    if not math.isfinite(upper):
-        upper = max(1.0, 2.0 * lower)
-    if lower >= upper:
-        raise GeometryInfeasible(
-            f"no admissible circle for |z| = {abs(z):.4f}: needs {lower:.4f} < r < {upper:.4f}"
-        )
-    return math.sqrt(max(lower, 1e-12) * upper) if lower > 0 else 0.5 * upper
+def _separating_radius(outer: Sequence[float], inner: Sequence[float], r: float | None = None) -> float:
+    """Radius of a circle |u| = r with every magnitude in `inner` inside it and
+    every one in `outer` outside.
+
+    A given r is checked.  Otherwise, with lo the largest inner magnitude and
+    hi the smallest outer one, it is sqrt(max(lo, 1e-12) * hi), or hi / 2 when
+    nothing lies inside; with nothing outside, hi is max(1, 2 lo).
+    """
+    lo = max(inner, default=0.0)
+    hi = min(outer, default=math.inf)
+    if r is not None:
+        if not lo < r < hi:
+            raise GeometryInfeasible(
+                f"circle r = {r:g} does not separate |u| <= {lo:.6g} from |u| >= {hi:.6g}"
+            )
+        return r
+    if not math.isfinite(hi):
+        hi = max(1.0, 2.0 * lo)
+    if lo >= hi:
+        raise GeometryInfeasible(f"no separating circle: needs {lo:.4f} < r < {hi:.4f}")
+    return math.sqrt(max(lo, 1e-12) * hi) if lo > 0 else 0.5 * hi
 
 
 # The trapezoid rule's first and largest node counts.
@@ -669,26 +678,11 @@ def _trapezoid_circle(fn: Callable[[complex], complex], radius: float, tol: floa
     raise QuadratureNotConverged(f"trapezoid rule stalled above tolerance {tol:g}")
 
 
-def _resolve_radius(f: AnalyticElement, g: AnalyticElement, z: complex,
-                    radius: float | None) -> float:
-    if radius is None:
-        return _admissible_radius(f, g, z)
-    # reject circles that fail to separate the declared singularities
-    for s in f.singularities():
-        if radius >= abs(s):
-            raise GeometryInfeasible(f"radius {radius:g} does not keep |u| < |{s}|")
-    for s in g.singularities():
-        if abs(z) / abs(s) >= radius:
-            raise GeometryInfeasible(
-                f"radius {radius:g} does not enclose z/beta for beta = {s}"
-            )
-    return radius
-
-
 def pincherle_eval(f: AnalyticElement, g: AnalyticElement, z: complex, *,
                    radius: float | None = None, tol: float = 1e-11) -> complex:
     """Hadamard product value by convolution quadrature on a separating circle."""
-    radius = _resolve_radius(f, g, z, radius)
+    radius = _separating_radius([abs(s) for s in f.singularities()],
+                                [abs(z) / abs(s) for s in g.singularities()], radius)
     value, _ = _trapezoid_circle(
         lambda u: f.principal_value(u) * g.principal_value(z / u), radius, tol
     )
@@ -705,15 +699,13 @@ def ene_pincherle_eval(f: AnalyticElement, g: AnalyticElement, z: complex, *,
 
 
 def _circle_crossing(p: complex, alpha: complex, r: float) -> complex:
-    """Intersection of the segment [p, alpha] with the circle |u| = r."""
+    """Intersection of the segment [p, alpha] with the circle |u| = r, for
+    |p| < r < |alpha| (so the discriminant is not negative)."""
     d = alpha - p
     a = abs(d) ** 2
     b = 2.0 * (p.real * d.real + p.imag * d.imag)
     c = abs(p) ** 2 - r * r
-    disc = b * b - 4.0 * a * c
-    if disc < 0:
-        raise GeometryInfeasible("marked-point segment misses the base circle")
-    t = (-b + math.sqrt(disc)) / (2.0 * a)
+    t = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
     if not 0.0 < t < 1.0:
         raise GeometryInfeasible("marked-point segment crossing lies outside (0, 1)")
     return p + t * d
@@ -729,38 +721,40 @@ class _Detour:
     arc: Arc
 
 
+def _detour_loops(z0: complex, pairs: Sequence[tuple[complex, complex]], r: float,
+                  eps: float | None = None) -> tuple[float, list[tuple[complex, complex, complex]]]:
+    """The detour loop radius and each pair's (anchor, alpha, z0/beta), where the
+    anchor is the crossing of [z0/beta, alpha] with the circle |u| = r.
+
+    The detours admit every eps below one bound: the marked points (each alpha
+    and z0/beta) lie more than 2 eps apart and eps / 2 off the circle, and each
+    anchor lies more than 1.25 eps from its pair's loop centres.  A given eps is
+    checked against it.  The default is 0.1 of the smallest distance between
+    marked points, or half the bound where that is not below it.
+    """
+    marked = [(complex(alpha), z0 / complex(beta)) for alpha, beta in pairs]
+    _separating_radius([abs(alpha) for alpha, _ in marked], [abs(p) for _, p in marked], r)
+    anchors = [(_circle_crossing(p, alpha, r), alpha, p) for alpha, p in marked]
+    points = [alpha for alpha, _ in marked] + [p for _, p in marked]
+    min_sep = min((abs(x - y) for i, x in enumerate(points) for y in points[i + 1:]), default=math.inf)
+    bound = min([0.5 * min_sep, *(2.0 * abs(abs(x) - r) for x in points),
+                 *(min(abs(a - alpha), abs(a - p)) / 1.25 for a, alpha, p in anchors)])
+    if not bound > 0:
+        raise GeometryInfeasible("marked points coincide, so no detour loop fits")
+    if eps is None:
+        eps = 0.1 * min_sep if 0.1 * min_sep < bound else 0.5 * bound
+    elif eps >= bound:
+        raise GeometryInfeasible(
+            f"loop radius eps = {eps:g} is not below {bound:g}, the largest the detours admit at r = {r:g}"
+        )
+    return eps, anchors
+
+
 def _traintrack_detours(z0: complex, pairs: Sequence[tuple[complex, complex]], r: float,
                         eps: float) -> list[_Detour]:
     """The detours of the deformed contour in anchor order (see build_traintrack)."""
-    marked: list[tuple[complex, complex, complex]] = []
-    for alpha, beta in pairs:
-        alpha, beta = complex(alpha), complex(beta)
-        p = z0 / beta
-        if abs(alpha - p) < 2.0 * eps:
-            raise GeometryInfeasible(
-                f"marked points {alpha} and {p} closer than 2*eps = {2 * eps:g}"
-            )
-        if not (abs(p) < r - eps / 2.0 and abs(alpha) > r + eps / 2.0):
-            raise GeometryInfeasible(
-                f"circle r = {r:g} does not separate alpha = {alpha} from z0/beta = {p}"
-            )
-        marked.append((alpha, beta, p))
-    points = [m[0] for m in marked] + [m[2] for m in marked]
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if abs(points[i] - points[j]) < 2.0 * eps:
-                raise GeometryInfeasible("marked points closer than 2*eps")
-
-    anchored = []
-    for alpha, beta, p in marked:
-        a = _circle_crossing(p, alpha, r)
-        if abs(a - alpha) <= 1.25 * eps or abs(a - p) <= 1.25 * eps:
-            raise GeometryInfeasible(
-                "circle crossing falls inside a detour loop; shrink eps or move r"
-            )
-        anchored.append((cmath.phase(a), a, alpha, p))
-    anchored.sort(key=lambda item: item[0])
-
+    _, anchors = _detour_loops(z0, pairs, r, eps)
+    anchored = sorted(((cmath.phase(a), a, alpha, p) for a, alpha, p in anchors), key=lambda item: item[0])
     detours = []
     for idx, (phi, a, alpha, p) in enumerate(anchored):
         next_phi = anchored[(idx + 1) % len(anchored)][0]
@@ -817,27 +811,13 @@ def _matched_pairs(f: AnalyticElement, g: AnalyticElement, gamma: complex,
 
 def default_traintrack_geometry(f: AnalyticElement, g: AnalyticElement, gamma: complex,
                                 z0: complex) -> tuple[list[tuple[complex, complex]], float, float]:
-    """Matched pairs plus the default circle radius and detour loop radius."""
+    """Matched pairs plus the default circle radius and detour loop radius, which
+    lies below the bound the detours check (see _detour_loops)."""
     pairs = _matched_pairs(f, g, gamma)
     if not pairs:
         raise GeometryInfeasible(f"no declared factorization of gamma = {gamma}")
-    alphas = [alpha for alpha, _ in pairs]
-    ps = [z0 / beta for _, beta in pairs]
-    r_hi = min(abs(a) for a in alphas)
-    r_lo = max(abs(p) for p in ps)
-    if r_lo >= r_hi:
-        raise GeometryInfeasible(
-            f"z0 = {z0} leaves no separating circle ({r_lo:.4f} >= {r_hi:.4f})"
-        )
-    r = math.sqrt(r_lo * r_hi)
-    points = alphas + ps
-    min_sep = min(
-        abs(points[i] - points[j])
-        for i in range(len(points))
-        for j in range(i + 1, len(points))
-        if abs(points[i] - points[j]) > 1e-14
-    ) if len(points) > 1 else abs(alphas[0] - ps[0])
-    eps = 0.1 * min_sep
+    r = _separating_radius([abs(alpha) for alpha, _ in pairs], [abs(z0 / beta) for _, beta in pairs])
+    eps, _ = _detour_loops(z0, pairs, r)
     return pairs, r, eps
 
 

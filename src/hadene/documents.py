@@ -53,6 +53,14 @@ def _integer(value: Any, what: str, bound: int | None = None) -> int:
     return value
 
 
+def _complex_to_doc(value: complex) -> list[float]:
+    return [value.real, value.imag]
+
+
+def _complex_from_doc(pair: Any) -> complex:
+    return complex(pair[0], pair[1])
+
+
 def _check_header(doc: Any, kind: str) -> None:
     _require(isinstance(doc, dict), "document must be a JSON object")
     _require(doc.get("format") == FORMAT_VERSION, f"unsupported format {doc.get('format')!r}")
@@ -116,7 +124,7 @@ def series_to_doc(series: TruncatedSeries, polynomial: bool = False) -> dict:
     if series.field == FIELD_RATIONAL:
         coeffs = [str(c) for c in series.coeffs]
     elif series.field == FIELD_COMPLEX:
-        coeffs = [[c.real, c.imag] for c in series.coeffs]
+        coeffs = [_complex_to_doc(c) for c in series.coeffs]
     else:
         raise DocumentError("series documents support rational and complex fields")
     return {
@@ -138,7 +146,7 @@ def series_from_doc(doc: Any) -> tuple[TruncatedSeries, bool]:
         if field == FIELD_RATIONAL:
             coeffs = [parse_rational(c) for c in raw]
         elif field == FIELD_COMPLEX:
-            coeffs = [complex(c[0], c[1]) for c in raw]
+            coeffs = [_complex_from_doc(c) for c in raw]
             for n, c in enumerate(coeffs):
                 _require(cmath.isfinite(c), f"coefficient {n} is not finite")
         else:
@@ -183,28 +191,30 @@ def _element_to_doc(element: AnalyticElement | None) -> dict | None:
     if isinstance(element, LogBranchElement):
         return {
             "kind": "logbranch",
-            "location": [element.location.real, element.location.imag],
-            "prefactor": [[c.real, c.imag] for c in element.prefactor],
+            "location": _complex_to_doc(element.location),
+            "prefactor": [_complex_to_doc(c) for c in element.prefactor],
         }
     if isinstance(element, RationalElement):
         return {
             "kind": "rational",
-            "num": [[c.real, c.imag] for c in element.num],
-            "den": [[c.real, c.imag] for c in element.den],
-            "poles": [[p.real, p.imag] for p in element.poles],
+            "num": [_complex_to_doc(c) for c in element.num],
+            "den": [_complex_to_doc(c) for c in element.den],
+            "poles": [_complex_to_doc(p) for p in element.poles],
         }
     if isinstance(element, SeriesElement):
         return {
             "kind": "series",
-            "coeffs": [[c.real, c.imag] for c in element.coeffs],
-            "singularities": [[s.real, s.imag] for s in element.declared],
+            "coeffs": [_complex_to_doc(c) for c in element.coeffs],
+            "singularities": [_complex_to_doc(s) for s in element.declared],
         }
     if isinstance(element, SumElement):
         return {"kind": "sum", "parts": [_element_to_doc(part) for part in element.parts]}
     raise DocumentError(f"unsupported element {type(element).__name__}")
 
 
-def _element_from_doc(doc: Any, depth: int = 0) -> AnalyticElement | None:
+def element_from_doc(doc: Any, depth: int = 0) -> AnalyticElement | None:
+    """The oracle element of an `element` record of a function document (None
+    reads as None); this loads the oracle and numpy."""
     if doc is None:
         return None
     from .continuation import LogBranchElement, PolylogElement, RationalElement, SeriesElement, SumElement
@@ -217,18 +227,16 @@ def _element_from_doc(doc: Any, depth: int = 0) -> AnalyticElement | None:
             _require(k >= 1, f"polylog weight k must be >= 1, not {k}")
             return PolylogElement(k)
         if kind == "logbranch":
-            loc = complex(doc["location"][0], doc["location"][1])
-            pref = [complex(c[0], c[1]) for c in doc.get("prefactor", [[1.0, 0.0]])]
-            return LogBranchElement(loc, pref)
+            return LogBranchElement(_complex_from_doc(doc["location"]),
+                                    [_complex_from_doc(c) for c in doc.get("prefactor", [[1.0, 0.0]])])
+        conv = lambda pairs: [_complex_from_doc(c) for c in pairs]
         if kind == "rational":
-            conv = lambda pairs: [complex(c[0], c[1]) for c in pairs]
             return RationalElement(conv(doc["num"]), conv(doc["den"]), conv(doc.get("poles", [])))
         if kind == "series":
-            conv = lambda pairs: [complex(c[0], c[1]) for c in pairs]
             return SeriesElement(conv(doc["coeffs"]), conv(doc.get("singularities", [])))
         if kind == "sum":
             _require(depth < MAX_ELEMENT_DEPTH, f"element nests sum records deeper than {MAX_ELEMENT_DEPTH}")
-            return SumElement([_element_from_doc(part, depth + 1) for part in doc["parts"]])
+            return SumElement([element_from_doc(part, depth + 1) for part in doc["parts"]])
     except DocumentError:  # names its fault already; a part's is not wrapped per level
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -254,7 +262,7 @@ def function_spec_to_doc(spec: FunctionSpec, element: AnalyticElement | None = N
     }
 
 
-def function_spec_from_doc(doc: Any) -> tuple[FunctionSpec, AnalyticElement | None]:
+def function_spec_from_doc(doc: Any) -> FunctionSpec:
     _check_header(doc, "function")
     records = doc.get("singularities", [])
     _require(isinstance(records, list), "singularities must be a list")
@@ -275,10 +283,9 @@ def function_spec_from_doc(doc: Any) -> tuple[FunctionSpec, AnalyticElement | No
     if doc.get("germ_at_zero") is not None:
         germ_at_zero, _ = series_from_doc(doc["germ_at_zero"])
     try:
-        spec = FunctionSpec.of(doc.get("name", "unnamed"), singularities, germ_at_zero)
+        return FunctionSpec.of(doc.get("name", "unnamed"), singularities, germ_at_zero)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-    return spec, _element_from_doc(doc.get("element"))
 
 
 # --- divisors -----------------------------------------------------------------------
@@ -332,15 +339,15 @@ def oracle_report_to_doc(report: OracleReport) -> dict:
     return {
         "format": FORMAT_VERSION,
         "kind": "oracle_report",
-        "gamma": [report.gamma.real, report.gamma.imag],
+        "gamma": _complex_to_doc(report.gamma),
         "max_abs_error": report.max_abs_error,
         "metadata": report.metadata,
         "rows": [
             {
-                "z": [row.z.real, row.z.imag],
+                "z": _complex_to_doc(row.z),
                 "winding": row.winding,
-                "symbolic": [row.symbolic.real, row.symbolic.imag],
-                "numeric": None if row.numeric is None else [row.numeric.real, row.numeric.imag],
+                "symbolic": _complex_to_doc(row.symbolic),
+                "numeric": None if row.numeric is None else _complex_to_doc(row.numeric),
                 "abs_error": row.abs_error,
             }
             for row in report.rows

@@ -16,6 +16,7 @@ from hadene.documents import (
     divisor_from_doc,
     divisor_to_doc,
     dump_document,
+    element_from_doc,
     exact_coeff_from_doc,
     exact_coeff_to_doc,
     function_spec_from_doc,
@@ -74,7 +75,7 @@ def test_function_spec_round_trip_with_element_and_polar_germ():
         Singularity(GaussianRational.of(2), LogLaurentPoly.constant(1)),
     ])
     doc = function_spec_to_doc(spec, element=LogBranchElement(1.0, [0.0, 2.0]))
-    parsed, element = function_spec_from_doc(doc)
+    parsed, element = function_spec_from_doc(doc), element_from_doc(doc["element"])
     assert parsed == spec
     assert isinstance(element, LogBranchElement)
     assert element.prefactor == [0j, 2 + 0j]
@@ -89,7 +90,7 @@ def test_sum_element_round_trip():
     ])
     element = SumElement([LogBranchElement(2.0), LogBranchElement(2j)])
     doc = function_spec_to_doc(spec, element=element)
-    parsed, parsed_element = function_spec_from_doc(doc)
+    parsed, parsed_element = function_spec_from_doc(doc), element_from_doc(doc["element"])
     assert parsed == spec
     assert isinstance(parsed_element, SumElement)
     assert sorted(s.real for s in parsed_element.singularities()) == [0.0, 2.0]
@@ -242,6 +243,16 @@ def test_cli_verify_polylog_pair_exit_0(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["max_abs_error"] < 1e-6
     assert len(doc["rows"]) == 2
+
+
+def test_cli_verify_measures_where_the_circle_passes_close_to_z0(tmp_path, capsys):
+    # z0 = 0.95 e^{45i deg}: the circle r = sqrt|z0| passes 0.025 inside z0, so the
+    # detours' bound 2 (r - |z0|) = 0.05 lies below 0.1 |1 - z0| = 0.073
+    li2 = function_spec_to_doc(polylog_function_spec(2), element=PolylogElement(2))
+    f = write_doc(tmp_path, "li2.json", li2)
+    g = write_doc(tmp_path, "li1.json", li1_function_doc())
+    assert main(["verify", "-f", f, "-g", g, "--samples", "0.6717+0.6717i"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_abs_error"] < 1e-8
 
 
 def test_cli_verify_corrupted_symbolic_is_exit_4(tmp_path, capsys):

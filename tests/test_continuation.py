@@ -110,10 +110,11 @@ def test_continuation_resumes_from_previous_state():
     assert cont2.windings() == {1.0 + 0j: 1}
 
 
-def test_coarse_polylog3_loop_substeps_to_the_fine_value():
-    # the first side passes 1 at about 0.008, so its coarse chords are some 60
-    # times longer than their clearance: a single Lobatto step per chord would
-    # miss the value by about 7e-3, and only the substeps recover it
+def test_coarse_and_fine_starting_pieces_of_a_polylog3_loop_agree():
+    # the first side passes 1 at about 0.008, so its two starting pieces are some
+    # 60 times longer than their clearance; the GL panels are graded (halved until
+    # each is at most 0.35 of its clearance), so two and 256 starting pieces per
+    # side reach the same value
     li3 = PolylogElement(3)
     triangle = [Line(0.3, 1.2 - 0.01j), Line(1.2 - 0.01j, 1.2 + 0.4j), Line(1.2 + 0.4j, 0.3)]
     coarse, cont = continue_along(li3, triangle, steps_per_segment=2)
@@ -509,8 +510,8 @@ def test_block_wide_panels_equal_the_per_segment_bisection(frac):
     (LogBranchElement(1.0, [0.0, 1.0]), LogBranchElement(1.0), 1.0 + 0.1 * cmath.exp(1j * math.radians(160))),
 ], ids=["li2xli2", "li1xli1", "logbranch"])
 def test_measurement_tracks_a_pinned_number_of_nodes(f, g, z0):
-    # quadrature nodes, transit-arc points and substeps over every round: a faster
-    # tracker must do this same work
+    # GL nodes of the graded detour-block panels over every round: a faster
+    # tracker must grade the same panels and do this same work
     monodromy_numeric(f, g, 1.0, z0, tol=1e-8, node_budget=4736)
     with pytest.raises(QuadratureNotConverged, match="node budget 4735 spent: 4736 quadrature nodes"):
         monodromy_numeric(f, g, 1.0, z0, tol=1e-8, node_budget=4735)
@@ -534,8 +535,8 @@ def two_logs():
 
 def test_two_pair_measurement_tracks_a_pinned_number_of_nodes():
     # gamma = 4i has two factorizations, so the states ride one transit arc per
-    # round between the blocks, on its own Gauss-Legendre panels: 10,728 nodes
-    # over every round where the chord walker counted 9,570 arc points and substeps
+    # round between the blocks: 10,728 GL nodes over every round, on the graded
+    # panels of the blocks and of the transit arcs
     elem = two_logs()
     monodromy_numeric(elem, elem, 4j, 3.8j, tol=1e-8, node_budget=10728)
     with pytest.raises(QuadratureNotConverged, match="node budget 10727 spent: 10728 quadrature nodes"):
@@ -605,6 +606,28 @@ def test_ene_monodromy_polylog_pairs_match_measurement(k, l):
 def test_ene_monodromy_log_branch_pairs_match_measurement(f_side, g_side):
     (f, f_spec), (g, g_spec) = log_branch(*f_side), log_branch(*g_side)
     assert measured_error("ene", f, f_spec, g, g_spec, 6, 0.9 * 6 * (1 + 0.05j)) < 1e-8
+
+
+def grid_pair(name):
+    """f, f_spec, g, g_spec of a pair with its one singularity at 1 on each side."""
+    if name == "logbranch":  # u log(1 - u) and log(1 - u)
+        return (*log_branch(1.0, 1), *log_branch(1.0, 0))
+    k, l = {"li1xli1": (1, 1), "li2xli1": (2, 1)}[name]
+    return PolylogElement(k), polylog_function_spec(k), PolylogElement(l), polylog_function_spec(l)
+
+
+@pytest.mark.parametrize("degrees", [20, 45, 90, 135, 170])
+@pytest.mark.parametrize("modulus", [0.8, 0.95, 0.98])
+@pytest.mark.parametrize("name", ["li1xli1", "li2xli1", "logbranch"])
+def test_default_geometry_passes_its_own_check(name, modulus, degrees):
+    # at |z0| = 0.95 the circle r = sqrt|z0| passes 0.025 inside z0, so the
+    # detours' bound 2 (r - |z0|) lies below 0.1 |1 - z0| from arg z0 = 30
+    # degrees on; the default loop radius stays below the bound
+    f, f_spec, g, g_spec = grid_pair(name)
+    z0 = modulus * cmath.exp(1j * math.radians(degrees))
+    pairs, r, eps = default_traintrack_geometry(f, g, 1.0, z0)
+    assert len(_traintrack_detours(z0, pairs, r, eps)) == 1
+    assert measured_error("hadamard", f, f_spec, g, g_spec, 1, z0) < 1e-8
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

@@ -1,5 +1,6 @@
 """The exact side starts without the oracle: numpy loads only where something is measured."""
 
+import ast
 import json
 import os
 import subprocess
@@ -66,19 +67,21 @@ def docs(tmp_path):
     }
 
 
-EXACT_COMMANDS = [
-    ["polylog", "--k", "3"],
-    ["monodromy", "--product", "ene", "-f", "{li1}", "-g", "{li1}"],
-    ["series", "--op", "hadamard", "-f", "{series}", "-g", "{series}"],
-    ["divisor", "-f", "{divisor}", "-g", "{divisor}"],
-]
+EXACT_COMMANDS = {
+    "polylog": ["polylog", "--k", "3"],
+    "monodromy": ["monodromy", "--product", "ene", "-f", "{li1}", "-g", "{li1}"],
+    "series": ["series", "--op", "hadamard", "-f", "{series}", "-g", "{series}"],
+    "divisor": ["divisor", "-f", "{divisor}", "-g", "{divisor}"],
+    # monodromy never reads the oracle element a function document carries
+    "monodromy-element": ["monodromy", "-f", "{li1_element}", "-g", "{li1_element}"],
+}
 
 
 def test_import_hadene_loads_neither_numpy_nor_the_oracle():
     assert _fresh_interpreter(None) == {"code": None, "loaded": []}
 
 
-@pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=[argv[0] for argv in EXACT_COMMANDS])
+@pytest.mark.parametrize("argv", EXACT_COMMANDS.values(), ids=list(EXACT_COMMANDS))
 def test_exact_commands_load_neither_numpy_nor_the_oracle(docs, argv):
     assert _fresh_interpreter([arg.format(**docs) for arg in argv]) == {"code": 0, "loaded": []}
 
@@ -98,3 +101,39 @@ def test_unknown_package_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         hadene.no_such_name
     assert not hasattr(hadene, "QuadratureNotConverged")
+
+
+def _imports(module: str) -> list[tuple[str | None, str]]:
+    """(enclosing function or None, imported module) for each import in hadene/<module>.py."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((function, alias.name) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                package = "hadene" if child.level else ""
+                if child.module:
+                    found.append((function, ".".join(filter(None, [package, child.module]))))
+                else:
+                    found.extend((function, f"{package}.{alias.name}") for alias in child.names)
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else function)
+
+    visit(ast.parse((ROOT / "src" / "hadene" / f"{module}.py").read_text()), None)
+    return found
+
+
+@pytest.mark.parametrize("module", ["coeffs", "series", "logpoly", "monodromy"])
+def test_exact_modules_import_neither_the_oracle_nor_numpy(module):
+    # the north-star split: the symbolic side borrows nothing from the oracle
+    names = [name for _, name in _imports(module)]
+    assert names and not [name for name in names
+                          if name == "hadene.continuation" or name.split(".")[0] == "numpy"]
+
+
+def test_the_oracle_imports_the_exact_side_only_in_crosscheck():
+    # the measurement consults no symbolic result; only the comparison loads one
+    hadene_imports = [(function, name) for function, name in _imports("continuation")
+                      if name.split(".")[0] == "hadene"]
+    assert hadene_imports == [("crosscheck", "hadene.logpoly"), ("crosscheck", "hadene.monodromy")]
