@@ -16,7 +16,9 @@ The two instruments:
   integrand -F'(u) G(z/u) du is the same form, so every element offers
   theta() (the element of u F'(u)) and the ene quadrature is the Hadamard
   quadrature of thetaF and G, negated.  Full circles use the trapezoid rule
-  (spectrally accurate for periodic analytic integrands); other contours use
+  (spectrally accurate for periodic analytic integrands), doubling its nodes
+  until two levels agree; every element evaluates on arrays, so each level's
+  new nodes go through the integrand as one array.  Other contours use
   clearance-graded Gauss-Legendre panels.
 
 * Monodromy measurement.  Dragging z once around a product point gamma
@@ -42,7 +44,13 @@ the cumulative-integration matrix of the Legendre interpolant, whose
 full-panel row is the Gauss-Legendre weights, up from Li_1 = -log(1 - v); the
 interpolant converges at the geometric rate that governs the panel's
 quadrature.  Panels are graded against every singularity either state can
-meet, and 0, which the stack recursion integrates against.  The ratios
+meet, and 0, which the stack recursion integrates against: a piece is halved
+until its length is at most frac of its clearance.  The refinement rounds of a
+measurement halve frac, and each round bisects the pieces the round before
+kept.  That gives the very panels a grading from the whole segments gives,
+because the keep rule is monotone in frac: a piece split at one frac is split
+at every smaller one, so every piece of the fresh grading lies inside a piece
+of the last round's, and both reach it through the same midpoints.  The ratios
 w = x + iy lie near 1, and their logs are
 0.5 log1p((x - 1)(x + 1) + y^2) + i atan2(y, x): log|w| would round at the
 size of 1, with a bias that builds up over the thousands of increments of a
@@ -117,22 +125,6 @@ class Arc:
 PathSegment = Line | Arc
 
 
-def _segment_table(segments: Sequence[PathSegment]) -> tuple[np.ndarray, ...]:
-    """One array per column, one row per segment: arc?, base, scale, start angle, sweep."""
-    rows = [(False, s.a, s.b - s.a, 0.0, 0.0) if isinstance(s, Line)
-            else (True, s.center, s.radius, s.theta_start, s.theta_end - s.theta_start)
-            for s in segments]
-    return tuple(np.array(col) for col in zip(*rows))
-
-
-def _sample(table: tuple[np.ndarray, ...], owner: np.ndarray,
-            ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Points and derivatives of segment owner[i] of the table at ts[i], lines and arcs at once."""
-    arc, base, scale, start, sweep = (col[owner] for col in table)
-    rel = scale * np.where(arc, np.exp(1j * (start + sweep * ts)), ts)
-    return base + rel, np.where(arc, 1j * sweep * rel, scale)
-
-
 @dataclass(frozen=True)
 class ContourSpec:
     segments: tuple[PathSegment, ...]
@@ -172,7 +164,8 @@ class AnalyticElement:
     def singularities(self) -> list[complex]:
         raise NotImplementedError
 
-    def principal_value(self, u: complex) -> complex:
+    def principal_value(self, u: complex | np.ndarray) -> complex | np.ndarray:
+        """The principal value at u, a point or an array of points."""
         raise NotImplementedError
 
     def theta(self) -> "AnalyticElement":
@@ -233,8 +226,8 @@ class LogBranchElement(AnalyticElement):
     def singularities(self) -> list[complex]:
         return [self.location]
 
-    def principal_value(self, u: complex) -> complex:
-        return _polyval(self.prefactor, u) * cmath.log(1.0 - u / self.location)
+    def principal_value(self, u: complex | np.ndarray) -> complex | np.ndarray:
+        return _polyval(self.prefactor, u) * np.log(1.0 - u / self.location)
 
     def theta(self) -> "SumElement":
         # u c' log(1 - u/a) + u c / (u - a)
@@ -258,10 +251,10 @@ class PolylogElement(AnalyticElement):
     def singularities(self) -> list[complex]:
         return [1.0 + 0j]
 
-    def principal_value(self, u: complex) -> complex:
+    def principal_value(self, u: complex | np.ndarray) -> complex | np.ndarray:
         if self.k == 1:
-            return -cmath.log(1.0 - u)
-        return complex(_polylog_series(self.k, u)[-1])
+            return -np.log(1.0 - u)
+        return _polylog_series(self.k, u)[-1]
 
     def theta(self) -> AnalyticElement:
         if self.k == 1:
@@ -319,21 +312,31 @@ class SumElement(AnalyticElement):
         return _SumState(self, [part.make_state(u0) for part in self.parts])
 
 
-def _polylog_series(k: int, u: complex, tol: float = 1e-17) -> np.ndarray:
-    """Li_2(u), ..., Li_k(u) by their power series, up to the first n with |u|^n < tol."""
-    mag = abs(u)
+# The most power-series terms _polylog_series holds at once.
+_SERIES_BLOCK = 1 << 16
+
+
+def _polylog_series(k: int, u: complex | np.ndarray, tol: float = 1e-17) -> np.ndarray:
+    """Li_2(u), ..., Li_k(u) by their power series, up to the first n with
+    max |u|^n < tol: row j - 2 holds Li_j at every point of u.  The points are
+    summed a block at a time, each point's terms in one contiguous row."""
+    u = np.asarray(u, dtype=complex)
+    mag = float(np.max(np.abs(u)))
     if mag >= 0.9995:
         raise QuadratureNotConverged(
             f"polylog series evaluation needs |u| < 0.9995, got {mag:.6f}"
         )
     n = 1 if mag == 0.0 else int(math.log(tol) / math.log(mag)) + 1
     ns = np.arange(1.0, n + 1.0)
-    terms = np.cumprod(np.full(n, complex(u))) / ns
-    values = np.empty(k - 1, dtype=complex)
-    for j in range(k - 1):
-        terms /= ns
-        values[j] = terms.sum()
-    return values
+    points = u.ravel()
+    values = np.empty((k - 1, points.size), dtype=complex)
+    step = max(1, _SERIES_BLOCK // n)
+    for lo in range(0, points.size, step):
+        terms = np.cumprod(np.repeat(points[lo:lo + step, None], n, axis=1), axis=1) / ns
+        for j in range(k - 1):
+            terms /= ns
+            values[j, lo:lo + step] = terms.sum(axis=1)
+    return values.reshape(k - 1, *u.shape)
 
 
 # --- Gauss-Legendre panels -----------------------------------------------------------
@@ -367,45 +370,7 @@ def _gl_cumulative(n: int) -> np.ndarray:
     return _CUMULATIVE_CACHE[n]
 
 
-def _split_panels(segments: Sequence[PathSegment], obstacles: Sequence[complex], frac: float,
-                  min_len: float, *, pieces: int = 1,
-                  floor: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clearance-graded parameter panels of several segments, bisected together a
-    level at a time: the segment index, t0 and t1 of every panel, sorted.
-
-    Each segment starts as `pieces` equal pieces.  A piece is kept when its
-    length is at most `frac` of its clearance (the distance from its midpoint
-    to the nearest obstacle, less half its length), or at most min_len and at
-    most half its clearance; otherwise it is halved.  A piece whose midpoint
-    lies within max(floor, 1e-13 (1 + |obstacle|)) of an obstacle raises
-    PathTooCloseToSingularity.
-    """
-    table = _segment_table(segments)
-    obstacles = np.asarray(obstacles, dtype=complex)
-    floor = max(floor, 1e-13 * (1.0 + np.max(np.abs(obstacles), initial=0.0)))
-    first = np.arange(len(segments) * pieces)
-    owner, t0, t1 = first // pieces, first % pieces / pieces, (first % pieces + 1) / pieces
-    piece = np.array([seg.length() for seg in segments])[owner] / pieces
-    kept = []
-    while owner.size:
-        tm = (t0 + t1) / 2.0
-        mid = _sample(table, owner, tm)[0]
-        d = np.abs(mid[:, None] - obstacles).min(axis=1, initial=math.inf)
-        if d.min() <= floor:
-            i = int(np.argmin(d))
-            raise PathTooCloseToSingularity(
-                f"path point {complex(mid[i])} lies within {d[i]:.3e} of a singularity"
-            )
-        clearance = np.maximum(d - piece / 2.0, 1e-30)
-        keep = piece <= np.where(piece <= min_len, max(frac, 0.5), frac) * clearance
-        kept.append((owner[keep], t0[keep], t1[keep]))
-        split = ~keep
-        owner, piece, tm = owner[split], piece[split] / 2.0, tm[split]
-        owner, piece = np.concatenate((owner, owner)), np.concatenate((piece, piece))
-        t0, t1 = np.concatenate((t0[split], tm)), np.concatenate((tm, t1[split]))
-    owner, t0, t1 = (np.concatenate(parts) for parts in zip(*kept))
-    order = np.lexsort((t0, owner))
-    return owner[order], t0[order], t1[order]
+_Grading = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -432,15 +397,94 @@ class _Panels:
         return _Panels(v, -v[:, :-1] / self.nodes * self.dv)
 
 
-def _graded_panels(segments: Sequence[PathSegment], n: int, obstacles: Sequence[complex],
-                   frac: float, min_len: float, *, pieces: int = 1, floor: float = 0.0) -> _Panels:
-    """The n-node Gauss-Legendre panels of _split_panels(segments, obstacles, ...)."""
-    owner, t0, t1 = _split_panels(segments, obstacles, frac, min_len, pieces=pieces, floor=floor)
-    half = ((t1 - t0) / 2.0)[:, None]
-    ts = (t1 + t0)[:, None] / 2.0 + half * np.append(_gl_rule(n)[0], 1.0)
-    points, velocity = (a.reshape(-1, n + 1) for a in
-                        _sample(_segment_table(segments), np.repeat(owner, n + 1), ts.ravel()))
-    return _Panels(points, velocity[:, :-1] * half)
+def _clearances(points: np.ndarray, obstacles: np.ndarray, floor: float) -> np.ndarray:
+    """Distance from each point to its nearest obstacle; a point within `floor`
+    of one raises PathTooCloseToSingularity."""
+    d = np.abs(points[:, None] - obstacles).min(axis=1, initial=math.inf)
+    if d.min() <= floor:
+        i = int(np.argmin(d))
+        raise PathTooCloseToSingularity(
+            f"path point {complex(points[i])} lies within {d[i]:.3e} of a singularity"
+        )
+    return d
+
+
+class _GradedChain:
+    """A chain of segments, held as columns (one row per segment: arc?, base,
+    scale, start angle, sweep, length) so that lines and arcs are sampled at
+    once, and its latest grading: the segment index, t0 and t1 of every piece,
+    sorted.  It starts as `pieces` equal pieces per segment; each refine()
+    bisects the pieces it has, so a chain kept across refinement rounds grades
+    each round from the last."""
+
+    def __init__(self, segments: Sequence[PathSegment], pieces: int = 1):
+        rows = [(False, s.a, s.b - s.a, 0.0, 0.0, s.length()) if isinstance(s, Line)
+                else (True, s.center, s.radius, s.theta_start, s.theta_end - s.theta_start, s.length())
+                for s in segments]
+        self.arc, self.base, self.scale, self.start, self.sweep, self.lengths = (
+            np.array(col) for col in zip(*rows))
+        first = np.arange(len(segments) * pieces)
+        self.grading: _Grading = (first // pieces, first % pieces / pieces, (first % pieces + 1) / pieces)
+
+    def sample(self, owner: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Points and derivatives of segment owner[i] at ts[i]."""
+        arc, base, scale, start, sweep = (col[owner] for col in
+                                          (self.arc, self.base, self.scale, self.start, self.sweep))
+        rel = scale * np.where(arc, np.exp(1j * (start + sweep * ts)), ts)
+        return base + rel, np.where(arc, 1j * sweep * rel, scale)
+
+    def refine(self, obstacles: Sequence[complex], frac: float, min_len: float,
+               floor: float = 0.0) -> "_GradedChain":
+        """Bisect the pieces, all levels of all segments together, until each is kept.
+
+        A piece is kept when its length is at most `frac` of its clearance (the
+        distance from its midpoint to the nearest obstacle, less half its
+        length), or at most min_len and at most half its clearance.  A piece
+        whose midpoint lies within max(floor, 1e-13 (1 + |obstacle|)) of an
+        obstacle raises PathTooCloseToSingularity.  A piece kept at some frac
+        is kept at every larger one, so with the same obstacles and min_len,
+        refining the grading of a larger frac gives the very pieces that
+        grading from the start gives (see the module docstring).
+        """
+        obstacles = np.asarray(obstacles, dtype=complex)
+        floor = max(floor, 1e-13 * (1.0 + np.max(np.abs(obstacles), initial=0.0)))
+        owner, t0, t1 = self.grading
+        kept = []
+        while owner.size:
+            tm = (t0 + t1) / 2.0
+            piece = self.lengths[owner] * (t1 - t0)
+            d = _clearances(self.sample(owner, tm)[0], obstacles, floor)
+            clearance = np.maximum(d - piece / 2.0, 1e-30)
+            keep = piece <= np.where(piece <= min_len, max(frac, 0.5), frac) * clearance
+            kept.append((owner[keep], t0[keep], t1[keep]))
+            split = ~keep
+            owner, t0, t1, tm = owner[split], t0[split], t1[split], tm[split]
+            owner, t0, t1 = np.concatenate((owner, owner)), np.concatenate((t0, tm)), np.concatenate((tm, t1))
+        owner, t0, t1 = (np.concatenate(parts) for parts in zip(*kept))
+        order = np.lexsort((t0, owner))
+        self.grading = owner[order], t0[order], t1[order]
+        return self
+
+    def panels(self, n: int) -> _Panels:
+        """The n-node Gauss-Legendre panels of the grading."""
+        owner, t0, t1 = self.grading
+        half = ((t1 - t0) / 2.0)[:, None]
+        ts = (t1 + t0)[:, None] / 2.0 + half * np.append(_gl_rule(n)[0], 1.0)
+        points, velocity = (a.reshape(-1, n + 1) for a in self.sample(np.repeat(owner, n + 1), ts.ravel()))
+        return _Panels(points, velocity[:, :-1] * half)
+
+
+def _split_panels(segments: Sequence[PathSegment], obstacles: Sequence[complex], frac: float,
+                  min_len: float, *, pieces: int = 1, floor: float = 0.0,
+                  start: _Grading | None = None) -> _Grading:
+    """Clearance-graded parameter panels of several segments (see
+    _GradedChain.refine): the segment index, t0 and t1 of every panel, sorted.
+    They refine `start`, an earlier grading of the same segments, or else
+    `pieces` equal pieces per segment."""
+    chain = _GradedChain(segments, pieces)
+    if start is not None:
+        chain.grading = start
+    return chain.refine(obstacles, frac, min_len, floor).grading
 
 
 # --- continuation states -----------------------------------------------------------
@@ -622,8 +666,8 @@ def continue_along(element, path: Sequence[PathSegment], *, delta: float = 1e-6,
             raise ValueError("path does not start at the element's current point")
     else:
         state = element.make_state(path[0].point(0.0))
-    state.advance(_graded_panels(path, _CONTINUE_NODES, state.obstacles(), _CONTINUE_FRAC, 0.0,
-                                 pieces=steps_per_segment, floor=delta))
+    chain = _GradedChain(path, steps_per_segment)
+    state.advance(chain.refine(state.obstacles(), _CONTINUE_FRAC, 0.0, delta).panels(_CONTINUE_NODES))
     return state.value(), state
 
 
@@ -658,18 +702,20 @@ _TRAPEZOID_START = 32
 _TRAPEZOID_MAX = 1 << 16
 
 
-def _trapezoid_circle(fn: Callable[[complex], complex], radius: float, tol: float) -> tuple[complex, int]:
+def _trapezoid_circle(fn: Callable[[np.ndarray], np.ndarray], radius: float,
+                      tol: float) -> tuple[complex, int]:
     """Trapezoid rule on |u| = radius, doubling n until two levels agree within tol.
 
     The nodes of one level are the even nodes of the next, so each doubling
-    adds only the odd nodes to the running sum.
+    adds only the odd nodes to the running sum; fn takes each level's new
+    nodes as one array.
     """
     previous = None
     acc = 0j
     n = _TRAPEZOID_START
     while n <= _TRAPEZOID_MAX:
-        for j in range(n) if previous is None else range(1, n, 2):
-            acc += fn(radius * cmath.exp(1j * (TWO_PI * j / n)))
+        j = np.arange(n) if previous is None else np.arange(1, n, 2)
+        acc += complex(np.sum(fn(radius * np.exp(1j * (TWO_PI * j / n)))))
         value = acc / n
         if previous is not None and abs(value - previous) <= tol:
             return value, n
@@ -753,7 +799,12 @@ def _detour_loops(z0: complex, pairs: Sequence[tuple[complex, complex]], r: floa
 def _traintrack_detours(z0: complex, pairs: Sequence[tuple[complex, complex]], r: float,
                         eps: float) -> list[_Detour]:
     """The detours of the deformed contour in anchor order (see build_traintrack)."""
-    _, anchors = _detour_loops(z0, pairs, r, eps)
+    return _anchored_detours(_detour_loops(z0, pairs, r, eps)[1], r, eps)
+
+
+def _anchored_detours(anchors: Sequence[tuple[complex, complex, complex]], r: float,
+                      eps: float) -> list[_Detour]:
+    """The detours on the anchors _detour_loops(z0, pairs, r, eps) returns, in anchor order."""
     anchored = sorted(((cmath.phase(a), a, alpha, p) for a, alpha, p in anchors), key=lambda item: item[0])
     detours = []
     for idx, (phi, a, alpha, p) in enumerate(anchored):
@@ -809,30 +860,47 @@ def _matched_pairs(f: AnalyticElement, g: AnalyticElement, gamma: complex,
     return pairs
 
 
+def _traintrack_geometry(f: AnalyticElement, g: AnalyticElement, gamma: complex, z0: complex,
+                         r: float | None = None, eps: float | None = None
+                         ) -> tuple[list[tuple[complex, complex]], float, float, list[_Detour]]:
+    """Matched pairs, circle radius, detour loop radius and the detours.
+
+    A given r or eps is checked.  The default r separates the matched pairs'
+    alpha from their z0/beta, and the default eps is the default of
+    _detour_loops at the default r.
+    """
+    pairs = _matched_pairs(f, g, gamma)
+    if not pairs:
+        raise GeometryInfeasible(f"no declared factorization of gamma = {gamma}")
+    r_default = _separating_radius([abs(alpha) for alpha, _ in pairs], [abs(z0 / beta) for _, beta in pairs])
+    if r is not None and eps is None:
+        eps, _ = _detour_loops(z0, pairs, r_default)
+    r = r_default if r is None else r
+    eps, anchors = _detour_loops(z0, pairs, r, eps)
+    return pairs, r, eps, _anchored_detours(anchors, r, eps)
+
+
 def default_traintrack_geometry(f: AnalyticElement, g: AnalyticElement, gamma: complex,
                                 z0: complex) -> tuple[list[tuple[complex, complex]], float, float]:
     """Matched pairs plus the default circle radius and detour loop radius, which
     lies below the bound the detours check (see _detour_loops)."""
-    pairs = _matched_pairs(f, g, gamma)
-    if not pairs:
-        raise GeometryInfeasible(f"no declared factorization of gamma = {gamma}")
-    r = _separating_radius([abs(alpha) for alpha, _ in pairs], [abs(z0 / beta) for _, beta in pairs])
-    eps, _ = _detour_loops(z0, pairs, r)
-    return pairs, r, eps
+    return _traintrack_geometry(f, g, gamma, z0)[:3]
 
 
-def _block_integral(block: Sequence[PathSegment], name: str, f_state: _ElementState,
+def _block_integral(block: Sequence[PathSegment] | _GradedChain, name: str, f_state: _ElementState,
                     g_state: _ElementState, z0: complex, obstacles: Sequence[complex],
                     n_gl: int, frac: float, min_len: float) -> tuple[complex, int]:
     """Panel Gauss-Legendre integral of F(u) G(z0/u) du/u over one detour block,
-    and the number of nodes.
+    and the number of nodes.  A block given as a _GradedChain is refined from
+    the grading it holds, and keeps the new one.
 
     A block loops each marked point once each way, so it must hand every
     branch back as it found it; the measurement rests on that, so it is
     checked on the winding counters.
     """
     _, w = _gl_rule(n_gl)
-    panels = _graded_panels(block, n_gl, obstacles, frac, min_len)
+    chain = block if isinstance(block, _GradedChain) else _GradedChain(block)
+    panels = chain.refine(obstacles, frac, min_len).panels(n_gl)
     before = (f_state.windings(), g_state.windings())
     integrand = f_state.advance(panels) * g_state.advance(panels.image(z0)) / panels.nodes * panels.dv
     after = (f_state.windings(), g_state.windings())
@@ -843,28 +911,29 @@ def _block_integral(block: Sequence[PathSegment], name: str, f_state: _ElementSt
     return complex(np.sum(integrand @ w)), panels.nodes.size
 
 
-def _measure_detours(detours: Sequence[_Detour], f: AnalyticElement, g: AnalyticElement,
-                     z0: complex, obstacles: Sequence[complex], n_gl: int, frac: float,
+def _measure_detours(detours: Sequence[_Detour], chains: Sequence[tuple[_GradedChain, _GradedChain]],
+                     f_start: _ElementState, g_start: _ElementState, z0: complex,
+                     obstacles: Sequence[complex], n_gl: int, frac: float,
                      min_len: float) -> tuple[complex, int]:
     """Sum of the detour-block integrals at one refinement, and the number of
     quadrature nodes and transit-arc nodes tracked.
 
-    The states start on the principal branches at the first anchor and ride
-    the circle arcs between blocks by branch tracking alone, on the same
-    graded panels, so every block starts on the branch a traversal of the
-    whole deformed contour gives it.
+    `chains` holds each detour's block and transit arc, graded by the round
+    before; this round refines them.  The states start from copies of f_start
+    and g_start, on the principal branches at the first anchor, and ride the
+    circle arcs between blocks by branch tracking alone, on the same graded
+    panels, so every block starts on the branch a traversal of the whole
+    deformed contour gives it.
     """
-    start = detours[0].block[0].point(0.0)
-    f_state, g_state = f.make_state(start), g.make_state(z0 / start)
+    f_state, g_state = f_start.clone(), g_start.clone()
     total, points = 0j, 0
-    for i, detour in enumerate(detours):
+    for i, (detour, (block, arc)) in enumerate(zip(detours, chains)):
         name = f"detour block {i + 1} of {len(detours)} (alpha = {detour.alpha}, z0/beta = {detour.p})"
-        value, nodes = _block_integral(detour.block, name, f_state, g_state, z0, obstacles,
-                                       n_gl, frac, min_len)
+        value, nodes = _block_integral(block, name, f_state, g_state, z0, obstacles, n_gl, frac, min_len)
         total += value
         points += nodes
         if i + 1 < len(detours):
-            panels = _graded_panels([detour.arc], n_gl, obstacles, frac, min_len)
+            panels = arc.refine(obstacles, frac, min_len).panels(n_gl)
             f_state.advance(panels)
             g_state.advance(panels.image(z0))
             points += panels.nodes.size
@@ -886,18 +955,19 @@ def monodromy_numeric(f: AnalyticElement, g: AnalyticElement, gamma: complex, z0
     """
     if not 1 <= max_rounds <= 3:
         raise ValueError(f"max_rounds must be in 1..3, got {max_rounds}")
-    pairs, r_default, eps_default = default_traintrack_geometry(f, g, gamma, z0)
-    r = r_default if r is None else r
-    eps = eps_default if eps is None else eps
-    detours = _traintrack_detours(z0, pairs, r, eps)
+    _, r, eps, detours = _traintrack_geometry(f, g, gamma, z0, r, eps)
     obstacles = [*f.singularities(), *(z0 / beta for beta in g.singularities()), 0j]
     min_len = eps / 8.0
+    # each round refines the last round's grading of every block and transit arc
+    chains = [(_GradedChain(d.block), _GradedChain([d.arc])) for d in detours]
+    start = detours[0].block[0].point(0.0)
+    f_start, g_start = f.make_state(start), g.make_state(z0 / start)
 
     tracked = 0
     previous = None
     settings = [(12, 0.5), (16, 0.25), (24, 0.125), (32, 0.0625)]
     for n_gl, frac in settings[: max_rounds + 1]:
-        value, nodes = _measure_detours(detours, f, g, z0, obstacles, n_gl, frac, min_len)
+        value, nodes = _measure_detours(detours, chains, f_start, g_start, z0, obstacles, n_gl, frac, min_len)
         tracked += nodes
         if node_budget is not None and tracked > node_budget:
             raise QuadratureNotConverged(
@@ -956,7 +1026,8 @@ def crosscheck(f_spec, g_spec, gamma, samples: Sequence[complex], *,
 
     The numeric side measures the principal-sheet monodromy, so only winding 0
     rows carry a measurement; other windings evaluate the symbolic result on
-    that sheet for inspection.
+    that sheet for inspection.  A measurement that fails is raised again as
+    the same exception type, its text prefixed by the sample: "at z0 = ...: ".
     """
     from .logpoly import BranchPoint
     from .monodromy import hadamard_monodromy_general
@@ -976,8 +1047,11 @@ def crosscheck(f_spec, g_spec, gamma, samples: Sequence[complex], *,
             except OverflowError as exc:
                 raise ValueError(f"the symbolic value at {z0} overflows a double ({exc})") from exc
             if w == 0:
-                num_val = monodromy_numeric(f_element, g_element, gamma_value, complex(z0),
-                                            tol=tol, node_budget=node_budget)
+                try:
+                    num_val = monodromy_numeric(f_element, g_element, gamma_value, complex(z0),
+                                                tol=tol, node_budget=node_budget)
+                except (QuadratureNotConverged, GeometryInfeasible, PathTooCloseToSingularity) as exc:
+                    raise type(exc)(f"at z0 = {complex(z0)}: {exc}") from exc
                 err = abs(num_val - sym_val)
             else:
                 num_val, err = None, None

@@ -340,6 +340,9 @@ REFUSED_INPUTS = [
     (["verify", "-f", "{k_zero}", "-g", "{li1}", "--samples", "0.9"], 2, "polylog weight k must be >= 1"),
     (["verify", "-f", "{deep_sum}", "-g", "{li1}", "--samples", "0.9"], 2,
      f"element nests sum records deeper than {MAX_ELEMENT_DEPTH}"),
+    # 0.9 is measured; 1.2 lies outside |z0| < 1, where no circle separates
+    (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9,1.2"], 5,
+     "at z0 = (1.2+0j): no separating circle"),
 ]
 
 
@@ -352,7 +355,7 @@ REFUSED_INPUTS = [
                               "verify-nodes-0", "verify-nodes-negative", "series-order-too-large",
                               "verify-gamma-overflow", "document-not-utf8", "document-nested-too-deeply",
                               "verify-polylog-k-too-large", "verify-polylog-k-float", "verify-polylog-k-zero",
-                              "verify-sum-nested-too-deeply"])
+                              "verify-sum-nested-too-deeply", "verify-names-the-failing-sample"])
 def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, message):
     docs = {
         "li1": write_doc(tmp_path, "li1.json", li1_function_doc()),

@@ -21,11 +21,13 @@ from hadene.continuation import (
     SeriesElement,
     SumElement,
     _block_integral,
+    _clearances,
     _gl_cumulative,
     _gl_rule,
     _log_near_one,
     _split_panels,
     _traintrack_detours,
+    _trapezoid_circle,
     build_traintrack,
     continue_along,
     crosscheck,
@@ -221,11 +223,30 @@ def test_trapezoid_doubling_evaluates_each_node_once(monkeypatch):
     nodes = []
     value_at = PolylogElement.principal_value
     monkeypatch.setattr(PolylogElement, "principal_value",
-                        lambda self, u: nodes.append(u) or value_at(self, u))
+                        lambda self, u: nodes.extend(np.ravel(u).tolist()) or value_at(self, u))
     z = 0.3 + 0.2j
     value = pincherle_eval(PolylogElement(2), geometric_element(), z)
     assert len(nodes) == len(set(nodes)) == 128
     assert abs(value - li_value(2, z)) < 1e-10
+
+
+@pytest.mark.parametrize("f, g", [
+    (PolylogElement(2), geometric_element()),
+    (PolylogElement(1), LogBranchElement(1.0, [0.0, 1.0])),
+    (SumElement([PolylogElement(3), SeriesElement([1.0, 0.5j, -0.25])]), PolylogElement(2)),
+], ids=["li2xgeo", "li1xlogbranch", "sumxli2"])
+def test_array_trapezoid_matches_the_per_node_sum(f, g):
+    # the specification: every node of the last level evaluated on its own
+    # and added in turn; the array levels may differ only in the last bits
+    z = 0.3 + 0.2j
+    radius = math.sqrt(abs(z))
+
+    def integrand(u):
+        return f.principal_value(u) * g.principal_value(z / u)
+
+    value, n = _trapezoid_circle(integrand, radius, 1e-11)
+    spec = sum(integrand(radius * cmath.exp(2j * math.pi * j / n)) for j in range(n)) / n
+    assert abs(value - spec) <= 1e-15 * (1.0 + abs(value))
 
 
 def test_ene_pincherle_li1_pair():
@@ -504,6 +525,25 @@ def test_block_wide_panels_equal_the_per_segment_bisection(frac):
                     assert mine == scalar_panels(seg, obstacles, frac, eps / 8.0)
 
 
+def test_each_round_refines_the_last_rounds_grading_into_a_fresh_one():
+    # the keep rule is monotone in frac: a piece kept at one round's frac is
+    # kept at every larger one, so refining the last round's pieces gives
+    # exactly the pieces that grading from the whole segments gives
+    two_logs = SumElement([LogBranchElement(2.0), LogBranchElement(2j)])
+    cases = [(PolylogElement(1), PolylogElement(1), 1.0, z0) for z0 in benchmark_pair_points()]
+    cases += [(two_logs, two_logs, 4j, z0) for z0 in (3.8j, 3.9j * cmath.exp(0.03j))]
+    for f, g, gamma, z0 in cases:
+        pairs, r, eps = default_traintrack_geometry(f, g, gamma, z0)
+        obstacles = [alpha for alpha, _ in pairs] + [z0 / beta for _, beta in pairs] + [0j]
+        for detour in _traintrack_detours(z0, pairs, r, eps):
+            for segments in (detour.block, (detour.arc,)):
+                grading = _split_panels(segments, obstacles, 0.5, eps / 8.0)
+                for frac in (0.25, 0.125, 0.0625):
+                    grading = _split_panels(segments, obstacles, frac, eps / 8.0, start=grading)
+                    fresh = _split_panels(segments, obstacles, frac, eps / 8.0)
+                    assert all(np.array_equal(mine, theirs) for mine, theirs in zip(grading, fresh))
+
+
 @pytest.mark.parametrize("f, g, z0", [
     (PolylogElement(2), PolylogElement(2), 1.0 + 0.1 * cmath.exp(1j * math.radians(160))),
     (PolylogElement(1), PolylogElement(1), 0.9),
@@ -515,6 +555,23 @@ def test_measurement_tracks_a_pinned_number_of_nodes(f, g, z0):
     monodromy_numeric(f, g, 1.0, z0, tol=1e-8, node_budget=4736)
     with pytest.raises(QuadratureNotConverged, match="node budget 4735 spent: 4736 quadrature nodes"):
         monodromy_numeric(f, g, 1.0, z0, tol=1e-8, node_budget=4735)
+
+
+def test_refinement_rounds_grade_a_pinned_number_of_pieces(monkeypatch):
+    # clearance rows (piece midpoints) that grading evaluates over every round:
+    # each round refines the last round's pieces; grading every round from the
+    # whole segments evaluates 624 (212 + 412)
+    rows = 0
+
+    def counted(points, obstacles, floor):
+        nonlocal rows
+        rows += len(points)
+        return _clearances(points, obstacles, floor)
+
+    monkeypatch.setattr("hadene.continuation._clearances", counted)
+    li2 = PolylogElement(2)
+    monodromy_numeric(li2, li2, 1.0, 1.0 + 0.1 * cmath.exp(1j * math.radians(160)), tol=1e-8)
+    assert rows == 524
 
 
 @pytest.mark.parametrize("n", [12, 16, 24, 32])
@@ -637,6 +694,16 @@ def test_default_geometry_passes_its_own_check(name, modulus, degrees):
 def test_wrapping_locations_match_measurement(product):
     (f, f_spec), (g, g_spec) = log_branch(-2, 1), log_branch(-3, 1)
     assert measured_error(product, f, f_spec, g, g_spec, 6, 5.4 * (1 + 0.05j)) < 1e-8
+
+
+@pytest.mark.xfail(strict=True, raises=PathTooCloseToSingularity, reason=(
+    "ROADMAP item 4: with z0/beta exactly opposite alpha the straight detour line "
+    "[z0/beta, alpha] passes through 0, which the panels are graded against"))
+def test_z0_opposite_alpha_is_measured():
+    li1 = PolylogElement(1)
+    measured = monodromy_numeric(li1, li1, 1.0, -0.9)
+    symbolic = hadamard_monodromy_general(polylog_function_spec(1), polylog_function_spec(1), 1)
+    assert abs(measured - symbolic.value.lp_eval(BranchPoint(-0.9, 0))) < 1e-7
 
 
 # --- dual-engine crosscheck --------------------------------------------------------------
