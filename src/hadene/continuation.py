@@ -321,21 +321,21 @@ def _polylog_series(k: int, u: complex | np.ndarray, tol: float = 1e-17) -> np.n
     max |u|^n < tol: row j - 2 holds Li_j at every point of u.  The points are
     summed a block at a time, each point's terms in one contiguous row."""
     u = np.asarray(u, dtype=complex)
-    mag = float(np.max(np.abs(u)))
+    points = u.reshape(-1, 1)
+    mag = np.abs(points).max()
     if mag >= 0.9995:
         raise QuadratureNotConverged(
             f"polylog series evaluation needs |u| < 0.9995, got {mag:.6f}"
         )
     n = 1 if mag == 0.0 else int(math.log(tol) / math.log(mag)) + 1
     ns = np.arange(1.0, n + 1.0)
-    points = u.ravel()
-    values = np.empty((k - 1, points.size), dtype=complex)
+    values = np.empty((k - 1, len(points)), dtype=complex)
     step = max(1, _SERIES_BLOCK // n)
-    for lo in range(0, points.size, step):
-        terms = np.cumprod(np.repeat(points[lo:lo + step, None], n, axis=1), axis=1) / ns
-        for j in range(k - 1):
+    for lo in range(0, len(points), step):
+        terms = np.cumprod(points[lo:lo + step].repeat(n, axis=1), axis=1) / ns
+        for row in values:
             terms /= ns
-            values[j, lo:lo + step] = terms.sum(axis=1)
+            row[lo:lo + step] = terms.sum(axis=1)
     return values.reshape(k - 1, *u.shape)
 
 

@@ -25,6 +25,7 @@ from hadene.continuation import (
     _gl_cumulative,
     _gl_rule,
     _log_near_one,
+    _polylog_series,
     _split_panels,
     _traintrack_detours,
     _trapezoid_circle,
@@ -247,6 +248,17 @@ def test_array_trapezoid_matches_the_per_node_sum(f, g):
     value, n = _trapezoid_circle(integrand, radius, 1e-11)
     spec = sum(integrand(radius * cmath.exp(2j * math.pi * j / n)) for j in range(n)) / n
     assert abs(value - spec) <= 1e-15 * (1.0 + abs(value))
+
+
+def test_polylog_series_on_an_array_matches_each_point():
+    # at |u| = 0.99 a point takes some 3,900 terms, so 40 points are summed in
+    # several blocks; each agrees with the point summed alone
+    u = 0.99 * np.exp(2j * math.pi * np.arange(40) / 40).reshape(5, 8)
+    values = _polylog_series(4, u)
+    assert values.shape == (3, 5, 8)
+    for index in np.ndindex(u.shape):
+        alone = _polylog_series(4, complex(u[index]))
+        assert np.max(np.abs(values[(slice(None), *index)] - alone)) <= 1e-15
 
 
 def test_ene_pincherle_li1_pair():
