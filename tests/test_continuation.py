@@ -572,7 +572,7 @@ def test_measurement_tracks_a_pinned_number_of_nodes(f, g, z0):
 def test_refinement_rounds_grade_a_pinned_number_of_pieces(monkeypatch):
     # clearance rows (piece midpoints) that grading evaluates over every round:
     # each round refines the last round's pieces; grading every round from the
-    # whole segments evaluates 624 (212 + 412)
+    # whole segments evaluates 624
     rows = 0
 
     def counted(points, obstacles, floor):
