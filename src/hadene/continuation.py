@@ -187,7 +187,7 @@ class RationalElement(AnalyticElement):
     def singularities(self) -> list[complex]:
         return list(self.poles)
 
-    def principal_value(self, u: complex) -> complex:
+    def principal_value(self, u: complex | np.ndarray) -> complex | np.ndarray:
         return _polyval(self.num, u) / _polyval(self.den, u)
 
     def theta(self) -> "RationalElement":
@@ -280,7 +280,7 @@ class SeriesElement(AnalyticElement):
     def singularities(self) -> list[complex]:
         return list(self.declared)
 
-    def principal_value(self, u: complex) -> complex:
+    def principal_value(self, u: complex | np.ndarray) -> complex | np.ndarray:
         return _polyval(self.coeffs, u)
 
     def theta(self) -> "SeriesElement":
@@ -302,7 +302,7 @@ class SumElement(AnalyticElement):
         # each location once, in first-seen order: parts may share a location
         return list(dict.fromkeys(s for part in self.parts for s in part.singularities()))
 
-    def principal_value(self, u: complex) -> complex:
+    def principal_value(self, u: complex | np.ndarray) -> complex | np.ndarray:
         return sum(part.principal_value(u) for part in self.parts)
 
     def theta(self) -> "SumElement":
@@ -472,19 +472,6 @@ class _GradedChain:
         ts = (t1 + t0)[:, None] / 2.0 + half * np.append(_gl_rule(n)[0], 1.0)
         points, velocity = (a.reshape(-1, n + 1) for a in self.sample(np.repeat(owner, n + 1), ts.ravel()))
         return _Panels(points, velocity[:, :-1] * half)
-
-
-def _split_panels(segments: Sequence[PathSegment], obstacles: Sequence[complex], frac: float,
-                  min_len: float, *, pieces: int = 1, floor: float = 0.0,
-                  start: _Grading | None = None) -> _Grading:
-    """Clearance-graded parameter panels of several segments (see
-    _GradedChain.refine): the segment index, t0 and t1 of every panel, sorted.
-    They refine `start`, an earlier grading of the same segments, or else
-    `pieces` equal pieces per segment."""
-    chain = _GradedChain(segments, pieces)
-    if start is not None:
-        chain.grading = start
-    return chain.refine(obstacles, frac, min_len, floor).grading
 
 
 # --- continuation states -----------------------------------------------------------
@@ -767,10 +754,10 @@ class _Detour:
     arc: Arc
 
 
-def _detour_loops(z0: complex, pairs: Sequence[tuple[complex, complex]], r: float,
-                  eps: float | None = None) -> tuple[float, list[tuple[complex, complex, complex]]]:
-    """The detour loop radius and each pair's (anchor, alpha, z0/beta), where the
-    anchor is the crossing of [z0/beta, alpha] with the circle |u| = r.
+def _detours(z0: complex, pairs: Sequence[tuple[complex, complex]], r: float,
+             eps: float | None = None) -> tuple[float, list[_Detour]]:
+    """The detour loop radius and the detours in anchor order, each pair's anchor
+    being where [z0/beta, alpha] crosses the circle |u| = r (see build_traintrack).
 
     The detours admit every eps below one bound: the marked points (each alpha
     and z0/beta) lie more than 2 eps apart and eps / 2 off the circle, and each
@@ -793,18 +780,6 @@ def _detour_loops(z0: complex, pairs: Sequence[tuple[complex, complex]], r: floa
         raise GeometryInfeasible(
             f"loop radius eps = {eps:g} is not below {bound:g}, the largest the detours admit at r = {r:g}"
         )
-    return eps, anchors
-
-
-def _traintrack_detours(z0: complex, pairs: Sequence[tuple[complex, complex]], r: float,
-                        eps: float) -> list[_Detour]:
-    """The detours of the deformed contour in anchor order (see build_traintrack)."""
-    return _anchored_detours(_detour_loops(z0, pairs, r, eps)[1], r, eps)
-
-
-def _anchored_detours(anchors: Sequence[tuple[complex, complex, complex]], r: float,
-                      eps: float) -> list[_Detour]:
-    """The detours on the anchors _detour_loops(z0, pairs, r, eps) returns, in anchor order."""
     anchored = sorted(((cmath.phase(a), a, alpha, p) for a, alpha, p in anchors), key=lambda item: item[0])
     detours = []
     for idx, (phi, a, alpha, p) in enumerate(anchored):
@@ -813,7 +788,7 @@ def _anchored_detours(anchors: Sequence[tuple[complex, complex, complex]], r: fl
             next_phi += TWO_PI
         detours.append(_Detour(alpha, p, tuple(_detour_block(a, alpha, p, eps)),
                                Arc(0j, r, phi, next_phi)))
-    return detours
+    return eps, detours
 
 
 def build_traintrack(z0: complex, pairs: Sequence[tuple[complex, complex]], r: float,
@@ -824,7 +799,7 @@ def build_traintrack(z0: complex, pairs: Sequence[tuple[complex, complex]], r: f
     it, loops alpha positively, loops z0/beta positively, then repeats both
     loops negatively, restoring every branch.
     """
-    detours = _traintrack_detours(z0, pairs, r, eps)
+    _, detours = _detours(z0, pairs, r, eps)
     eta = ContourSpec.circle(r, phase=detours[0].arc.theta_start if detours else 0.0)
     if not detours:
         return eta, eta
@@ -867,39 +842,31 @@ def _traintrack_geometry(f: AnalyticElement, g: AnalyticElement, gamma: complex,
 
     A given r or eps is checked.  The default r separates the matched pairs'
     alpha from their z0/beta, and the default eps is the default of
-    _detour_loops at the default r.
+    _detours at the default r.
     """
     pairs = _matched_pairs(f, g, gamma)
     if not pairs:
         raise GeometryInfeasible(f"no declared factorization of gamma = {gamma}")
     r_default = _separating_radius([abs(alpha) for alpha, _ in pairs], [abs(z0 / beta) for _, beta in pairs])
     if r is not None and eps is None:
-        eps, _ = _detour_loops(z0, pairs, r_default)
+        eps, _ = _detours(z0, pairs, r_default)
     r = r_default if r is None else r
-    eps, anchors = _detour_loops(z0, pairs, r, eps)
-    return pairs, r, eps, _anchored_detours(anchors, r, eps)
+    eps, detours = _detours(z0, pairs, r, eps)
+    return pairs, r, eps, detours
 
 
-def default_traintrack_geometry(f: AnalyticElement, g: AnalyticElement, gamma: complex,
-                                z0: complex) -> tuple[list[tuple[complex, complex]], float, float]:
-    """Matched pairs plus the default circle radius and detour loop radius, which
-    lies below the bound the detours check (see _detour_loops)."""
-    return _traintrack_geometry(f, g, gamma, z0)[:3]
-
-
-def _block_integral(block: Sequence[PathSegment] | _GradedChain, name: str, f_state: _ElementState,
+def _block_integral(chain: _GradedChain, name: str, f_state: _ElementState,
                     g_state: _ElementState, z0: complex, obstacles: Sequence[complex],
                     n_gl: int, frac: float, min_len: float) -> tuple[complex, int]:
     """Panel Gauss-Legendre integral of F(u) G(z0/u) du/u over one detour block,
-    and the number of nodes.  A block given as a _GradedChain is refined from
-    the grading it holds, and keeps the new one.
+    and the number of nodes.  The block's chain is refined from the grading it
+    holds, and keeps the new one.
 
     A block loops each marked point once each way, so it must hand every
     branch back as it found it; the measurement rests on that, so it is
     checked on the winding counters.
     """
     _, w = _gl_rule(n_gl)
-    chain = block if isinstance(block, _GradedChain) else _GradedChain(block)
     panels = chain.refine(obstacles, frac, min_len).panels(n_gl)
     before = (f_state.windings(), g_state.windings())
     integrand = f_state.advance(panels) * g_state.advance(panels.image(z0)) / panels.nodes * panels.dv
@@ -942,7 +909,7 @@ def _measure_detours(detours: Sequence[_Detour], chains: Sequence[tuple[_GradedC
 
 def monodromy_numeric(f: AnalyticElement, g: AnalyticElement, gamma: complex, z0: complex, *,
                       r: float | None = None, eps: float | None = None, tol: float = 1e-7,
-                      max_rounds: int = 3, node_budget: int | None = None) -> complex:
+                      node_budget: int | None = None) -> complex:
     """Measured monodromy of the Hadamard product at gamma, evaluated at z0.
 
     The monodromy is I(deformed) - I(circle).  On the circle arcs every factor
@@ -953,8 +920,6 @@ def monodromy_numeric(f: AnalyticElement, g: AnalyticElement, gamma: complex, z0
     beta of g, matched at gamma or not, and 0.  `node_budget` caps the
     quadrature nodes and transit-arc nodes tracked over all refinement rounds.
     """
-    if not 1 <= max_rounds <= 3:
-        raise ValueError(f"max_rounds must be in 1..3, got {max_rounds}")
     _, r, eps, detours = _traintrack_geometry(f, g, gamma, z0, r, eps)
     obstacles = [*f.singularities(), *(z0 / beta for beta in g.singularities()), 0j]
     min_len = eps / 8.0
@@ -965,8 +930,7 @@ def monodromy_numeric(f: AnalyticElement, g: AnalyticElement, gamma: complex, z0
 
     tracked = 0
     previous = None
-    settings = [(12, 0.5), (16, 0.25), (24, 0.125), (32, 0.0625)]
-    for n_gl, frac in settings[: max_rounds + 1]:
+    for n_gl, frac in ((12, 0.5), (16, 0.25), (24, 0.125), (32, 0.0625)):
         value, nodes = _measure_detours(detours, chains, f_start, g_start, z0, obstacles, n_gl, frac, min_len)
         tracked += nodes
         if node_budget is not None and tracked > node_budget:

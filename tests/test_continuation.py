@@ -24,15 +24,14 @@ from hadene.continuation import (
     _clearances,
     _gl_cumulative,
     _gl_rule,
+    _GradedChain,
     _log_near_one,
     _polylog_series,
-    _split_panels,
-    _traintrack_detours,
+    _traintrack_geometry,
     _trapezoid_circle,
     build_traintrack,
     continue_along,
     crosscheck,
-    default_traintrack_geometry,
     ene_pincherle_eval,
     geometric_element,
     monodromy_numeric,
@@ -374,7 +373,7 @@ def test_winding_audit_trips_on_half_a_detour_block():
     start = half_block[0].point(0.0)
     li1 = PolylogElement(1)
     with pytest.raises(QuadratureNotConverged, match="half block did not restore"):
-        _block_integral(half_block, "half block", li1.make_state(start), li1.make_state(z0 / start),
+        _block_integral(_GradedChain(half_block), "half block", li1.make_state(start), li1.make_state(z0 / start),
                         z0, [1.0, z0, 0j], 12, 0.5, 0.01 / 8)
 
 
@@ -449,16 +448,6 @@ def test_monodromy_detour_radius_sweep_converges():
     assert errors[-1] < errors[0] + 1e-9
 
 
-@pytest.mark.parametrize("max_rounds", [0, -1, 4])
-def test_monodromy_refuses_max_rounds_outside_the_settings(max_rounds):
-    # 0 or less would compare nothing and report a stall; above 3 there is no setting
-    li1 = PolylogElement(1)
-    with pytest.raises(ValueError, match=r"max_rounds must be in 1\.\.3"):
-        monodromy_numeric(li1, li1, 1.0, 0.9, tol=1e-8, max_rounds=max_rounds)
-    measured = monodromy_numeric(li1, li1, 1.0, 0.9, tol=1e-8, max_rounds=1)
-    assert abs(measured - (-TWO_PI_I * math.log(0.9))) < 1e-8
-
-
 # --- tracking on arrays: the same measurement, the same work ------------------------------
 
 
@@ -497,7 +486,7 @@ def test_log_near_one_takes_the_branch_cut_as_np_log():
 
 
 def scalar_panels(seg, obstacles, frac, min_len):
-    """One segment bisected piece by piece: the specification of _split_panels."""
+    """One segment bisected piece by piece: the specification of _GradedChain.refine."""
     total_len = seg.length()
     out, stack = [], [(0.0, 1.0)]
     while stack:
@@ -506,7 +495,7 @@ def scalar_panels(seg, obstacles, frac, min_len):
         mid = seg.point((t0 + t1) / 2.0)
         d = min((abs(mid - s) for s in obstacles), default=math.inf)
         d = max(d - piece_len / 2.0, 1e-30)
-        if piece_len <= frac * d or piece_len <= min_len:
+        if piece_len <= (max(frac, 0.5) if piece_len <= min_len else frac) * d:
             out.append((t0, t1))
         else:
             tm = (t0 + t1) / 2.0
@@ -521,39 +510,41 @@ def benchmark_pair_points():
     return [complex(z) for z in near] + [complex(x) for x in rng.uniform(0.88, 0.94, 4)]
 
 
+def traintrack_chains():
+    """(segments, obstacles, min_len) of every detour block and transit arc that a
+    measurement grades, for the benchmark pairs and the two-pair case."""
+    cases = [(PolylogElement(1), PolylogElement(1), 1.0, z0) for z0 in benchmark_pair_points()]
+    cases += [(two_logs(), two_logs(), 4j, z0) for z0 in (3.8j, 3.9j * cmath.exp(0.03j))]
+    for f, g, gamma, z0 in cases:
+        pairs, r, eps, detours = _traintrack_geometry(f, g, gamma, z0)
+        obstacles = [alpha for alpha, _ in pairs] + [z0 / beta for _, beta in pairs] + [0j]
+        for detour in detours:
+            for segments in (detour.block, (detour.arc,)):
+                yield segments, obstacles, eps / 8.0
+
+
 @pytest.mark.parametrize("frac", [0.5, 0.25, 0.125, 0.0625])  # the four refinement rounds
 def test_block_wide_panels_equal_the_per_segment_bisection(frac):
-    two_logs = SumElement([LogBranchElement(2.0), LogBranchElement(2j)])
-    cases = [(PolylogElement(1), PolylogElement(1), 1.0, z0) for z0 in benchmark_pair_points()]
-    cases += [(two_logs, two_logs, 4j, z0) for z0 in (3.8j, 3.9j * cmath.exp(0.03j))]
-    for f, g, gamma, z0 in cases:
-        pairs, r, eps = default_traintrack_geometry(f, g, gamma, z0)
-        obstacles = [alpha for alpha, _ in pairs] + [z0 / beta for _, beta in pairs] + [0j]
-        for detour in _traintrack_detours(z0, pairs, r, eps):
-            for segments in (detour.block, (detour.arc,)):
-                owner, t0, t1 = _split_panels(segments, obstacles, frac, eps / 8.0)
-                for i, seg in enumerate(segments):
-                    mine = list(zip(t0[owner == i].tolist(), t1[owner == i].tolist()))
-                    assert mine == scalar_panels(seg, obstacles, frac, eps / 8.0)
+    # the last case keeps pieces no longer than min_len only within half their
+    # clearance: keeping every such piece would give 25 pieces at frac 0.5, not 47
+    cases = [*traintrack_chains(), ((Line(0.5, 1.5 + 0.001j),), [1.0], 0.01)]
+    for segments, obstacles, min_len in cases:
+        owner, t0, t1 = _GradedChain(segments).refine(obstacles, frac, min_len).grading
+        for i, seg in enumerate(segments):
+            mine = list(zip(t0[owner == i].tolist(), t1[owner == i].tolist()))
+            assert mine == scalar_panels(seg, obstacles, frac, min_len)
 
 
 def test_each_round_refines_the_last_rounds_grading_into_a_fresh_one():
     # the keep rule is monotone in frac: a piece kept at one round's frac is
     # kept at every larger one, so refining the last round's pieces gives
     # exactly the pieces that grading from the whole segments gives
-    two_logs = SumElement([LogBranchElement(2.0), LogBranchElement(2j)])
-    cases = [(PolylogElement(1), PolylogElement(1), 1.0, z0) for z0 in benchmark_pair_points()]
-    cases += [(two_logs, two_logs, 4j, z0) for z0 in (3.8j, 3.9j * cmath.exp(0.03j))]
-    for f, g, gamma, z0 in cases:
-        pairs, r, eps = default_traintrack_geometry(f, g, gamma, z0)
-        obstacles = [alpha for alpha, _ in pairs] + [z0 / beta for _, beta in pairs] + [0j]
-        for detour in _traintrack_detours(z0, pairs, r, eps):
-            for segments in (detour.block, (detour.arc,)):
-                grading = _split_panels(segments, obstacles, 0.5, eps / 8.0)
-                for frac in (0.25, 0.125, 0.0625):
-                    grading = _split_panels(segments, obstacles, frac, eps / 8.0, start=grading)
-                    fresh = _split_panels(segments, obstacles, frac, eps / 8.0)
-                    assert all(np.array_equal(mine, theirs) for mine, theirs in zip(grading, fresh))
+    for segments, obstacles, min_len in traintrack_chains():
+        chain = _GradedChain(segments).refine(obstacles, 0.5, min_len)
+        for frac in (0.25, 0.125, 0.0625):
+            grading = chain.refine(obstacles, frac, min_len).grading
+            fresh = _GradedChain(segments).refine(obstacles, frac, min_len).grading
+            assert all(np.array_equal(mine, theirs) for mine, theirs in zip(grading, fresh))
 
 
 @pytest.mark.parametrize("f, g, z0", [
@@ -612,6 +603,18 @@ def test_two_pair_measurement_tracks_a_pinned_number_of_nodes():
         monodromy_numeric(elem, elem, 4j, 3.8j, tol=1e-8, node_budget=10727)
 
 
+@pytest.mark.parametrize("f, g, gamma, z0", [
+    (PolylogElement(1), PolylogElement(1), 1.0, 0.9),
+    (two_logs(), two_logs(), 4j, 3.8j),
+], ids=["li1xli1", "two-pair"])
+def test_the_drawn_contour_is_the_measured_one(f, g, gamma, z0):
+    # build_traintrack draws the deformed contour whose blocks and transit arcs
+    # monodromy_numeric integrates and tracks
+    pairs, r, eps, detours = _traintrack_geometry(f, g, gamma, z0)
+    _, eta_hat = build_traintrack(z0, pairs, r, eps)
+    assert eta_hat.segments == tuple(s for d in detours for s in (*d.block, d.arc))
+
+
 def test_unmatched_singularity_next_to_a_detour_is_graded_against():
     # g is singular at 1, matched with alpha = 1 at gamma = 1, and at beta', which
     # is not matched: its image z0/beta' = 0.93 + 0.02i lies two loop radii
@@ -626,9 +629,9 @@ def test_unmatched_singularity_next_to_a_detour_is_graded_against():
     g = SumElement([PolylogElement(1), LogBranchElement(complex(beta))])
     g_spec = FunctionSpec.of("g", [polylog_function_spec(1).singularities[0],
                                    Singularity(beta, LogLaurentPoly.constant(ExactCoeff.two_pi_i()))])
-    pairs, r, eps = default_traintrack_geometry(f, g, 1.0, 0.9)
+    pairs, _, eps, detours = _traintrack_geometry(f, g, 1.0, 0.9)
     assert pairs == [(1.0, 1.0)] and eps == pytest.approx(0.01)
-    block = _traintrack_detours(0.9, pairs, r, eps)[0].block
+    block = detours[0].block
     near = min(abs(seg.point(t) - complex(image)) for seg in block for t in np.linspace(0.0, 1.0, 2001))
     assert near < 3 * eps
     measured = monodromy_numeric(f, g, 1.0, 0.9, tol=1e-8, node_budget=5152)
@@ -694,8 +697,9 @@ def test_default_geometry_passes_its_own_check(name, modulus, degrees):
     # degrees on; the default loop radius stays below the bound
     f, f_spec, g, g_spec = grid_pair(name)
     z0 = modulus * cmath.exp(1j * math.radians(degrees))
-    pairs, r, eps = default_traintrack_geometry(f, g, 1.0, z0)
-    assert len(_traintrack_detours(z0, pairs, r, eps)) == 1
+    _, r, eps, detours = _traintrack_geometry(f, g, 1.0, z0)
+    assert len(detours) == 1
+    assert _traintrack_geometry(f, g, 1.0, z0, r, eps)[3] == detours
     assert measured_error("hadamard", f, f_spec, g, g_spec, 1, z0) < 1e-8
 
 
