@@ -373,8 +373,8 @@ def test_winding_audit_trips_on_half_a_detour_block():
     start = half_block[0].point(0.0)
     li1 = PolylogElement(1)
     with pytest.raises(QuadratureNotConverged, match="half block did not restore"):
-        _block_integral(_GradedChain(half_block), "half block", li1.make_state(start), li1.make_state(z0 / start),
-                        z0, [1.0, z0, 0j], 12, 0.5, 0.01 / 8)
+        _block_integral(_GradedChain(half_block), "half block", li1.make_state(start),
+                        li1.make_state(z0 / start), z0, [1.0, z0, 0j], 12, 0.5, 0.01 / 8)
 
 
 def test_monodromy_rational_pair_vanishes():
