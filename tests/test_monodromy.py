@@ -1,11 +1,14 @@
 """Product monodromy formulas: polylog ladder, residues, divisors, symmetry."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from hadene.coeffs import ExactCoeff, GaussianRational
+from hadene.documents import monodromy_result_to_doc
 from hadene.logpoly import LogLaurentPoly
 from hadene.monodromy import (
     Divisor,
@@ -365,3 +368,60 @@ def test_divisor_cancellation_drops_point():
     g = Divisor.of({gr(1): 1, gr(-1): 1})
     # products at gamma=1: 1*1 + (-1)*1 = 0, at gamma=-1: 1*1 + (-1)*1 = 0
     assert divisor_ene(f, g).as_dict() == {}
+
+
+# --- golden pin ----------------------------------------------------------------------
+
+GOLDEN_LOCATIONS = [gr(1), gr(2), gr(-2), gr(1, 2), GaussianRational.of(0, 2),
+                    GaussianRational.of(1, 1), GaussianRational.of(-1, -1), gr(3, 2)]
+
+
+def golden_singularity(rng, location, n):
+    """1-3 monodromy terms, 2pii on every other one, a polar part on every third."""
+    terms = {}
+    for t in range(1 + n % 3):
+        coeff = ExactCoeff.from_gaussian(GaussianRational.of(
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4)),
+            Fraction(rng.randint(-2, 2), rng.randint(1, 3))))
+        if (n + t) % 2 == 0:
+            coeff = coeff * TWO_PI_I
+        key = (rng.randint(-1, 3), (n + t) % 4)
+        terms[key] = terms.get(key, ExactCoeff.zero()) + coeff
+    germ = GermPart.totally_holomorphic()
+    if n % 3 == 2:
+        order = 1 + n % 2
+        germ = GermPart.polar_part([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(order - 1)]
+                                   + [Fraction(rng.choice((-2, -1, 1, 2)))])
+    return Singularity(location, LogLaurentPoly(terms), germ)
+
+
+def golden_grid():
+    """Seeded (f, g, gamma) triples; every fourth puts f and g on the same two
+    locations, so gamma collects two factorizations."""
+    rng = random.Random(2024)
+    count = 0
+    for i in range(40):
+        if i % 4 == 3:
+            a1, a2 = rng.sample(GOLDEN_LOCATIONS, 2)
+            f_locs, g_locs, gamma = (a1, a2), (a2, a1), a1 * a2
+        else:
+            a, b = rng.choice(GOLDEN_LOCATIONS), rng.choice(GOLDEN_LOCATIONS)
+            f_locs, g_locs, gamma = (a,), (b,), a * b
+        specs = []
+        for name, locs in (("f", f_locs), ("g", g_locs)):
+            sings = []
+            for loc in locs:
+                sings.append(golden_singularity(rng, loc, count))
+                count += 1
+            specs.append(FunctionSpec.of(name, sings))
+        yield specs[0], specs[1], gamma
+
+
+def test_product_monodromy_documents_match_the_golden_hash():
+    # pins the exact document form of both product engines over a seeded grid
+    digest = hashlib.sha256()
+    for f, g, gamma in golden_grid():
+        for engine in (hadamard_monodromy_general, ene_monodromy_general):
+            doc = monodromy_result_to_doc(engine(f, g, gamma))
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == "7260b1147199c6334da2f14b0ff63e198f0f1110a9195dd7fe6e9505765a2e1c"
