@@ -27,6 +27,13 @@ Representation, chosen so that the ring operations run on machine integers:
 ``ExactCoeff`` shares its term-map core, ``_TermMap`` (normalizing constructor,
 addition, negation, equality), with the log polynomial rings of ``logpoly``;
 ring operations build normalized dicts directly and skip the constructor.
+Products of sums go through one rule, ``_accumulate``: it adds each
+coefficient times a monomial unit (a Gaussian rational times a monomial) into
+an unreduced accumulator of ``(a, b, d)`` triples per monomial, and
+``_finish`` reduces each sum with one gcd and builds the ``ExactCoeff`` once.
+A unit maps monomials one to one, so a product by a one-term factor skips the
+accumulator; the exact substitutions of ``logpoly`` feed all their terms into
+one accumulator per output key.
 
 Arithmetic is exact; only single monomials are invertible (every prefactor the
 monodromy formulas need divides by rationals, powers of ``2*pi*i`` or powers of
@@ -306,6 +313,15 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
+    if len(b) == 1:  # a unit's monomial, such as Log(c)^n: merge it into place
+        sid = b[0][0]
+        for i, (s, e) in enumerate(a):
+            if s >= sid:
+                if s > sid:
+                    return a[:i] + b + a[i:]
+                e += b[0][1]
+                return a[:i] + ((s, e),) + a[i + 1:] if e else a[:i] + a[i + 1:]
+        return a + b
     powers = dict(a)
     for sid, exp in b:
         powers[sid] = powers.get(sid, 0) + exp
@@ -461,30 +477,24 @@ class ExactCoeff(_TermMap):
     __rmul__ = __mul__
 
     def _product(self, other: "ExactCoeff") -> "ExactCoeff":
-        right = [(m, c._a, c._b, c._d) for m, c in other.terms.items()]
-        # unreduced (a, b, d) sums per monomial; one gcd per monomial at the end
-        raw: dict[Monomial, tuple[int, int, int]] = {}
-        for m1, c1 in self.terms.items():
-            a1, b1, d1 = c1._a, c1._b, c1._d
-            for m2, a2, b2, d2 in right:
-                mono = _mul_monomials(m1, m2)
-                a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
-                acc = raw.get(mono)
-                if acc is not None:
-                    ea, eb, ed = acc
-                    if ed == d:
-                        a, b = ea + a, eb + b
-                    else:
-                        a, b, d = ea * d + a * ed, eb * d + b * ed, ed * d
-                raw[mono] = (a, b, d)
-        return _wrap({m: _reduced(a, b, d) for m, (a, b, d) in raw.items() if a or b})
+        # a one-term operand is a monomial unit: no two terms meet
+        if len(other.terms) == 1:
+            (mono, c), = other.terms.items()
+            return self._times(c._a, c._b, c._d, mono)
+        if len(self.terms) == 1:
+            (mono, c), = self.terms.items()
+            return other._times(c._a, c._b, c._d, mono)
+        raw: dict = {}
+        for mono, c in self.terms.items():
+            _accumulate(raw, other, c, mono)
+        return _finish(raw)
 
-    def _times(self, fa: int, fb: int, fd: int) -> "ExactCoeff":
-        """Every coefficient times (fa + fb i) / fd, for fd > 0."""
+    def _times(self, fa: int, fb: int, fd: int, shift: Monomial = _EMPTY_MONOMIAL) -> "ExactCoeff":
+        """Every term times the unit (fa + fb i) / fd * shift, for fd > 0."""
         if not (fa or fb):
             return _wrap({})
         return _wrap({
-            m: _reduced(c._a * fa - c._b * fb, c._a * fb + c._b * fa, c._d * fd)
+            _mul_monomials(m, shift): _reduced(c._a * fa - c._b * fb, c._a * fb + c._b * fa, c._d * fd)
             for m, c in self.terms.items()
         })
 
@@ -543,7 +553,35 @@ class ExactCoeff(_TermMap):
         return " + ".join(parts)
 
 
-EC_ONE = ExactCoeff.from_rational(1)
+EC_ONE = ExactCoeff.from_gaussian(GR_ONE)
+
+
+def _accumulate(raw: dict, coeff: ExactCoeff, factor: GaussianRational,
+                shift: Monomial = _EMPTY_MONOMIAL, times: int = 1) -> None:
+    """raw[m * shift] += c * factor * times for every term c * m of coeff.
+
+    raw maps monomials to unreduced triples (a, b, d) standing for
+    (a + b i) / d: equal denominators add their numerators, others cross
+    multiply, and ``_finish`` takes one gcd per monomial (Henrici 1956).
+    """
+    a2, b2, d2 = factor._a * times, factor._b * times, factor._d
+    for m1, c1 in coeff.terms.items():
+        a1, b1, d1 = c1._a, c1._b, c1._d
+        mono = _mul_monomials(m1, shift)
+        a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+        acc = raw.get(mono)
+        if acc is not None:
+            ea, eb, ed = acc
+            if ed == d:
+                a, b = ea + a, eb + b
+            else:
+                a, b, d = ea * d + a * ed, eb * d + b * ed, ed * d
+        raw[mono] = (a, b, d)
+
+
+def _finish(raw: dict) -> ExactCoeff:
+    """The ExactCoeff of an accumulator: each sum reduced, the zero ones dropped."""
+    return _wrap({m: _reduced(a, b, d) for m, (a, b, d) in raw.items() if a or b})
 
 
 def as_exact(value) -> ExactCoeff:

@@ -18,7 +18,13 @@ column integrates to (log u)^(l+1)/(l+1).
 LogLaurentPoly and BiLogPoly share the term-map core of ``coeffs`` and, above
 it, one product, one derivation and the substitutions of the variable in key
 slots (0, 1).  Every log shift expands through one binomial helper,
-_add_log_z_over, with the powers of the shift built once per call.
+_add_log_z_over.  The substitutions, shift_log and integrate_u each run one
+unreduced accumulator per call (``coeffs._accumulate``): every term enters as
+coeff * (binomial * location power) * Log(c)^n, a monomial unit times the
+coefficient, and each output ExactCoeff is built once at the end.  The powers
+of the location, and of Log(c) or of the shift, are built once per call;
+integrate_u reads the antiderivative table directly and feeds both endpoints
+into the same accumulator.
 
 Branches are formal here: log(z/u) is rewritten as log z - log u, and endpoint
 logs become Log(location) symbols (Log(1) simplifies to 0 eagerly, nothing else
@@ -40,7 +46,9 @@ from .coeffs import (
     ConstantSymbol,
     ExactCoeff,
     GaussianRational,
+    _accumulate,
     _add_term,
+    _finish,
     _TermMap,
     as_exact,
     log_symbol,
@@ -70,30 +78,71 @@ def _gauss(value) -> GaussianRational:
     return value if isinstance(value, GaussianRational) else GaussianRational(value)
 
 
-def log_location_power(location: GaussianRational, power: int) -> ExactCoeff:
-    """Log(location)^power as an ExactCoeff; Log(1) is simplified to 0."""
-    if power == 0:
-        return EC_ONE
-    if location == GR_ONE:
-        return ExactCoeff.zero()
-    return ExactCoeff.monomial({log_symbol(location): power})
-
-
 def _signed_binomials(l: int) -> list[int]:
     """(-1)^(l-j) C(l, j) for j = 0..l: (x - y)^l = sum_j row[j] x^j y^(l-j)."""
     return [comb(l, j) * (-1) ** (l - j) for j in range(l + 1)]
 
 
-def _add_log_z_over(out: dict, zpow: int, zlogpow: int, l: int, base: ExactCoeff,
-                    ypowers: list[ExactCoeff]) -> None:
-    """Add base * z^zpow (log z)^zlogpow (log z - y)^l to out, expanded.
+def _finished(acc: dict) -> dict:
+    """The term map of an accumulator {key: raw}: each raw sum finished, zeros dropped."""
+    out = {}
+    for key, raw in acc.items():
+        coeff = _finish(raw)
+        if coeff:
+            out[key] = coeff
+    return out
 
-    ypowers[n] = y^n, listed while nonzero: the powers past the list vanish, so
-    at y = 0 only (log z)^l is added and no binomial row is built.
+
+def _add_log_z_over(acc: dict, zpow: int, zlogpow: int, l: int, coeff: ExactCoeff,
+                    factor: GaussianRational, ypowers: list) -> None:
+    """Add coeff * factor * z^zpow (log z)^zlogpow (log z - y)^l to acc, expanded.
+
+    ypowers[n] lists the terms (monomial, c) of y^n, while y^n is nonzero: the
+    powers past the list vanish, so at y = 0 only (log z)^l is added and no
+    binomial row is built.
     """
     row = _signed_binomials(l) if len(ypowers) > 1 else ()
     for j in range(max(l + 1 - len(ypowers), 0), l + 1):
-        _add_term(out, (zpow, zlogpow + j), base * ypowers[l - j] * row[j] if j < l else base)
+        raw = acc.setdefault((zpow, zlogpow + j), {})
+        for mono, c in ypowers[l - j]:
+            # the powers of a Log(c) symbol, and y^0, have the coefficient GR_ONE
+            _accumulate(raw, coeff, factor if c is GR_ONE else factor * c, mono, row[j] if j < l else 1)
+
+
+class _Endpoint:
+    """One location's powers for the substitutions of one call.
+
+    location^k is built on first use.  logs[n] lists the one term
+    (monomial, 1) of Log(location)^n for n <= top; at location 1 it lists
+    n = 0 only, since Log(1) = 0.
+    """
+
+    __slots__ = ("location", "powers", "logs")
+
+    def __init__(self, location, top: int):
+        self.location = _gauss(location)
+        self.powers: dict[int, GaussianRational] = {}
+        self.logs = [list(EC_ONE.terms.items())]
+        if top and self.location != GR_ONE:
+            sym = log_symbol(self.location)
+            self.logs += [list(ExactCoeff.monomial({sym: n}).terms.items()) for n in range(1, top + 1)]
+
+    def power(self, k: int) -> GaussianRational:
+        out = self.powers.get(k)
+        if out is None:
+            out = self.powers[k] = self.location ** k
+        return out
+
+    def add_at(self, acc: dict, key: tuple, coeff: ExactCoeff, factor: GaussianRational) -> None:
+        """x -> location in coeff * factor * x^k (log x)^l: acc[rest of key] += value."""
+        if key[1] < len(self.logs):
+            (mono, _), = self.logs[key[1]]
+            _accumulate(acc.setdefault(key[2:], {}), coeff, factor * self.power(key[0]), mono)
+
+    def add_at_z_over(self, acc: dict, key: tuple, coeff: ExactCoeff, factor: GaussianRational) -> None:
+        """x -> z/location in coeff * factor * x^k (log x)^l z^zpow (log z)^zlogpow."""
+        k, l, zpow, zlogpow = (*key, 0, 0)[:4]  # a LogLaurentPoly key has no z part
+        _add_log_z_over(acc, zpow + k, zlogpow, l, coeff, factor * self.power(-k), self.logs)
 
 
 class _LogTermMap(_TermMap):
@@ -140,25 +189,19 @@ class _LogTermMap(_TermMap):
         The result maps the remaining key slots (the z part of a BiLogPoly, ()
         for a LogLaurentPoly) to coefficients.
         """
-        loc = _gauss(location)
-        logs = {l: log_location_power(loc, l) for l in {key[1] for key in self.terms}}
-        out: dict = {}
+        at = _Endpoint(location, max((key[1] for key in self.terms), default=0))
+        acc: dict = {}
         for key, coeff in self.terms.items():
-            if logs[key[1]]:
-                _add_term(out, key[2:], coeff.scale(loc ** key[0]) * logs[key[1]])
-        return out
+            at.add_at(acc, key, coeff, GR_ONE)
+        return _finished(acc)
 
     def _at_z_over_location(self, location: GaussianRational) -> "LogLaurentPoly":
         """x -> z/location: x^k -> z^k location^(-k), log x -> log z - Log(location)."""
-        loc = _gauss(location)
-        # Log(1) = 0: at location 1 every power past the zeroth vanishes
-        top = max((key[1] for key in self.terms), default=0) if loc != GR_ONE else 0
-        logs = [log_location_power(loc, n) for n in range(top + 1)]
-        out: dict[tuple[int, int], ExactCoeff] = {}
+        at = _Endpoint(location, max((key[1] for key in self.terms), default=0))
+        acc: dict = {}
         for key, coeff in self.terms.items():
-            k, l, zpow, zlogpow = (*key, 0, 0)[:4]  # a LogLaurentPoly key has no z part
-            _add_log_z_over(out, zpow + k, zlogpow, l, coeff.scale(loc ** (-k)), logs)
-        return LogLaurentPoly._wrap(out)
+            at.add_at_z_over(acc, key, coeff, GR_ONE)
+        return LogLaurentPoly._wrap(_finished(acc))
 
 
 class LogLaurentPoly(_LogTermMap):
@@ -235,10 +278,11 @@ class LogLaurentPoly(_LogTermMap):
         powers = [EC_ONE]
         for _ in range(self.max_logpow()):
             powers.append(powers[-1] * neg)
-        out: dict[tuple[int, int], ExactCoeff] = {}
+        ypowers = [list(power.terms.items()) for power in powers]
+        acc: dict = {}
         for (m, l), coeff in self.terms.items():
-            _add_log_z_over(out, m, 0, l, coeff, powers)
-        return LogLaurentPoly._wrap(out)
+            _add_log_z_over(acc, m, 0, l, coeff, GR_ONE, ypowers)
+        return LogLaurentPoly._wrap(_finished(acc))
 
     def sigma_power(self, n: int) -> "LogLaurentPoly":
         """Continuation around the origin n times: log z -> log z + n * 2pii."""
@@ -319,18 +363,18 @@ class BiLogPoly(_LogTermMap):
 
 
 @lru_cache(maxsize=1024)
-def _antiderivative_table(k: int, l: int) -> tuple[tuple[int, int, Fraction], ...]:
+def _antiderivative_table(k: int, l: int) -> tuple[tuple[int, int, GaussianRational], ...]:
     """The terms (upow, ulogpow, factor) of an antiderivative of u^k (log u)^l.
 
     For k = -1 it is (log u)^(l+1)/(l+1).  Otherwise, integrating by parts l
     times gives u^(k+1) sum_i (-1)^i l!/(l-i)! (log u)^(l-i) / (k+1)^(i+1).
     """
     if k == -1:
-        return ((0, l + 1, Fraction(1, l + 1)),)
+        return ((0, l + 1, GaussianRational(Fraction(1, l + 1))),)
     out = []
     factor = Fraction(1, k + 1)
     for i in range(l + 1):
-        out.append((k + 1, l - i, factor))
+        out.append((k + 1, l - i, GaussianRational(factor)))
         factor *= Fraction(-(l - i), k + 1)
     return tuple(out)
 
@@ -342,10 +386,17 @@ def integrate_u(p: BiLogPoly, alpha: GaussianRational, beta: GaussianRational) -
     lands back in K[z^(+-1), log z]; endpoint logs appear as Log(alpha) and
     Log(beta) constant symbols (Log(1) vanishes).
     """
-    anti = p.antiderivative_u()
-    upper = anti.eval_u_at_z_over_location(_gauss(beta))
-    lower = anti.eval_u_at_location(_gauss(alpha))
-    return upper - lower
+    rows = [((upow, ulogpow, zm, zl), coeff, factor)
+            for (k, l, zm, zl), coeff in p.terms.items()
+            for upow, ulogpow, factor in _antiderivative_table(k, l)]
+    top = max((key[1] for key, _, _ in rows), default=0)
+    upper, lower = _Endpoint(beta, top), _Endpoint(alpha, top)
+    acc: dict = {}
+    for key, coeff, factor in rows:
+        upper.add_at_z_over(acc, key, coeff, factor)
+    for key, coeff, factor in rows:
+        lower.add_at(acc, key, coeff, -factor)
+    return LogLaurentPoly._wrap(_finished(acc))
 
 
 def lp_eval(p: LogLaurentPoly, at: BranchPoint, assignment=None) -> complex:

@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hadene.coeffs import EC_ONE, ExactCoeff, GaussianRational, log_symbol
+from hadene import logpoly
+from hadene.coeffs import EC_ONE, ExactCoeff, GaussianRational, log_symbol, two_pi_i_symbol
 from hadene.logpoly import (
     BiLogPoly,
     BranchPoint,
@@ -19,6 +20,7 @@ from hadene.logpoly import (
 )
 
 TWO_PI_I = ExactCoeff.two_pi_i()
+TWO_PI_I_SYMBOL = two_pi_i_symbol()
 
 
 def gr(p, q=1):
@@ -307,3 +309,128 @@ def test_antiderivative_differentiates_back_at_deep_log_powers():
             rng.randint(-1, 1), GaussianRational.of(Fraction(rng.randint(1, 9), rng.randint(1, 7)), rng.randint(-2, 2)))
         p = BiLogPoly({(k, l, rng.randint(-2, 2), rng.randint(0, 2)): coeff, (k + 1, l // 2, 0, 0): EC_ONE})
         assert p.antiderivative_u().derivative_u() == p
+
+
+@pytest.mark.parametrize("location, l, bound", [(1, 1500, lambda l: 2 * (l + 1)),
+                                                (2, 100, lambda l: (l + 1) * (l + 2) // 2 + 2 * (l + 1))])
+def test_integrate_u_accumulated_term_bound(monkeypatch, location, l, bound):
+    # coefficient terms fed into the accumulator for (log u)^l from location to
+    # z/location: at 1, where Log(1) = 0, one per antiderivative term, so linear
+    # in l; elsewhere one per binomial term of the upper endpoint,
+    # (l+1)(l+2)/2, and one per term of the lower
+    terms = 0
+    accumulate = logpoly._accumulate
+
+    def counted(raw, coeff, *args):
+        nonlocal terms
+        terms += len(coeff.terms)
+        accumulate(raw, coeff, *args)
+
+    monkeypatch.setattr(logpoly, "_accumulate", counted)
+    integrate_u(BiLogPoly({(0, l, 0, 0): EC_ONE}), gr(location), gr(location))
+    assert terms <= bound(l)
+
+
+# --- the exact substitutions against the composed chain ------------------------------
+
+
+def reference_log_power(location, n):
+    """Log(location)^n as an ExactCoeff, with Log(1) = 0."""
+    if n == 0:
+        return EC_ONE
+    if location == gr(1):
+        return ExactCoeff.zero()
+    return ExactCoeff.monomial({log_symbol(location): n})
+
+
+def reference_at_location(p, location):
+    """x -> location term by term, summed by ExactCoeff addition: {rest of key: coeff}."""
+    out = {}
+    for key, coeff in p.terms.items():
+        value = coeff.scale(location ** key[0]) * reference_log_power(location, key[1])
+        out[key[2:]] = out.get(key[2:], ExactCoeff.zero()) + value
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def reference_at_z_over_location(p, location):
+    """x -> z/location term by term: location^(-k) z^k (log z - Log(location))^l, binomially."""
+    out = {}
+    for key, coeff in p.terms.items():
+        k, l, zpow, zlogpow = (*key, 0, 0)[:4]
+        base = coeff.scale(location ** (-k))
+        for j in range(l + 1):
+            value = base * reference_log_power(location, l - j) * (math.comb(l, j) * (-1) ** (l - j))
+            out[(zpow + k, zlogpow + j)] = out.get((zpow + k, zlogpow + j), ExactCoeff.zero()) + value
+    return LogLaurentPoly(out)
+
+
+def reference_integrate_u(p, alpha, beta):
+    """The antiderivative as a BiLogPoly, evaluated at both endpoints, upper minus lower."""
+    anti = p.antiderivative_u()
+    return reference_at_z_over_location(anti, beta) - LogLaurentPoly(reference_at_location(anti, alpha))
+
+
+def reference_shift_log(p, amount):
+    """log z -> log z + amount: (log z + amount)^l = sum_j C(l, j) (log z)^j amount^(l-j)."""
+    out = {}
+    for (m, l), coeff in p.terms.items():
+        for j in range(l + 1):
+            value = coeff * amount ** (l - j) * math.comb(l, j)
+            out[(m, j)] = out.get((m, j), ExactCoeff.zero()) + value
+    return LogLaurentPoly(out)
+
+
+REFERENCE_LOCATIONS = [GaussianRational.of(re, im) for re, im in
+                       [(1, 0), (2, 0), (-2, 0), (Fraction(1, 2), 0), (0, 2), (0, -2), (1, 1), (-1, 1), (-1, -1)]]
+
+
+def multi_term_coeff(rng):
+    """One to three terms over 2pii and Log(2), with denominators 1..7 drawn per term."""
+    total = ExactCoeff.zero()
+    for _ in range(rng.randint(1, 3)):
+        powers = {sym: rng.randint(-1, 2) for sym in rng.sample([TWO_PI_I_SYMBOL, log_symbol(2)], rng.randint(0, 2))}
+        total = total + ExactCoeff.monomial(powers, GaussianRational.of(
+            Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 7)), Fraction(rng.randint(-2, 2), rng.randint(1, 7))))
+    return total
+
+
+def reference_integrand(rng, l):
+    """A product integrand in the engine's shape, dF(u) dG(z/u), reaching (log u)^l."""
+    f = LogLaurentPoly({(rng.randint(-2, 2), l - l // 2): multi_term_coeff(rng),
+                        (rng.randint(-2, 2), rng.randint(0, 2)): multi_term_coeff(rng)})
+    g = LogLaurentPoly({(rng.randint(0, 3), l // 2): multi_term_coeff(rng), (1, 0): multi_term_coeff(rng)})
+    return BiLogPoly.from_poly_in_u(f) * BiLogPoly.from_poly_at_z_over_u(g)
+
+
+@pytest.mark.parametrize("l", range(9))
+def test_substitutions_equal_the_composed_chain(l):
+    rng = random.Random(900 + l)
+    for location in REFERENCE_LOCATIONS:
+        for _ in range(3):
+            p = reference_integrand(rng, l)
+            alpha = rng.choice(REFERENCE_LOCATIONS)
+            assert p.eval_u_at_location(location) == LogLaurentPoly(reference_at_location(p, location))
+            assert p.eval_u_at_z_over_location(location) == reference_at_z_over_location(p, location)
+            assert integrate_u(p, alpha, location) == reference_integrate_u(p, alpha, location)
+            q = random_poly(rng, max_log=l)
+            assert q.eval_at_location(location) == reference_at_location(q, location).get((), ExactCoeff.zero())
+            assert q.scale_argument(location) == reference_at_z_over_location(q, location)
+            amount = multi_term_coeff(rng)
+            assert q.shift_log(amount) == reference_shift_log(q, amount)
+
+
+def test_substitutions_drop_what_cancels_exactly():
+    # (log u + log z) c1 - (log z) c1' with c1 and c1' sharing their 2pii term:
+    # at z/2 the log z coefficient keeps only the rational parts, and at 1 the
+    # whole (0, 1) key cancels
+    c1 = TWO_PI_I + ExactCoeff.from_rational(Fraction(1, 3))
+    c2 = -TWO_PI_I + ExactCoeff.from_rational(Fraction(1, 5))
+    p = BiLogPoly({(0, 1, 0, 0): c1, (0, 0, 0, 1): c2})
+    at_two = p.eval_u_at_z_over_location(gr(2))
+    assert at_two.terms[(0, 1)] == ExactCoeff.from_rational(Fraction(8, 15))
+    p = BiLogPoly({(0, 1, 0, 0): c1, (0, 0, 0, 1): -c1})
+    assert (0, 1) not in p.eval_u_at_z_over_location(gr(1)).terms
+    for location in REFERENCE_LOCATIONS:
+        result = integrate_u(p, location, location)
+        assert result == reference_integrate_u(p, location, location)
+        assert all(all(coeff.terms.values()) for coeff in result.terms.values())
