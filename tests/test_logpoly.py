@@ -20,7 +20,6 @@ from hadene.logpoly import (
 )
 
 TWO_PI_I = ExactCoeff.two_pi_i()
-TWO_PI_I_SYMBOL = two_pi_i_symbol()
 
 
 def gr(p, q=1):
@@ -388,7 +387,7 @@ def multi_term_coeff(rng):
     """One to three terms over 2pii and Log(2), with denominators 1..7 drawn per term."""
     total = ExactCoeff.zero()
     for _ in range(rng.randint(1, 3)):
-        powers = {sym: rng.randint(-1, 2) for sym in rng.sample([TWO_PI_I_SYMBOL, log_symbol(2)], rng.randint(0, 2))}
+        powers = {sym: rng.randint(-1, 2) for sym in rng.sample([two_pi_i_symbol(), log_symbol(2)], rng.randint(0, 2))}
         total = total + ExactCoeff.monomial(powers, GaussianRational.of(
             Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 7)), Fraction(rng.randint(-2, 2), rng.randint(1, 7))))
     return total
