@@ -32,13 +32,14 @@ coefficient times a monomial unit (a Gaussian rational times a monomial) into
 an unreduced accumulator of ``(a, b, d)`` triples per monomial, and
 ``_finish`` reduces each sum with one gcd and builds the ``ExactCoeff`` once.
 A unit maps monomials one to one, so a product by a one-term factor skips the
-accumulator; the exact substitutions of ``logpoly`` feed all their terms into
-one accumulator per output key.
+accumulator; the exact substitutions of ``logpoly`` and each product pair term
+of ``monodromy`` feed all their terms into one accumulator per output key.
 
 Arithmetic is exact; only single monomials are invertible (every prefactor the
 monodromy formulas need divides by rationals, powers of ``2*pi*i`` or powers of
 locations, which are all monomial units).  ``eval`` bridges to complex doubles
-for the numeric oracle.
+for the numeric oracle; it sums in ``sorted_terms`` order, so equal values give
+equal floats.
 
 No relation between distinct symbols is ever assumed (``Log(4)`` and
 ``2*Log(2)`` are different normal forms); fixtures stick to a relation-free
@@ -516,12 +517,15 @@ class ExactCoeff(_TermMap):
     # -- numeric bridge ------------------------------------------------------
 
     def eval(self, assignment: Mapping[ConstantSymbol, complex] | None = None) -> complex:
-        """Evaluate to a complex double; assignment defaults to principal values."""
+        """Evaluate to a complex double; assignment defaults to principal values.
+
+        Terms and the symbols of each term are taken in sorted_terms order, so
+        equal values give the same float whatever the order they were built in.
+        """
         total = 0j
-        for mono, coeff in self.terms.items():
+        for mono, coeff in self.sorted_terms():
             value = complex(coeff)
-            for sid, exp in mono:
-                sym = _SYMBOLS[sid]
+            for sym, exp in mono:
                 if assignment is None:
                     base = sym._value
                 else:

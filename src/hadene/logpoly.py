@@ -16,15 +16,17 @@ recursion on l, whose rational factors are cached per (k, l); the k = -1
 column integrates to (log u)^(l+1)/(l+1).
 
 LogLaurentPoly and BiLogPoly share the term-map core of ``coeffs`` and, above
-it, one product, one derivation and the substitutions of the variable in key
-slots (0, 1).  Every log shift expands through one binomial helper,
-_add_log_z_over.  The substitutions, shift_log and integrate_u each run one
-unreduced accumulator per call (``coeffs._accumulate``): every term enters as
-coeff * (binomial * location power) * Log(c)^n, a monomial unit times the
-coefficient, and each output ExactCoeff is built once at the end.  The powers
-of the location, and of Log(c) or of the shift, are built once per call;
-integrate_u reads the antiderivative table directly and feeds both endpoints
-into the same accumulator.
+it, one product and one derivation.  Every log(z/x) rewrite expands through one
+binomial helper, _add_log_z_over, reading the one cached signed-binomial row
+per log power (_signed_binomials, bounded like the antiderivative table).
+shift_log, integrate_u and the product pair terms of ``monodromy`` each fill
+one unreduced accumulator (``coeffs._accumulate``) keyed by (zpow, zlogpow):
+every term enters as coeff * (binomial * rational factor * location power) *
+Log(c)^n, a monomial unit times the coefficient, and each output ExactCoeff is
+built once at the end (_finished).  An _Endpoint builds a location's powers and
+its Log monomials once for every term that meets it; _add_integral reads the
+antiderivative table and feeds one integrand term to both endpoints, for
+integrate_u and for each term pair of a product alike.
 
 Branches are formal here: log(z/u) is rewritten as log z - log u, and endpoint
 logs become Log(location) symbols (Log(1) simplifies to 0 eagerly, nothing else
@@ -78,9 +80,10 @@ def _gauss(value) -> GaussianRational:
     return value if isinstance(value, GaussianRational) else GaussianRational(value)
 
 
-def _signed_binomials(l: int) -> list[int]:
+@lru_cache(maxsize=1024)
+def _signed_binomials(l: int) -> tuple[int, ...]:
     """(-1)^(l-j) C(l, j) for j = 0..l: (x - y)^l = sum_j row[j] x^j y^(l-j)."""
-    return [comb(l, j) * (-1) ** (l - j) for j in range(l + 1)]
+    return tuple(comb(l, j) * (-1) ** (l - j) for j in range(l + 1))
 
 
 def _finished(acc: dict) -> dict:
@@ -94,23 +97,23 @@ def _finished(acc: dict) -> dict:
 
 
 def _add_log_z_over(acc: dict, zpow: int, zlogpow: int, l: int, coeff: ExactCoeff,
-                    factor: GaussianRational, ypowers: list) -> None:
-    """Add coeff * factor * z^zpow (log z)^zlogpow (log z - y)^l to acc, expanded.
+                    factor: GaussianRational, ypowers: list, times: int = 1) -> None:
+    """Add coeff * factor * times * z^zpow (log z)^zlogpow (log z - y)^l to acc, expanded.
 
     ypowers[n] lists the terms (monomial, c) of y^n, while y^n is nonzero: the
     powers past the list vanish, so at y = 0 only (log z)^l is added and no
-    binomial row is built.
+    binomial row is read.
     """
     row = _signed_binomials(l) if len(ypowers) > 1 else ()
     for j in range(max(l + 1 - len(ypowers), 0), l + 1):
         raw = acc.setdefault((zpow, zlogpow + j), {})
         for mono, c in ypowers[l - j]:
             # the powers of a Log(c) symbol, and y^0, have the coefficient GR_ONE
-            _accumulate(raw, coeff, factor if c is GR_ONE else factor * c, mono, row[j] if j < l else 1)
+            _accumulate(raw, coeff, factor if c is GR_ONE else factor * c, mono, row[j] * times if row else times)
 
 
 class _Endpoint:
-    """One location's powers for the substitutions of one call.
+    """One location's powers, built once for all the terms that meet it.
 
     location^k is built on first use.  logs[n] lists the one term
     (monomial, 1) of Log(location)^n for n <= top; at location 1 it lists
@@ -121,36 +124,49 @@ class _Endpoint:
 
     def __init__(self, location, top: int):
         self.location = _gauss(location)
-        self.powers: dict[int, GaussianRational] = {}
+        self.powers: dict[int, GaussianRational] = {0: GR_ONE}
         self.logs = [list(EC_ONE.terms.items())]
         if top and self.location != GR_ONE:
             sym = log_symbol(self.location)
             self.logs += [list(ExactCoeff.monomial({sym: n}).terms.items()) for n in range(1, top + 1)]
 
-    def power(self, k: int) -> GaussianRational:
+    def scaled(self, factor: GaussianRational, k: int) -> GaussianRational:
+        """factor * location^k."""
         out = self.powers.get(k)
         if out is None:
-            out = self.powers[k] = self.location ** k
-        return out
+            out = self.location ** k
+            out = self.powers[k] = GR_ONE if out == GR_ONE else out
+        return factor if out is GR_ONE else factor * out
 
-    def add_at(self, acc: dict, key: tuple, coeff: ExactCoeff, factor: GaussianRational) -> None:
-        """x -> location in coeff * factor * x^k (log x)^l: acc[rest of key] += value."""
-        if key[1] < len(self.logs):
-            (mono, _), = self.logs[key[1]]
-            _accumulate(acc.setdefault(key[2:], {}), coeff, factor * self.power(key[0]), mono)
+    def add_at(self, acc: dict, zkey: tuple, k: int, l: int, coeff: ExactCoeff,
+               factor: GaussianRational, times: int = 1) -> None:
+        """acc[zkey] += coeff * factor * times * x^k (log x)^l at x = location."""
+        if l < len(self.logs):
+            (mono, _), = self.logs[l]
+            _accumulate(acc.setdefault(zkey, {}), coeff, self.scaled(factor, k), mono, times)
 
-    def add_at_z_over(self, acc: dict, key: tuple, coeff: ExactCoeff, factor: GaussianRational) -> None:
-        """x -> z/location in coeff * factor * x^k (log x)^l z^zpow (log z)^zlogpow."""
-        k, l, zpow, zlogpow = (*key, 0, 0)[:4]  # a LogLaurentPoly key has no z part
-        _add_log_z_over(acc, zpow + k, zlogpow, l, coeff, factor * self.power(-k), self.logs)
+    def add_at_z_over(self, acc: dict, zpow: int, zlogpow: int, k: int, l: int, coeff: ExactCoeff,
+                      factor: GaussianRational, times: int = 1) -> None:
+        """acc += coeff * factor * times * x^k (log x)^l z^zpow (log z)^zlogpow at x = z/location."""
+        _add_log_z_over(acc, zpow + k, zlogpow, l, coeff, self.scaled(factor, -k), self.logs, times)
+
+
+def _add_integral(acc: dict, lower: _Endpoint, upper: _Endpoint, k: int, l: int, zpow: int, zlogpow: int,
+                  coeff: ExactCoeff, times: int = 1) -> None:
+    """acc += coeff * times * z^zpow (log z)^zlogpow * integral of u^k (log u)^l du
+    from u = lower to u = z/upper: each antiderivative term at both endpoints."""
+    zkey = (zpow, zlogpow)
+    for upow, ulogpow, factor in _antiderivative_table(k, l):
+        upper.add_at_z_over(acc, zpow, zlogpow, upow, ulogpow, coeff, factor, times)
+        lower.add_at(acc, zkey, upow, ulogpow, coeff, factor, -times)
 
 
 class _LogTermMap(_TermMap):
     """Ring operations shared by LogLaurentPoly and BiLogPoly.
 
     Keys are exponent tuples; slots (0, 1) hold the power and the log power of
-    the variable x (z, or u) that the derivation and the substitutions act on,
-    and any further slots are constants for it.
+    the variable x (z, or u) that the derivation acts on, and any further
+    slots are constants for it.
     """
 
     __slots__ = ()
@@ -182,26 +198,6 @@ class _LogTermMap(_TermMap):
             if l:
                 _add_term(out, (m - 1, l - 1) + key[2:], coeff * l)
         return self._wrap(out)
-
-    def _at_location(self, location: GaussianRational) -> dict:
-        """x -> location: x^k folds into the coefficient, log x -> Log(location).
-
-        The result maps the remaining key slots (the z part of a BiLogPoly, ()
-        for a LogLaurentPoly) to coefficients.
-        """
-        at = _Endpoint(location, max((key[1] for key in self.terms), default=0))
-        acc: dict = {}
-        for key, coeff in self.terms.items():
-            at.add_at(acc, key, coeff, GR_ONE)
-        return _finished(acc)
-
-    def _at_z_over_location(self, location: GaussianRational) -> "LogLaurentPoly":
-        """x -> z/location: x^k -> z^k location^(-k), log x -> log z - Log(location)."""
-        at = _Endpoint(location, max((key[1] for key in self.terms), default=0))
-        acc: dict = {}
-        for key, coeff in self.terms.items():
-            at.add_at_z_over(acc, key, coeff, GR_ONE)
-        return LogLaurentPoly._wrap(_finished(acc))
 
 
 class LogLaurentPoly(_LogTermMap):
@@ -294,19 +290,11 @@ class LogLaurentPoly(_LogTermMap):
         """One positive loop around 0: sigma(p) - p."""
         return self.sigma_power(1) - self
 
-    # -- substitutions --------------------------------------------------------
-
-    scale_argument = _LogTermMap._at_z_over_location  # p(z / location)
-
-    def eval_at_location(self, location: GaussianRational) -> ExactCoeff:
-        """p(location) as an exact constant: z -> location, log z -> Log(location)."""
-        return self._at_location(location).get((), ExactCoeff.zero())
-
     def lp_eval(self, at: BranchPoint, assignment=None) -> complex:
-        """Numeric value on the chosen sheet."""
+        """Numeric value on the chosen sheet, summed in sorted_terms order."""
         logz = at.log_value()
         total = 0j
-        for (m, l), coeff in self.terms.items():
+        for (m, l), coeff in self.sorted_terms():
             total += coeff.eval(assignment) * at.z ** m * logz ** l
         return total
 
@@ -316,42 +304,6 @@ class BiLogPoly(_LogTermMap):
 
     __slots__ = ()
     _LOG_SLOTS = (1, 3)
-
-    @staticmethod
-    def from_poly_in_u(p: LogLaurentPoly) -> "BiLogPoly":
-        """Read p as a function of u: z^m (log z)^l -> u^m (log u)^l."""
-        return BiLogPoly._wrap({(m, l, 0, 0): c for (m, l), c in p.terms.items()})
-
-    @staticmethod
-    def from_poly_at_z_over_u(p: LogLaurentPoly) -> "BiLogPoly":
-        """Substitute z -> z/u: z^m -> z^m u^(-m), log z -> log z - log u."""
-        out: dict[tuple[int, int, int, int], ExactCoeff] = {}
-        for (m, l), coeff in p.terms.items():
-            for j, sign_comb in enumerate(_signed_binomials(l)):
-                _add_term(out, (-m, l - j, m, j), coeff * sign_comb)
-        return BiLogPoly._wrap(out)
-
-    def times_u_power(self, k: int) -> "BiLogPoly":
-        return BiLogPoly._wrap({(u + k, ul, z, zl): c for (u, ul, z, zl), c in self.terms.items()})
-
-    def times_z_power(self, k: int) -> "BiLogPoly":
-        return BiLogPoly._wrap({(u, ul, z + k, zl): c for (u, ul, z, zl), c in self.terms.items()})
-
-    derivative_u = _LogTermMap._derivative
-
-    def antiderivative_u(self) -> "BiLogPoly":
-        """Exact antiderivative in u, term by term in closed form."""
-        out: dict[tuple[int, int, int, int], ExactCoeff] = {}
-        for (k, l, zm, zl), coeff in self.terms.items():
-            for upow, ulogpow, factor in _antiderivative_table(k, l):
-                _add_term(out, (upow, ulogpow, zm, zl), coeff * factor)
-        return BiLogPoly._wrap(out)
-
-    def eval_u_at_location(self, location: GaussianRational) -> LogLaurentPoly:
-        """u -> location: powers fold into the coefficient, log u -> Log(location)."""
-        return LogLaurentPoly._wrap(self._at_location(location))
-
-    eval_u_at_z_over_location = _LogTermMap._at_z_over_location
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -386,16 +338,11 @@ def integrate_u(p: BiLogPoly, alpha: GaussianRational, beta: GaussianRational) -
     lands back in K[z^(+-1), log z]; endpoint logs appear as Log(alpha) and
     Log(beta) constant symbols (Log(1) vanishes).
     """
-    rows = [((upow, ulogpow, zm, zl), coeff, factor)
-            for (k, l, zm, zl), coeff in p.terms.items()
-            for upow, ulogpow, factor in _antiderivative_table(k, l)]
-    top = max((key[1] for key, _, _ in rows), default=0)
-    upper, lower = _Endpoint(beta, top), _Endpoint(alpha, top)
+    top = max((key[1] + 1 for key in p.terms), default=0)
+    lower, upper = _Endpoint(alpha, top), _Endpoint(beta, top)
     acc: dict = {}
-    for key, coeff, factor in rows:
-        upper.add_at_z_over(acc, key, coeff, factor)
-    for key, coeff, factor in rows:
-        lower.add_at(acc, key, coeff, -factor)
+    for (k, l, zm, zl), coeff in p.terms.items():
+        _add_integral(acc, lower, upper, k, l, zm, zl, coeff)
     return LogLaurentPoly._wrap(_finished(acc))
 
 

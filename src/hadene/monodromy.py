@@ -24,10 +24,19 @@ gamma = alpha * beta:
 Residues are computed symbolically from the stored polar coefficients,
 Res = sum_k a_k * H^(k-1)(pole) / (k-1)!, never by numeric limits.  One
 driver sums over the factorizations for all four entry points; each product
-supplies only its pair term (integral plus polar residues), and the *_total
-variants differ only in refusing polar germ parts.  Every term reduces to the
-same two primitives (exact definite integral, exact residue), so every special
-case is a consequence of those primitives rather than a separate code path.
+supplies only its pair term, and the *_total variants differ only in refusing
+polar germ parts.
+
+Each pair term fills one unreduced accumulator (see ``logpoly``) and finishes
+it once.  For every pair of terms, one of dF (or dF') and one of dG, dG(z/u)
+expands (log z - log u)^b by the cached signed-binomial row, and each
+integrand term u^k (log u)^l goes through _add_integral to both endpoints;
+the -+1/2pii unit multiplies each term of dF once.  The ene evaluation term
+goes through the z/alpha endpoint, and each residue differentiates
+u^p (log u)^q in closed form, with sign * a_k/(k-1)! folded into one weight
+per polar order.  alpha's endpoint serves the lower limit, the evaluation
+term and the residue at alpha; beta's serves the upper limit and the residue
+at beta, so each location's powers and Log powers are built once per pair.
 """
 
 from __future__ import annotations
@@ -37,12 +46,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .coeffs import ExactCoeff, GaussianRational, as_exact
-from .logpoly import BiLogPoly, LogLaurentPoly, _gauss, integrate_u
+from .coeffs import GR_ONE, ExactCoeff, GaussianRational, as_exact
+from .logpoly import LogLaurentPoly, _add_integral, _Endpoint, _finished, _gauss, _signed_binomials
 from .series import TruncatedSeries
 
-NEG_INV_TWO_PI_I = ExactCoeff.two_pi_i(-1) * (-1)
 INV_TWO_PI_I = ExactCoeff.two_pi_i(-1)
+NEG_INV_TWO_PI_I = -INV_TWO_PI_I
 
 
 class GermNotTotallyHolomorphic(ValueError):
@@ -162,21 +171,6 @@ def _pairs_for_gamma(f: FunctionSpec, g: FunctionSpec, gamma: GaussianRational):
     return pairs
 
 
-def residue_from_polar(
-    polar: Sequence[ExactCoeff], h: BiLogPoly, pole: GaussianRational
-) -> LogLaurentPoly:
-    """Res_{u=pole} of (sum_k a_k (u-pole)^-k) * h(u) for holomorphic-at-pole h."""
-    total = LogLaurentPoly.zero()
-    current = h
-    for k, a_k in enumerate(polar, start=1):
-        if k > 1:
-            current = current.derivative_u()
-        if a_k:
-            value = current.eval_u_at_location(pole)
-            total = total + value.scale(a_k * Fraction(1, math.factorial(k - 1)))
-    return total
-
-
 def _polar_of_derivative(polar: Sequence[ExactCoeff]) -> tuple[ExactCoeff, ...]:
     """Polar part of d/du applied to sum_k a_k (u-pole)^-k: orders shift up by one."""
     out = [ExactCoeff.zero()]
@@ -207,45 +201,91 @@ def _product_monodromy(pair_term, f: FunctionSpec, g: FunctionSpec, gamma,
     )
 
 
+def _endpoints(sf: Singularity, sg: Singularity) -> tuple[_Endpoint, _Endpoint]:
+    """The endpoints alpha and beta of one pair, with every log power its terms reach."""
+    top = sf.monodromy.max_logpow() + sg.monodromy.max_logpow() + 1
+    return _Endpoint(sf.location, top), _Endpoint(sg.location, top)
+
+
+def _add_convolution(acc: dict, alpha: _Endpoint, beta: _Endpoint, first: LogLaurentPoly,
+                     second: LogLaurentPoly, du: int, unit: ExactCoeff) -> None:
+    """acc += unit * integral_alpha^{z/beta} first(u) second(z/u) u^du du, one term pair at a time.
+
+    second(z/u) expands (log z - log u)^b through the signed binomial row.
+    """
+    for (m, a), f in first.terms.items():
+        f_unit = f * unit
+        for (n, b), g in second.terms.items():
+            coeff = f_unit * g
+            for j, sign in enumerate(_signed_binomials(b)):
+                _add_integral(acc, alpha, beta, m - n + du, a + b - j, n, j, coeff, sign)
+
+
+def _derivative_row(p: int, q: int, r: int) -> list[int]:
+    """c with d^r/du^r u^p (log u)^q = u^(p-r) sum_t c[t] (log u)^(q-t)."""
+    row = [1]
+    for i in range(r):
+        new = [0] * min(len(row) + 1, q + 1)
+        for t, c in enumerate(row):
+            new[t] += (p - i) * c
+            if t < q:
+                new[t + 1] += (q - t) * c
+        row = new
+    return row
+
+
+def _add_residue(acc: dict, pole: _Endpoint, polar: Sequence[ExactCoeff], other: LogLaurentPoly,
+                 du: int, dz: int, sign: int) -> None:
+    """acc += sign * Res_{u=pole} (sum_k a_k (u-pole)^-k) h(u), h(u) = other(z/u) u^du z^dz.
+
+    Res = sum_k a_k h^(k-1)(pole) / (k-1)!, with sign * a_k / (k-1)! folded
+    into one weight per order and h differentiated term by term.
+    """
+    weights = [(k - 1, a_k * Fraction(sign, math.factorial(k - 1)))
+               for k, a_k in enumerate(polar, start=1) if a_k]
+    for (n, b), g in other.terms.items():
+        for r, weight in weights:
+            coeff = g * weight
+            for j, binomial in enumerate(_signed_binomials(b)):
+                p, q = du - n, b - j
+                for t, c in enumerate(_derivative_row(p, q, r)):
+                    if c:
+                        pole.add_at(acc, (n + dz, j), p - r, q - t, coeff, GR_ONE, binomial * c)
+
+
 def _hadamard_pair(sf: Singularity, sg: Singularity) -> LogLaurentPoly:
     """One factorization's Hadamard term: the integral, minus polar residues."""
-    integrand = (
-        BiLogPoly.from_poly_in_u(sf.monodromy)
-        * BiLogPoly.from_poly_at_z_over_u(sg.monodromy)
-    ).times_u_power(-1)
-    value = integrate_u(integrand, sf.location, sg.location).scale(NEG_INV_TWO_PI_I)
-    for polar_side, other in ((sf, sg), (sg, sf)):
-        if polar_side.germ.polar:
-            h = BiLogPoly.from_poly_at_z_over_u(other.monodromy).times_u_power(-1)
-            value = value - residue_from_polar(polar_side.germ.polar, h, polar_side.location)
-    return value
+    alpha, beta = _endpoints(sf, sg)
+    acc: dict = {}
+    _add_convolution(acc, alpha, beta, sf.monodromy, sg.monodromy, -1, NEG_INV_TWO_PI_I)
+    _add_residue(acc, alpha, sf.germ.polar, sg.monodromy, -1, 0, -1)
+    _add_residue(acc, beta, sg.germ.polar, sf.monodromy, -1, 0, -1)
+    return LogLaurentPoly._wrap(_finished(acc))
 
 
 def _ene_pair(sf: Singularity, sg: Singularity) -> LogLaurentPoly:
     """One factorization's ene term: evaluation plus integral, plus polar residues."""
+    alpha, beta = _endpoints(sf, sg)
+    acc: dict = {}
     # evaluation term: (1/2pii) dF(alpha) * dG(z/alpha)
-    df_at_alpha = sf.monodromy.eval_at_location(sf.location)
-    value = sg.monodromy.scale_argument(sf.location).scale(df_at_alpha * INV_TWO_PI_I)
+    at_alpha: dict = {}
+    for (m, a), f in sf.monodromy.terms.items():
+        alpha.add_at(at_alpha, (), m, a, f, GR_ONE)
+    df_at_alpha = _finished(at_alpha).get(())
+    if df_at_alpha:
+        df_at_alpha = df_at_alpha * INV_TWO_PI_I
+        for (n, b), g in sg.monodromy.terms.items():
+            alpha.add_at_z_over(acc, 0, 0, n, b, g * df_at_alpha, GR_ONE)
     # integral term: (1/2pii) * int_alpha^{z/beta} dF'(u) dG(z/u) du   (no 1/u factor)
-    integrand = BiLogPoly.from_poly_in_u(sf.monodromy.derivative()) * BiLogPoly.from_poly_at_z_over_u(
-        sg.monodromy
-    )
-    value = value + integrate_u(integrand, sf.location, sg.location).scale(INV_TWO_PI_I)
-    if sf.germ.polar:
-        # Res_{u=alpha}( F0'(u) dG(z/u) ): differentiate the stored polar part
-        h = BiLogPoly.from_poly_at_z_over_u(sg.monodromy)
-        value = value + residue_from_polar(_polar_of_derivative(sf.germ.polar), h, sf.location)
-    if sg.germ.polar:
-        # Res_{u=beta}( G0(u) dF'(z/u) z/u^2 ): the z/u^2 Jacobian comes from
-        # symmetrizing the residue at z/beta through v = z/u (the du measure,
-        # unlike du/u, does not absorb it)
-        h = (
-            BiLogPoly.from_poly_at_z_over_u(sf.monodromy.derivative())
-            .times_u_power(-2)
-            .times_z_power(1)
-        )
-        value = value + residue_from_polar(sg.germ.polar, h, sg.location)
-    return value
+    df = sf.monodromy.derivative()
+    _add_convolution(acc, alpha, beta, df, sg.monodromy, 0, INV_TWO_PI_I)
+    # Res_{u=alpha}( F0'(u) dG(z/u) ): differentiate the stored polar part
+    _add_residue(acc, alpha, _polar_of_derivative(sf.germ.polar), sg.monodromy, 0, 0, 1)
+    # Res_{u=beta}( G0(u) dF'(z/u) z/u^2 ): the z/u^2 Jacobian comes from
+    # symmetrizing the residue at z/beta through v = z/u (the du measure,
+    # unlike du/u, does not absorb it)
+    _add_residue(acc, beta, sg.germ.polar, df, -2, 1, 1)
+    return LogLaurentPoly._wrap(_finished(acc))
 
 
 def hadamard_monodromy_total(f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyResult:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hadene import logpoly
-from hadene.coeffs import EC_ONE, ExactCoeff, GaussianRational, log_symbol, two_pi_i_symbol
+from hadene.coeffs import EC_ONE, GR_ONE, ExactCoeff, GaussianRational, log_symbol, two_pi_i_symbol
 from hadene.logpoly import (
     BiLogPoly,
     BranchPoint,
@@ -18,6 +18,7 @@ from hadene.logpoly import (
     integrate_u,
     lp_eval,
 )
+from hadene.monodromy import FunctionSpec, Singularity, ene_monodromy_total, hadamard_monodromy_total
 
 TWO_PI_I = ExactCoeff.two_pi_i()
 
@@ -85,7 +86,7 @@ def test_antiderivative_differentiates_back():
         l = rng.randint(0, 3)
         coeff = ExactCoeff.from_rational(Fraction(rng.randint(1, 5), rng.randint(1, 3)))
         mono = BiLogPoly({(k, l, rng.randint(0, 2), rng.randint(0, 1)): coeff})
-        assert mono.antiderivative_u().derivative_u() == mono
+        assert antiderivative_u(mono)._derivative() == mono
 
 
 # --- monodromy operator --------------------------------------------------------
@@ -160,17 +161,17 @@ def test_monodromy_commutes_with_derivation():
 
 
 def test_substitute_log():
-    bil = BiLogPoly.from_poly_at_z_over_u(LogLaurentPoly.log_z())
+    bil = from_poly_at_z_over_u(LogLaurentPoly.log_z())
     assert bil == BiLogPoly({(0, 0, 0, 1): EC_ONE, (0, 1, 0, 0): -EC_ONE})
 
 
 def test_substitute_z():
-    bil = BiLogPoly.from_poly_at_z_over_u(LogLaurentPoly.z())
+    bil = from_poly_at_z_over_u(LogLaurentPoly.z())
     assert bil == BiLogPoly({(-1, 0, 1, 0): EC_ONE})
 
 
 def test_substitute_z_log_z():
-    bil = BiLogPoly.from_poly_at_z_over_u(LogLaurentPoly.term(1, 1))
+    bil = from_poly_at_z_over_u(LogLaurentPoly.term(1, 1))
     assert bil == BiLogPoly({(-1, 0, 1, 1): EC_ONE, (-1, 1, 1, 0): -EC_ONE})
 
 
@@ -274,29 +275,37 @@ def test_integrate_u_of_a_deep_log_power():
     assert result.derivative() == LogLaurentPoly.term(0, l)
 
 
-@pytest.mark.parametrize("l, location, bound", [(1500, 1, 1), (100, 2, 101 * 102 // 2)])
-def test_integrate_u_work_bound(monkeypatch, l, location, bound):
-    # exact coefficient products made for (log u)^l from location to location:
-    # at 1, where Log(1) = 0, no log-shift row is built; elsewhere one product
-    # per binomial term, (l+1)(l+2)/2 in all
-    calls = 0
-    product = ExactCoeff._product
+@pytest.mark.parametrize("engine", [hadamard_monodromy_total, ene_monodromy_total], ids=["hadamard", "ene"])
+def test_integrate_u_work_bound(monkeypatch, engine):
+    # coefficient terms a product pair feeds into its accumulator, for
+    # dF = (log z)^60 at 2 and dG = (log z)^40 at 3.  Term j of the binomial
+    # row of dG(z/u) leaves u^-1 (log u)^(L-j), with L = 100 for Hadamard (the
+    # du/u measure) and L = 99 for ene (dF' = 60 (log z)^59 / z), whose
+    # antiderivative has one term: its upper endpoint (log z - Log 3)^(L+1-j)
+    # gives L+2-j terms and its lower endpoint one.  ene adds the evaluation
+    # term: dF(2) = Log(2)^60, one term, then Log(2)^60 (log z - Log 2)^40 / 2pii,
+    # 41 terms.
+    terms = 0
+    accumulate = logpoly._accumulate
 
-    def counted(self, other):
-        nonlocal calls
-        calls += 1
-        return product(self, other)
+    def counted(raw, coeff, *args):
+        nonlocal terms
+        terms += len(coeff.terms)
+        accumulate(raw, coeff, *args)
 
-    monkeypatch.setattr(ExactCoeff, "_product", counted)
-    integrate_u(BiLogPoly({(0, l, 0, 0): EC_ONE}), gr(location), gr(location))
-    assert calls <= bound
+    monkeypatch.setattr(logpoly, "_accumulate", counted)
+    f = FunctionSpec.of("f", [Singularity(gr(2), LogLaurentPoly.term(0, 60))])
+    g = FunctionSpec.of("g", [Singularity(gr(3), LogLaurentPoly.term(0, 40))])
+    engine(f, g, 6)
+    top, evaluation = (100, 0) if engine is hadamard_monodromy_total else (99, 1 + 41)
+    assert terms <= sum(top + 2 - j + 1 for j in range(41)) + evaluation
 
 
 def test_integrate_u_derivative_is_the_integrand_at_z_over_beta():
     # d/dz of the integral from alpha to z/beta is p(z/beta) / beta
     p = BiLogPoly({(2, 40, 0, 0): TWO_PI_I, (-3, 17, 0, 0): ExactCoeff.from_rational(Fraction(-5, 3))})
     result = integrate_u(p, gr(2), gr(3))
-    assert result.derivative() == p.eval_u_at_z_over_location(gr(3)).scale(ExactCoeff.from_rational(Fraction(1, 3)))
+    assert result.derivative() == reference_at_z_over_location(p, gr(3)).scale(ExactCoeff.from_rational(Fraction(1, 3)))
 
 
 def test_antiderivative_differentiates_back_at_deep_log_powers():
@@ -307,7 +316,7 @@ def test_antiderivative_differentiates_back_at_deep_log_powers():
         coeff = ExactCoeff.two_pi_i(
             rng.randint(-1, 1), GaussianRational.of(Fraction(rng.randint(1, 9), rng.randint(1, 7)), rng.randint(-2, 2)))
         p = BiLogPoly({(k, l, rng.randint(-2, 2), rng.randint(0, 2)): coeff, (k + 1, l // 2, 0, 0): EC_ONE})
-        assert p.antiderivative_u().derivative_u() == p
+        assert antiderivative_u(p)._derivative() == p
 
 
 @pytest.mark.parametrize("location, l", [(1, 1500), (2, 100)])
@@ -331,6 +340,48 @@ def test_integrate_u_accumulated_term_bound(monkeypatch, location, l):
 
 
 # --- the exact substitutions against the composed chain ------------------------------
+
+
+def from_poly_in_u(p):
+    """Read p as a function of u: z^m (log z)^l -> u^m (log u)^l."""
+    return BiLogPoly({(m, l, 0, 0): c for (m, l), c in p.terms.items()})
+
+
+def from_poly_at_z_over_u(p):
+    """z -> z/u: z^m (log z)^l -> z^m u^(-m) (log z - log u)^l, binomially."""
+    out = {}
+    for (m, l), coeff in p.terms.items():
+        for j in range(l + 1):
+            key = (-m, l - j, m, j)
+            out[key] = out.get(key, ExactCoeff.zero()) + coeff * (math.comb(l, j) * (-1) ** (l - j))
+    return BiLogPoly(out)
+
+
+def antiderivative_u(p):
+    """The antiderivative in u as a BiLogPoly, term by term from the closed-form table."""
+    out = {}
+    for (k, l, zm, zl), coeff in p.terms.items():
+        for upow, ulogpow, factor in logpoly._antiderivative_table(k, l):
+            key = (upow, ulogpow, zm, zl)
+            out[key] = out.get(key, ExactCoeff.zero()) + coeff.scale(factor)
+    return BiLogPoly(out)
+
+
+def endpoint_at_location(p, location):
+    """x -> location through one endpoint of the engine: {rest of key: coeff}."""
+    at, acc = logpoly._Endpoint(location, max((key[1] for key in p.terms), default=0)), {}
+    for key, coeff in p.terms.items():
+        at.add_at(acc, key[2:], key[0], key[1], coeff, GR_ONE)
+    return logpoly._finished(acc)
+
+
+def endpoint_at_z_over_location(p, location):
+    """x -> z/location through one endpoint of the engine."""
+    at, acc = logpoly._Endpoint(location, max((key[1] for key in p.terms), default=0)), {}
+    for key, coeff in p.terms.items():
+        k, l, zpow, zlogpow = (*key, 0, 0)[:4]  # a LogLaurentPoly key has no z part
+        at.add_at_z_over(acc, zpow, zlogpow, k, l, coeff, GR_ONE)
+    return LogLaurentPoly(logpoly._finished(acc))
 
 
 def reference_log_power(location, n):
@@ -365,7 +416,7 @@ def reference_at_z_over_location(p, location):
 
 def reference_integrate_u(p, alpha, beta):
     """The antiderivative as a BiLogPoly, evaluated at both endpoints, upper minus lower."""
-    anti = p.antiderivative_u()
+    anti = antiderivative_u(p)
     return reference_at_z_over_location(anti, beta) - LogLaurentPoly(reference_at_location(anti, alpha))
 
 
@@ -398,7 +449,7 @@ def reference_integrand(rng, l):
     f = LogLaurentPoly({(rng.randint(-2, 2), l - l // 2): multi_term_coeff(rng),
                         (rng.randint(-2, 2), rng.randint(0, 2)): multi_term_coeff(rng)})
     g = LogLaurentPoly({(rng.randint(0, 3), l // 2): multi_term_coeff(rng), (1, 0): multi_term_coeff(rng)})
-    return BiLogPoly.from_poly_in_u(f) * BiLogPoly.from_poly_at_z_over_u(g)
+    return from_poly_in_u(f) * from_poly_at_z_over_u(g)
 
 
 @pytest.mark.parametrize("l", range(9))
@@ -408,12 +459,12 @@ def test_substitutions_equal_the_composed_chain(l):
         for _ in range(3):
             p = reference_integrand(rng, l)
             alpha = rng.choice(REFERENCE_LOCATIONS)
-            assert p.eval_u_at_location(location) == LogLaurentPoly(reference_at_location(p, location))
-            assert p.eval_u_at_z_over_location(location) == reference_at_z_over_location(p, location)
+            assert endpoint_at_location(p, location) == reference_at_location(p, location)
+            assert endpoint_at_z_over_location(p, location) == reference_at_z_over_location(p, location)
             assert integrate_u(p, alpha, location) == reference_integrate_u(p, alpha, location)
             q = random_poly(rng, max_log=l)
-            assert q.eval_at_location(location) == reference_at_location(q, location).get((), ExactCoeff.zero())
-            assert q.scale_argument(location) == reference_at_z_over_location(q, location)
+            assert endpoint_at_location(q, location) == reference_at_location(q, location)
+            assert endpoint_at_z_over_location(q, location) == reference_at_z_over_location(q, location)
             amount = multi_term_coeff(rng)
             assert q.shift_log(amount) == reference_shift_log(q, amount)
 
@@ -425,10 +476,10 @@ def test_substitutions_drop_what_cancels_exactly():
     c1 = TWO_PI_I + ExactCoeff.from_rational(Fraction(1, 3))
     c2 = -TWO_PI_I + ExactCoeff.from_rational(Fraction(1, 5))
     p = BiLogPoly({(0, 1, 0, 0): c1, (0, 0, 0, 1): c2})
-    at_two = p.eval_u_at_z_over_location(gr(2))
+    at_two = endpoint_at_z_over_location(p, gr(2))
     assert at_two.terms[(0, 1)] == ExactCoeff.from_rational(Fraction(8, 15))
     p = BiLogPoly({(0, 1, 0, 0): c1, (0, 0, 0, 1): -c1})
-    assert (0, 1) not in p.eval_u_at_z_over_location(gr(1)).terms
+    assert (0, 1) not in endpoint_at_z_over_location(p, gr(1)).terms
     for location in REFERENCE_LOCATIONS:
         result = integrate_u(p, location, location)
         assert result == reference_integrate_u(p, location, location)

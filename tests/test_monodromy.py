@@ -2,14 +2,15 @@
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from hadene.coeffs import ExactCoeff, GaussianRational
+from hadene.coeffs import ExactCoeff, GaussianRational, log_symbol
 from hadene.documents import monodromy_result_to_doc
-from hadene.logpoly import LogLaurentPoly
+from hadene.logpoly import BiLogPoly, BranchPoint, LogLaurentPoly, integrate_u
 from hadene.monodromy import (
     Divisor,
     FunctionSpec,
@@ -425,3 +426,100 @@ def test_product_monodromy_documents_match_the_golden_hash():
             doc = monodromy_result_to_doc(engine(f, g, gamma))
             digest.update(json.dumps(doc, sort_keys=True).encode())
     assert digest.hexdigest() == "7260b1147199c6334da2f14b0ff63e198f0f1110a9195dd7fe6e9505765a2e1c"
+
+
+def test_swapped_products_evaluate_to_the_same_float():
+    # both products are symmetric in their arguments, so swapping them gives an
+    # == value, which must evaluate to the same complex double bit for bit
+    at = BranchPoint(0.7 + 0.2j)
+    for f, g, gamma in golden_grid():
+        for engine in (hadamard_monodromy_general, ene_monodromy_general):
+            value, swapped = engine(f, g, gamma).value, engine(g, f, gamma).value
+            assert value == swapped
+            x, y = value.lp_eval(at), swapped.lp_eval(at)
+            assert (x.real.hex(), x.imag.hex()) == (y.real.hex(), y.imag.hex()), (engine.__name__, gamma)
+
+
+# --- the pair terms against the composed chain ---------------------------------------
+
+INV_TWO_PI_I = ExactCoeff.two_pi_i(-1)
+
+
+def from_poly_in_u(p):
+    """Read p as a function of u: z^m (log z)^l -> u^m (log u)^l."""
+    return BiLogPoly({(m, l, 0, 0): c for (m, l), c in p.terms.items()})
+
+
+def from_poly_at_z_over_u(p):
+    """z -> z/u: z^m (log z)^l -> z^m u^(-m) (log z - log u)^l, binomially."""
+    out = {}
+    for (m, l), coeff in p.terms.items():
+        for j in range(l + 1):
+            key = (-m, l - j, m, j)
+            out[key] = out.get(key, ExactCoeff.zero()) + coeff * (math.comb(l, j) * (-1) ** (l - j))
+    return BiLogPoly(out)
+
+
+def times_u_power(p, k, zk=0):
+    """p times u^k z^zk."""
+    return BiLogPoly({(u + k, ul, z + zk, zl): c for (u, ul, z, zl), c in p.terms.items()})
+
+
+def at_location(p, location):
+    """x -> location term by term, with Log(1) = 0: {rest of key: coeff}."""
+    out = {}
+    for key, coeff in p.terms.items():
+        if key[1] and location == gr(1):
+            continue
+        log_power = ExactCoeff.monomial({log_symbol(location): key[1]}) if key[1] else ExactCoeff.from_rational(1)
+        out[key[2:]] = out.get(key[2:], ExactCoeff.zero()) + coeff.scale(location ** key[0]) * log_power
+    return out
+
+
+def residue(polar, h, pole):
+    """Res_{u=pole} (sum_k a_k (u-pole)^-k) h(u) = sum_k a_k h^(k-1)(pole) / (k-1)!."""
+    total = LogLaurentPoly.zero()
+    for k, a_k in enumerate(polar, start=1):
+        if k > 1:
+            h = h._derivative()
+        if a_k:
+            total = total + LogLaurentPoly(at_location(h, pole)).scale(a_k * Fraction(1, math.factorial(k - 1)))
+    return total
+
+
+def composed_hadamard_pair(sf, sg):
+    """BiLogPoly integrand, u^-1 measure, integrate_u, scale by -1/2pii, minus the residues."""
+    integrand = times_u_power(from_poly_in_u(sf.monodromy) * from_poly_at_z_over_u(sg.monodromy), -1)
+    value = integrate_u(integrand, sf.location, sg.location).scale(-INV_TWO_PI_I)
+    for polar_side, other in ((sf, sg), (sg, sf)):
+        if polar_side.germ.polar:
+            h = times_u_power(from_poly_at_z_over_u(other.monodromy), -1)
+            value = value - residue(polar_side.germ.polar, h, polar_side.location)
+    return value
+
+
+def composed_ene_pair(sf, sg):
+    """dF(alpha) dG(z/alpha)/2pii, plus the dF'(u) dG(z/u) integral over 2pii, plus the residues."""
+    df_at_alpha = at_location(sf.monodromy, sf.location).get((), ExactCoeff.zero())
+    g_at_z_over_alpha = LogLaurentPoly(at_location(from_poly_at_z_over_u(sg.monodromy), sf.location))
+    value = g_at_z_over_alpha.scale(df_at_alpha * INV_TWO_PI_I)
+    df = sf.monodromy.derivative()
+    integrand = from_poly_in_u(df) * from_poly_at_z_over_u(sg.monodromy)
+    value = value + integrate_u(integrand, sf.location, sg.location).scale(INV_TWO_PI_I)
+    if sf.germ.polar:
+        derivative_polar = [ExactCoeff.zero()] + [a_k * (-k) for k, a_k in enumerate(sf.germ.polar, start=1)]
+        value = value + residue(derivative_polar, from_poly_at_z_over_u(sg.monodromy), sf.location)
+    if sg.germ.polar:
+        value = value + residue(sg.germ.polar, times_u_power(from_poly_at_z_over_u(df), -2, 1), sg.location)
+    return value
+
+
+@pytest.mark.parametrize("engine, composed", [(hadamard_monodromy_general, composed_hadamard_pair),
+                                              (ene_monodromy_general, composed_ene_pair)], ids=["hadamard", "ene"])
+def test_pair_terms_equal_the_composed_chain(engine, composed):
+    for f, g, gamma in golden_grid():
+        result = engine(f, g, gamma)
+        for (alpha, beta), value in zip(result.pairs, result.contributions, strict=True):
+            sf = next(s for s in f.singularities if s.location == alpha)
+            sg = next(s for s in g.singularities if s.location == beta)
+            assert value == composed(sf, sg), f"pair ({alpha}, {beta}) of gamma = {gamma}"
