@@ -131,7 +131,7 @@ class _Endpoint:
             self.logs += [list(ExactCoeff.monomial({sym: n}).terms.items()) for n in range(1, top + 1)]
 
     def scaled(self, factor: GaussianRational, k: int) -> GaussianRational:
-        """factor * location^k."""
+        """factor * location^k; a power equal to 1 is stored as GR_ONE and skips the product."""
         out = self.powers.get(k)
         if out is None:
             out = self.location ** k
