@@ -64,6 +64,7 @@ import cmath
 import copy
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -128,19 +129,18 @@ PathSegment = Line | Arc
 @dataclass(frozen=True)
 class ContourSpec:
     segments: tuple[PathSegment, ...]
-    closed: bool = True
 
     def __post_init__(self):
         seg = self.segments
         for i in range(1, len(seg)):
             if abs(seg[i].point(0.0) - seg[i - 1].point(1.0)) > 1e-12:
                 raise ValueError(f"segment {i} does not start where segment {i - 1} ends")
-        if self.closed and seg and abs(seg[-1].point(1.0) - seg[0].point(0.0)) > 1e-12:
+        if seg and abs(seg[-1].point(1.0) - seg[0].point(0.0)) > 1e-12:
             raise ValueError("closed contour does not return to its start")
 
     @staticmethod
-    def circle(radius: float, phase: float = 0.0, center: complex = 0j) -> "ContourSpec":
-        return ContourSpec((Arc(center, radius, phase, phase + TWO_PI),))
+    def circle(radius: float, phase: float = 0.0) -> "ContourSpec":
+        return ContourSpec((Arc(0j, radius, phase, phase + TWO_PI),))
 
 
 # --- analytic elements ------------------------------------------------------------
@@ -316,9 +316,9 @@ class SumElement(AnalyticElement):
 _SERIES_BLOCK = 1 << 16
 
 
-def _polylog_series(k: int, u: complex | np.ndarray, tol: float = 1e-17) -> np.ndarray:
+def _polylog_series(k: int, u: complex | np.ndarray) -> np.ndarray:
     """Li_2(u), ..., Li_k(u) by their power series, up to the first n with
-    max |u|^n < tol: row j - 2 holds Li_j at every point of u.  The points are
+    max |u|^n < 1e-17: row j - 2 holds Li_j at every point of u.  The points are
     summed a block at a time, each point's terms in one contiguous row."""
     u = np.asarray(u, dtype=complex)
     points = u.reshape(-1, 1)
@@ -327,7 +327,7 @@ def _polylog_series(k: int, u: complex | np.ndarray, tol: float = 1e-17) -> np.n
         raise QuadratureNotConverged(
             f"polylog series evaluation needs |u| < 0.9995, got {mag:.6f}"
         )
-    n = 1 if mag == 0.0 else int(math.log(tol) / math.log(mag)) + 1
+    n = 1 if mag == 0.0 else int(math.log(1e-17) / math.log(mag)) + 1
     ns = np.arange(1.0, n + 1.0)
     values = np.empty((k - 1, len(points)), dtype=complex)
     step = max(1, _SERIES_BLOCK // n)
@@ -342,32 +342,26 @@ def _polylog_series(k: int, u: complex | np.ndarray, tol: float = 1e-17) -> np.n
 # --- Gauss-Legendre panels -----------------------------------------------------------
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_CUMULATIVE_CACHE: dict[int, np.ndarray] = {}
-
-
+@cache
 def _gl_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
+@cache
 def _gl_cumulative(n: int) -> np.ndarray:
     """The (n + 1) x n matrix taking values at the n Gauss-Legendre nodes to the
     integrals of their interpolant from -1 to each node and, in the last row,
     to 1: that row is the weights.  Complex, so that a tracker multiplies
     complex by complex."""
-    if n not in _CUMULATIVE_CACHE:
-        leg = np.polynomial.legendre
-        x, w = _gl_rule(n)
-        # the rule is exact to degree 2n - 1, so the interpolant's Legendre
-        # coefficients are weighted sums: c_k = (k + 1/2) sum_i w_i P_k(x_i) f_i
-        to_coeffs = (leg.legvander(x, n - 1) * w[:, None]).T * (np.arange(n) + 0.5)[:, None]
-        antiderivatives = leg.legint(np.eye(n), lbnd=-1)
-        cumulative = leg.legvander(np.append(x, 1.0), n) @ antiderivatives @ to_coeffs
-        cumulative[-1] = w
-        _CUMULATIVE_CACHE[n] = cumulative.astype(complex)
-    return _CUMULATIVE_CACHE[n]
+    leg = np.polynomial.legendre
+    x, w = _gl_rule(n)
+    # the rule is exact to degree 2n - 1, so the interpolant's Legendre
+    # coefficients are weighted sums: c_k = (k + 1/2) sum_i w_i P_k(x_i) f_i
+    to_coeffs = (leg.legvander(x, n - 1) * w[:, None]).T * (np.arange(n) + 0.5)[:, None]
+    antiderivatives = leg.legint(np.eye(n), lbnd=-1)
+    cumulative = leg.legvander(np.append(x, 1.0), n) @ antiderivatives @ to_coeffs
+    cumulative[-1] = w
+    return cumulative.astype(complex)
 
 
 _Grading = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -825,12 +819,11 @@ def _detour_block(a: complex, alpha: complex, p: complex, eps: float) -> list[Pa
 # --- monodromy measurement ----------------------------------------------------------------
 
 
-def _matched_pairs(f: AnalyticElement, g: AnalyticElement, gamma: complex,
-                   tol: float = 1e-9) -> list[tuple[complex, complex]]:
+def _matched_pairs(f: AnalyticElement, g: AnalyticElement, gamma: complex) -> list[tuple[complex, complex]]:
     pairs = []
     for alpha in f.singularities():
         for beta in g.singularities():
-            if abs(alpha * beta - gamma) <= tol * (1.0 + abs(gamma)):
+            if abs(alpha * beta - gamma) <= 1e-9 * (1.0 + abs(gamma)):
                 pairs.append((alpha, beta))
     return pairs
 

@@ -16,15 +16,16 @@ recursion on l, whose rational factors are cached per (k, l); the k = -1
 column integrates to (log u)^(l+1)/(l+1).
 
 LogLaurentPoly and BiLogPoly share the term-map core of ``coeffs`` and, above
-it, one product and one derivation.  Every log(z/x) rewrite expands through one
-binomial helper, _add_log_z_over, reading the one cached signed-binomial row
-per log power (_signed_binomials, bounded like the antiderivative table).
-shift_log, integrate_u and the product pair terms of ``monodromy`` each fill
-one unreduced accumulator (``coeffs._accumulate``) keyed by (zpow, zlogpow):
-every term enters as coeff * (binomial * rational factor * location power) *
-Log(c)^n, a monomial unit times the coefficient, and each output ExactCoeff is
-built once at the end (_finished).  An _Endpoint builds a location's powers and
-its Log monomials once for every term that meets it; _add_integral reads the
+it, one product and one derivation.  Every log(z/x) rewrite reads the one
+cached signed-binomial row per log power (_signed_binomials).  shift_log,
+integrate_u and the product pair terms of ``monodromy`` each fill one
+unreduced accumulator (``coeffs._accumulate``) keyed by (zpow, zlogpow): every
+term enters as coeff * (binomial * rational factor) * location unit, and each
+output ExactCoeff is built once at the end (_finished).  A location unit
+c^k * Log(c)^n is a monomial unit cached per (c, k, n) (_location_unit,
+bounded like the binomial rows and the antiderivative table).  Two functions
+read it: _add_at substitutes x = c, and _add_at_z_over substitutes x = z/c,
+where log(z/c) becomes log z - Log(c).  _add_integral reads the
 antiderivative table and feeds one integrand term to both endpoints, for
 integrate_u and for each term pair of a product alike.
 
@@ -96,69 +97,50 @@ def _finished(acc: dict) -> dict:
     return out
 
 
-def _add_log_z_over(acc: dict, zpow: int, zlogpow: int, l: int, coeff: ExactCoeff,
-                    factor: GaussianRational, ypowers: list, times: int = 1) -> None:
-    """Add coeff * factor * times * z^zpow (log z)^zlogpow (log z - y)^l to acc, expanded.
+@lru_cache(maxsize=1024)
+def _location_unit(location: GaussianRational, k: int, n: int) -> tuple | None:
+    """location^k * Log(location)^n as a monomial unit (monomial, c), or None where Log(1)^n vanishes.
 
-    ypowers[n] lists the terms (monomial, c) of y^n, while y^n is nonzero: the
-    powers past the list vanish, so at y = 0 only (log z)^l is added and no
-    binomial row is read.
+    A power equal to 1 comes back as GR_ONE, so that callers skip the product.
     """
-    row = _signed_binomials(l) if len(ypowers) > 1 else ()
-    for j in range(max(l + 1 - len(ypowers), 0), l + 1):
-        raw = acc.setdefault((zpow, zlogpow + j), {})
-        for mono, c in ypowers[l - j]:
-            # the powers of a Log(c) symbol, and y^0, have the coefficient GR_ONE
-            _accumulate(raw, coeff, factor if c is GR_ONE else factor * c, mono, row[j] * times if row else times)
+    if location == GR_ONE:
+        return None if n else ((), GR_ONE)
+    power = location ** k
+    (mono, _), = (ExactCoeff.monomial({log_symbol(location): n}) if n else EC_ONE).terms.items()
+    return mono, GR_ONE if power == GR_ONE else power
 
 
-class _Endpoint:
-    """One location's powers, built once for all the terms that meet it.
+def _add_at(acc: dict, zkey: tuple, location: GaussianRational, k: int, l: int, coeff: ExactCoeff,
+            factor: GaussianRational, times: int = 1) -> None:
+    """acc[zkey] += coeff * factor * times * x^k (log x)^l at x = location."""
+    unit = _location_unit(location, k, l)
+    if unit is not None:
+        mono, c = unit
+        _accumulate(acc.setdefault(zkey, {}), coeff, factor if c is GR_ONE else factor * c, mono, times)
 
-    location^k is built on first use.  logs[n] lists the one term
-    (monomial, 1) of Log(location)^n for n <= top; at location 1 it lists
-    n = 0 only, since Log(1) = 0.
+
+def _add_at_z_over(acc: dict, zpow: int, zlogpow: int, location: GaussianRational, k: int, l: int,
+                   coeff: ExactCoeff, factor: GaussianRational, times: int = 1) -> None:
+    """acc += coeff * factor * times * x^k (log x)^l z^zpow (log z)^zlogpow at x = z/location.
+
+    log(z/location) is rewritten as log z - Log(location) and its l-th power
+    expanded by the signed binomial row; at location 1 only (log z)^l is left.
     """
-
-    __slots__ = ("location", "powers", "logs")
-
-    def __init__(self, location, top: int):
-        self.location = _gauss(location)
-        self.powers: dict[int, GaussianRational] = {0: GR_ONE}
-        self.logs = [list(EC_ONE.terms.items())]
-        if top and self.location != GR_ONE:
-            sym = log_symbol(self.location)
-            self.logs += [list(ExactCoeff.monomial({sym: n}).terms.items()) for n in range(1, top + 1)]
-
-    def scaled(self, factor: GaussianRational, k: int) -> GaussianRational:
-        """factor * location^k; a power equal to 1 is stored as GR_ONE and skips the product."""
-        out = self.powers.get(k)
-        if out is None:
-            out = self.location ** k
-            out = self.powers[k] = GR_ONE if out == GR_ONE else out
-        return factor if out is GR_ONE else factor * out
-
-    def add_at(self, acc: dict, zkey: tuple, k: int, l: int, coeff: ExactCoeff,
-               factor: GaussianRational, times: int = 1) -> None:
-        """acc[zkey] += coeff * factor * times * x^k (log x)^l at x = location."""
-        if l < len(self.logs):
-            (mono, _), = self.logs[l]
-            _accumulate(acc.setdefault(zkey, {}), coeff, self.scaled(factor, k), mono, times)
-
-    def add_at_z_over(self, acc: dict, zpow: int, zlogpow: int, k: int, l: int, coeff: ExactCoeff,
-                      factor: GaussianRational, times: int = 1) -> None:
-        """acc += coeff * factor * times * x^k (log x)^l z^zpow (log z)^zlogpow at x = z/location."""
-        _add_log_z_over(acc, zpow + k, zlogpow, l, coeff, self.scaled(factor, -k), self.logs, times)
+    if location == GR_ONE:
+        _add_at(acc, (zpow + k, zlogpow + l), location, -k, 0, coeff, factor, times)
+        return
+    for j, sign in enumerate(_signed_binomials(l)):
+        _add_at(acc, (zpow + k, zlogpow + j), location, -k, l - j, coeff, factor, sign * times)
 
 
-def _add_integral(acc: dict, lower: _Endpoint, upper: _Endpoint, k: int, l: int, zpow: int, zlogpow: int,
-                  coeff: ExactCoeff, times: int = 1) -> None:
+def _add_integral(acc: dict, lower: GaussianRational, upper: GaussianRational, k: int, l: int,
+                  zpow: int, zlogpow: int, coeff: ExactCoeff, times: int = 1) -> None:
     """acc += coeff * times * z^zpow (log z)^zlogpow * integral of u^k (log u)^l du
     from u = lower to u = z/upper: each antiderivative term at both endpoints."""
     zkey = (zpow, zlogpow)
     for upow, ulogpow, factor in _antiderivative_table(k, l):
-        upper.add_at_z_over(acc, zpow, zlogpow, upow, ulogpow, coeff, factor, times)
-        lower.add_at(acc, zkey, upow, ulogpow, coeff, factor, -times)
+        _add_at_z_over(acc, zpow, zlogpow, upper, upow, ulogpow, coeff, factor, times)
+        _add_at(acc, zkey, lower, upow, ulogpow, coeff, factor, -times)
 
 
 class _LogTermMap(_TermMap):
@@ -274,10 +256,13 @@ class LogLaurentPoly(_LogTermMap):
         powers = [EC_ONE]
         for _ in range(self.max_logpow()):
             powers.append(powers[-1] * neg)
-        ypowers = [list(power.terms.items()) for power in powers]
+        # (log z - neg)^l = sum_j row[j] (log z)^j neg^(l-j)
         acc: dict = {}
         for (m, l), coeff in self.terms.items():
-            _add_log_z_over(acc, m, 0, l, coeff, GR_ONE, ypowers)
+            for j, sign in enumerate(_signed_binomials(l)):
+                raw = acc.setdefault((m, j), {})
+                for mono, c in powers[l - j].terms.items():
+                    _accumulate(raw, coeff, c, mono, sign)
         return LogLaurentPoly._wrap(_finished(acc))
 
     def sigma_power(self, n: int) -> "LogLaurentPoly":
@@ -338,8 +323,7 @@ def integrate_u(p: BiLogPoly, alpha: GaussianRational, beta: GaussianRational) -
     lands back in K[z^(+-1), log z]; endpoint logs appear as Log(alpha) and
     Log(beta) constant symbols (Log(1) vanishes).
     """
-    top = max((key[1] + 1 for key in p.terms), default=0)
-    lower, upper = _Endpoint(alpha, top), _Endpoint(beta, top)
+    lower, upper = _gauss(alpha), _gauss(beta)
     acc: dict = {}
     for (k, l, zm, zl), coeff in p.terms.items():
         _add_integral(acc, lower, upper, k, l, zm, zl, coeff)

@@ -32,11 +32,11 @@ it once.  For every pair of terms, one of dF (or dF') and one of dG, dG(z/u)
 expands (log z - log u)^b by the cached signed-binomial row, and each
 integrand term u^k (log u)^l goes through _add_integral to both endpoints;
 the -+1/2pii unit multiplies each term of dF once.  The ene evaluation term
-goes through the z/alpha endpoint, and each residue differentiates
-u^p (log u)^q in closed form, with sign * a_k/(k-1)! folded into one weight
-per polar order.  alpha's endpoint serves the lower limit, the evaluation
-term and the residue at alpha; beta's serves the upper limit and the residue
-at beta, so each location's powers and Log powers are built once per pair.
+substitutes z/alpha, and each residue differentiates u^p (log u)^q in closed
+form, with sign * a_k/(k-1)! folded into one weight per polar order.  Every
+substitution passes the location itself, and its powers and Log powers come
+from the bounded cache of location units in ``logpoly``, so repeated products
+on the same locations build none of them again.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coeffs import GR_ONE, ExactCoeff, GaussianRational, as_exact
-from .logpoly import LogLaurentPoly, _add_integral, _Endpoint, _finished, _gauss, _signed_binomials
+from .logpoly import (LogLaurentPoly, _add_at, _add_at_z_over, _add_integral, _finished, _gauss,
+                      _signed_binomials)
 from .series import TruncatedSeries
 
 INV_TWO_PI_I = ExactCoeff.two_pi_i(-1)
@@ -201,13 +202,7 @@ def _product_monodromy(pair_term, f: FunctionSpec, g: FunctionSpec, gamma,
     )
 
 
-def _endpoints(sf: Singularity, sg: Singularity) -> tuple[_Endpoint, _Endpoint]:
-    """The endpoints alpha and beta of one pair, with every log power its terms reach."""
-    top = sf.monodromy.max_logpow() + sg.monodromy.max_logpow() + 1
-    return _Endpoint(sf.location, top), _Endpoint(sg.location, top)
-
-
-def _add_convolution(acc: dict, alpha: _Endpoint, beta: _Endpoint, first: LogLaurentPoly,
+def _add_convolution(acc: dict, alpha: GaussianRational, beta: GaussianRational, first: LogLaurentPoly,
                      second: LogLaurentPoly, du: int, unit: ExactCoeff) -> None:
     """acc += unit * integral_alpha^{z/beta} first(u) second(z/u) u^du du, one term pair at a time.
 
@@ -234,7 +229,7 @@ def _derivative_row(p: int, q: int, r: int) -> list[int]:
     return row
 
 
-def _add_residue(acc: dict, pole: _Endpoint, polar: Sequence[ExactCoeff], other: LogLaurentPoly,
+def _add_residue(acc: dict, pole: GaussianRational, polar: Sequence[ExactCoeff], other: LogLaurentPoly,
                  du: int, dz: int, sign: int) -> None:
     """acc += sign * Res_{u=pole} (sum_k a_k (u-pole)^-k) h(u), h(u) = other(z/u) u^du z^dz.
 
@@ -250,12 +245,12 @@ def _add_residue(acc: dict, pole: _Endpoint, polar: Sequence[ExactCoeff], other:
                 p, q = du - n, b - j
                 for t, c in enumerate(_derivative_row(p, q, r)):
                     if c:
-                        pole.add_at(acc, (n + dz, j), p - r, q - t, coeff, GR_ONE, binomial * c)
+                        _add_at(acc, (n + dz, j), pole, p - r, q - t, coeff, GR_ONE, binomial * c)
 
 
 def _hadamard_pair(sf: Singularity, sg: Singularity) -> LogLaurentPoly:
     """One factorization's Hadamard term: the integral, minus polar residues."""
-    alpha, beta = _endpoints(sf, sg)
+    alpha, beta = sf.location, sg.location
     acc: dict = {}
     _add_convolution(acc, alpha, beta, sf.monodromy, sg.monodromy, -1, NEG_INV_TWO_PI_I)
     _add_residue(acc, alpha, sf.germ.polar, sg.monodromy, -1, 0, -1)
@@ -265,17 +260,17 @@ def _hadamard_pair(sf: Singularity, sg: Singularity) -> LogLaurentPoly:
 
 def _ene_pair(sf: Singularity, sg: Singularity) -> LogLaurentPoly:
     """One factorization's ene term: evaluation plus integral, plus polar residues."""
-    alpha, beta = _endpoints(sf, sg)
+    alpha, beta = sf.location, sg.location
     acc: dict = {}
     # evaluation term: (1/2pii) dF(alpha) * dG(z/alpha)
     at_alpha: dict = {}
     for (m, a), f in sf.monodromy.terms.items():
-        alpha.add_at(at_alpha, (), m, a, f, GR_ONE)
+        _add_at(at_alpha, (), alpha, m, a, f, GR_ONE)
     df_at_alpha = _finished(at_alpha).get(())
     if df_at_alpha:
         df_at_alpha = df_at_alpha * INV_TWO_PI_I
         for (n, b), g in sg.monodromy.terms.items():
-            alpha.add_at_z_over(acc, 0, 0, n, b, g * df_at_alpha, GR_ONE)
+            _add_at_z_over(acc, 0, 0, alpha, n, b, g * df_at_alpha, GR_ONE)
     # integral term: (1/2pii) * int_alpha^{z/beta} dF'(u) dG(z/u) du   (no 1/u factor)
     df = sf.monodromy.derivative()
     _add_convolution(acc, alpha, beta, df, sg.monodromy, 0, INV_TWO_PI_I)

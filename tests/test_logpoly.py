@@ -368,19 +368,19 @@ def antiderivative_u(p):
 
 
 def endpoint_at_location(p, location):
-    """x -> location through one endpoint of the engine: {rest of key: coeff}."""
-    at, acc = logpoly._Endpoint(location, max((key[1] for key in p.terms), default=0)), {}
+    """x -> location through the engine's _add_at: {rest of key: coeff}."""
+    acc = {}
     for key, coeff in p.terms.items():
-        at.add_at(acc, key[2:], key[0], key[1], coeff, GR_ONE)
+        logpoly._add_at(acc, key[2:], location, key[0], key[1], coeff, GR_ONE)
     return logpoly._finished(acc)
 
 
 def endpoint_at_z_over_location(p, location):
-    """x -> z/location through one endpoint of the engine."""
-    at, acc = logpoly._Endpoint(location, max((key[1] for key in p.terms), default=0)), {}
+    """x -> z/location through the engine's _add_at_z_over."""
+    acc = {}
     for key, coeff in p.terms.items():
         k, l, zpow, zlogpow = (*key, 0, 0)[:4]  # a LogLaurentPoly key has no z part
-        at.add_at_z_over(acc, zpow, zlogpow, k, l, coeff, GR_ONE)
+        logpoly._add_at_z_over(acc, zpow, zlogpow, location, k, l, coeff, GR_ONE)
     return LogLaurentPoly(logpoly._finished(acc))
 
 

@@ -344,6 +344,23 @@ def test_log_ladder_values():
     assert log_ladder_monodromy(5) == expected5
 
 
+@pytest.mark.parametrize("engine", [hadamard_monodromy_general, ene_monodromy_general])
+def test_repeated_product_reads_location_powers_from_the_cache(engine, monkeypatch):
+    """A second call on the same specs computes no location power again."""
+    f = spec_with("f", 2, LogLaurentPoly({(1, 1): TWO_PI_I, (-1, 0): ExactCoeff.from_rational(3)}),
+                  GermPart.polar_part([Fraction(1), Fraction(-2)]))
+    g = FunctionSpec.of("g", [Singularity(GaussianRational.of(1, 1), LogLaurentPoly.term(2, 2, TWO_PI_I),
+                                          GermPart.polar_part([Fraction(5)]))])
+    gamma = GaussianRational.of(2, 2)
+    first = engine(f, g, gamma)
+    calls = []
+    power = GaussianRational.__pow__
+    monkeypatch.setattr(GaussianRational, "__pow__", lambda self, k: calls.append(k) or power(self, k))
+    second = engine(f, g, gamma)
+    assert calls == []
+    assert second == first
+
+
 # --- divisors -----------------------------------------------------------------------
 
 
