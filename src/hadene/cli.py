@@ -336,7 +336,7 @@ def cmd_selftest(args) -> int:
     for name, ok, elapsed in rows:
         sys.stdout.write(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {elapsed:7.3f}s\n")
     sys.stdout.write(f"{failures} failure(s) out of {len(rows)} fixtures\n")
-    return EXIT_OK if failures == 0 else 1
+    return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
 # --- argument parsing -----------------------------------------------------------------

@@ -249,8 +249,8 @@ class ConstantSymbol:
         elif kind in (_KIND_LOG, _KIND_LOC):
             if base is None or not base:
                 raise ValueError(f"{kind} symbol requires a nonzero base")
-            key = f"{kind}({base})"
-            value = cmath.log(complex(base)) if kind == _KIND_LOG else complex(base)
+            # the float waits for the first eval: the exact side computes none
+            key, value = f"{kind}({base})", None
         else:
             raise ValueError(f"unknown symbol kind {kind!r}")
         sym = _new(cls)
@@ -528,6 +528,9 @@ class ExactCoeff(_TermMap):
             for sym, exp in mono:
                 if assignment is None:
                     base = sym._value
+                    if base is None:
+                        base = cmath.log(complex(sym.base)) if sym.kind == _KIND_LOG else complex(sym.base)
+                        object.__setattr__(sym, "_value", base)
                 else:
                     if sym not in assignment:
                         raise UnassignedSymbol(sym.key)

@@ -56,6 +56,13 @@ w = x + iy lie near 1, and their logs are
 size of 1, with a bias that builds up over the thousands of increments of a
 measurement, while log1p rounds at the size of the increment, as complex
 np.log does at several times the cost.
+
+Each element kind keeps its own branch record, which with the point fixes its
+branch: None if single-valued, the log and the total turn of its argument for
+a log branch, the stack Li_1, ..., Li_k and the turn of arg(1 - u) for a
+polylogarithm, its parts' records for a sum.  start(u0) gives the principal
+branch's record and track returns a new record, never changing one in place,
+so a state (element, point, record) is copied shallowly.
 """
 
 from __future__ import annotations
@@ -159,7 +166,8 @@ def _theta_coeffs(coeffs: Sequence[complex]) -> list[complex]:
 
 
 class AnalyticElement:
-    """A function with declared singularities, evaluable and continuable."""
+    """A function with declared singularities, evaluable and continuable; the
+    defaults of its branch-record methods serve a single-valued element."""
 
     def singularities(self) -> list[complex]:
         raise NotImplementedError
@@ -172,8 +180,28 @@ class AnalyticElement:
         """The element of u F'(u), with the same singularities."""
         raise NotImplementedError
 
+    def obstacles(self) -> list[complex]:
+        """The points the panels of a tracked path are graded against."""
+        return self.singularities()
+
+    def start(self, u0: complex):
+        """The branch record of the principal branch at u0."""
+        return None
+
+    def track(self, branch, start: complex, panels: "_Panels") -> tuple[np.ndarray, object]:
+        """Values at the nodes of a panel chain from `start` on `branch`, and the record at its end."""
+        return self.principal_value(panels.nodes), branch
+
+    def value(self, branch, u: complex) -> complex:
+        """The value at u on the branch the record `branch` holds there."""
+        return self.principal_value(u)
+
+    def windings(self, branch) -> dict[complex, int]:
+        """Net turns around each singularity the record has counted."""
+        return {}
+
     def make_state(self, u0: complex) -> "_ElementState":
-        raise NotImplementedError
+        return _ElementState(self, u0, self.start(u0))
 
 
 class RationalElement(AnalyticElement):
@@ -195,9 +223,6 @@ class RationalElement(AnalyticElement):
         num = (np.convolve(_theta_coeffs(self.num), self.den)
                - np.convolve(self.num, _theta_coeffs(self.den)))
         return RationalElement(num, np.convolve(self.den, self.den), self.poles)
-
-    def make_state(self, u0: complex) -> "_SingleValuedState":
-        return _SingleValuedState(self, u0)
 
 
 def geometric_element() -> RationalElement:
@@ -236,8 +261,21 @@ class LogBranchElement(AnalyticElement):
             RationalElement([0j, *self.prefactor], [-self.location, 1.0], poles=[self.location]),
         ])
 
-    def make_state(self, u0: complex) -> "_LogBranchState":
-        return _LogBranchState(self, u0)
+    def start(self, u0: complex) -> tuple:
+        return cmath.log(1.0 - u0 / self.location), 0.0
+
+    def track(self, branch: tuple, start: complex, panels: "_Panels") -> tuple[np.ndarray, tuple]:
+        log_value, arg_total = branch
+        steps = _log_steps(1.0 - panels.path(start) / self.location)
+        logs = (log_value + steps).reshape(panels.points.shape)
+        branch = complex(logs[-1, -1]), arg_total + float(steps[-1].imag)
+        return _polyval(self.prefactor, panels.nodes) * logs[:, :-1], branch
+
+    def value(self, branch: tuple, u: complex) -> complex:
+        return _polyval(self.prefactor, u) * branch[0]
+
+    def windings(self, branch: tuple) -> dict[complex, int]:
+        return {self.location: round(branch[1] / TWO_PI)}
 
 
 class PolylogElement(AnalyticElement):
@@ -261,8 +299,36 @@ class PolylogElement(AnalyticElement):
             return RationalElement([0.0, 1.0], [1.0, -1.0], poles=[1.0 + 0j])
         return PolylogElement(self.k - 1)
 
-    def make_state(self, u0: complex) -> "_PolylogState":
-        return _PolylogState(self, u0)
+    def obstacles(self) -> list[complex]:
+        # the stack recursion integrates against dv/v, so 0 must be avoided too
+        return [1.0 + 0j, 0j]
+
+    def start(self, u0: complex) -> tuple:
+        stack = [-cmath.log(1.0 - u0)]
+        if self.k > 1:
+            stack.extend(_polylog_series(self.k, u0).tolist())
+        return stack, 0.0
+
+    def track(self, branch: tuple, start: complex, panels: "_Panels") -> tuple[np.ndarray, tuple]:
+        stack, arg_one = branch
+        steps = _log_steps(1.0 - panels.path(start))
+        arg_one += float(steps[-1].imag)
+        li = (stack[0] - steps).reshape(panels.points.shape)  # Li_1 = -log(1 - v)
+        ends = [complex(li[-1, -1])]
+        if self.k > 1:
+            cumulative = _gl_cumulative(panels.nodes.shape[1]).T
+            slope = panels.dv / panels.nodes
+            for lower in stack[1:]:
+                # d Li_{j+1} = Li_j(v) dv / v, integrated over each panel from its start
+                li = _chain(lower, (li[:, :-1] * slope) @ cumulative)
+                ends.append(complex(li[-1, -1]))
+        return li[:, :-1], (ends, arg_one)
+
+    def value(self, branch: tuple, u: complex) -> complex:
+        return branch[0][-1]
+
+    def windings(self, branch: tuple) -> dict[complex, int]:
+        return {1.0 + 0j: round(branch[1] / TWO_PI)}
 
 
 class SeriesElement(AnalyticElement):
@@ -286,9 +352,6 @@ class SeriesElement(AnalyticElement):
     def theta(self) -> "SeriesElement":
         return SeriesElement(_theta_coeffs(self.coeffs), self.declared)
 
-    def make_state(self, u0: complex) -> "_SingleValuedState":
-        return _SingleValuedState(self, u0)
-
 
 class SumElement(AnalyticElement):
     """Finite sum of elements; realizes functions with several singularities."""
@@ -308,8 +371,24 @@ class SumElement(AnalyticElement):
     def theta(self) -> "SumElement":
         return SumElement([part.theta() for part in self.parts])
 
-    def make_state(self, u0: complex) -> "_SumState":
-        return _SumState(self, [part.make_state(u0) for part in self.parts])
+    def obstacles(self) -> list[complex]:
+        return [s for part in self.parts for s in part.obstacles()]
+
+    def start(self, u0: complex) -> tuple:
+        return tuple(part.start(u0) for part in self.parts)
+
+    def track(self, branch: tuple, start: complex, panels: "_Panels") -> tuple[np.ndarray, tuple]:
+        tracked = [part.track(b, start, panels) for part, b in zip(self.parts, branch)]
+        return sum(values for values, _ in tracked), tuple(b for _, b in tracked)
+
+    def value(self, branch: tuple, u: complex) -> complex:
+        return sum(part.value(b, u) for part, b in zip(self.parts, branch))
+
+    def windings(self, branch: tuple) -> dict[complex, int]:
+        merged: dict[complex, int] = {}
+        for part, b in zip(self.parts, branch):
+            merged.update(part.windings(b))
+        return merged
 
 
 # The most power-series terms _polylog_series holds at once.
@@ -492,131 +571,32 @@ def _chain(start: complex, within: np.ndarray) -> np.ndarray:
 
 
 class _ElementState:
-    """Branch-tracked value of an element at a moving point."""
+    """Branch-tracked value of an element at a moving point: the element, the
+    point, and the element's branch record there."""
 
-    point: complex
-
-    def __init__(self, spec: AnalyticElement, u0: complex):
+    def __init__(self, spec: AnalyticElement, point: complex, branch):
         self.spec = spec
-        self.point = u0
+        self.point = point
+        self.branch = branch
 
     def obstacles(self) -> list[complex]:
-        raise NotImplementedError
+        return self.spec.obstacles()
 
     def advance(self, panels: _Panels) -> np.ndarray:
         """Move along the chain of panels; the values at their nodes."""
-        raise NotImplementedError
+        values, self.branch = self.spec.track(self.branch, self.point, panels)
+        self.point = complex(panels.points[-1, -1])
+        return values
 
     def value(self) -> complex:
-        raise NotImplementedError
+        return self.spec.value(self.branch, self.point)
 
     def windings(self) -> dict[complex, int]:
-        return {}
+        return self.spec.windings(self.branch)
 
     def clone(self) -> "_ElementState":
-        # a shallow copy suffices: every advance rebinds its state, never mutates it in place
+        # a shallow copy suffices: track returns a new branch record, never changes one in place
         return copy.copy(self)
-
-
-class _SingleValuedState(_ElementState):
-    """An element without branches: its value anywhere is its principal value."""
-
-    def obstacles(self) -> list[complex]:
-        return self.spec.singularities()
-
-    def advance(self, panels: _Panels) -> np.ndarray:
-        self.point = complex(panels.points[-1, -1])
-        return self.spec.principal_value(panels.nodes)
-
-    def value(self) -> complex:
-        return self.spec.principal_value(self.point)
-
-
-class _LogBranchState(_ElementState):
-    def __init__(self, spec: LogBranchElement, u0: complex):
-        super().__init__(spec, u0)
-        self.log_value = cmath.log(1.0 - u0 / spec.location)
-        self.arg_total = 0.0
-
-    def obstacles(self) -> list[complex]:
-        return [self.spec.location]
-
-    def advance(self, panels: _Panels) -> np.ndarray:
-        steps = _log_steps(1.0 - panels.path(self.point) / self.spec.location)
-        logs = (self.log_value + steps).reshape(panels.points.shape)
-        self.log_value = complex(logs[-1, -1])
-        self.arg_total += float(steps[-1].imag)
-        self.point = complex(panels.points[-1, -1])
-        return _polyval(self.spec.prefactor, panels.nodes) * logs[:, :-1]
-
-    def value(self) -> complex:
-        return _polyval(self.spec.prefactor, self.point) * self.log_value
-
-    def windings(self) -> dict[complex, int]:
-        return {self.spec.location: round(self.arg_total / TWO_PI)}
-
-
-class _SumState(_ElementState):
-    def __init__(self, spec: "SumElement", states: list[_ElementState]):
-        self.spec = spec
-        self.states = states
-
-    @property
-    def point(self) -> complex:
-        return self.states[0].point
-
-    def obstacles(self) -> list[complex]:
-        return [s for state in self.states for s in state.obstacles()]
-
-    def advance(self, panels: _Panels) -> np.ndarray:
-        return sum(state.advance(panels) for state in self.states)
-
-    def value(self) -> complex:
-        return sum(state.value() for state in self.states)
-
-    def windings(self) -> dict[complex, int]:
-        merged: dict[complex, int] = {}
-        for state in self.states:
-            merged.update(state.windings())
-        return merged
-
-    def clone(self) -> "_SumState":
-        return _SumState(self.spec, [state.clone() for state in self.states])
-
-
-class _PolylogState(_ElementState):
-    def __init__(self, spec: PolylogElement, u0: complex):
-        super().__init__(spec, u0)
-        self.stack = [-cmath.log(1.0 - u0)]
-        if spec.k > 1:
-            self.stack.extend(_polylog_series(spec.k, u0).tolist())
-        self.arg_one = 0.0
-
-    def obstacles(self) -> list[complex]:
-        # the stack recursion integrates against dv/v, so 0 must be avoided too
-        return [1.0 + 0j, 0j]
-
-    def advance(self, panels: _Panels) -> np.ndarray:
-        steps = _log_steps(1.0 - panels.path(self.point))
-        self.arg_one += float(steps[-1].imag)
-        li = (self.stack[0] - steps).reshape(panels.points.shape)  # Li_1 = -log(1 - v)
-        stack = [complex(li[-1, -1])]
-        if self.spec.k > 1:
-            cumulative = _gl_cumulative(panels.nodes.shape[1]).T
-            slope = panels.dv / panels.nodes
-            for start in self.stack[1:]:
-                # d Li_{j+1} = Li_j(v) dv / v, integrated over each panel from its start
-                li = _chain(start, (li[:, :-1] * slope) @ cumulative)
-                stack.append(complex(li[-1, -1]))
-        self.stack = stack
-        self.point = complex(panels.points[-1, -1])
-        return li[:, :-1]
-
-    def value(self) -> complex:
-        return self.stack[-1]
-
-    def windings(self) -> dict[complex, int]:
-        return {1.0 + 0j: round(self.arg_one / TWO_PI)}
 
 
 # Gauss-Legendre nodes per panel of continue_along, and the panels' largest
@@ -678,9 +658,11 @@ def _separating_radius(outer: Sequence[float], inner: Sequence[float], r: float 
     return math.sqrt(max(lo, 1e-12) * hi) if lo > 0 else 0.5 * hi
 
 
-# The trapezoid rule's first and largest node counts.
+# The trapezoid rule's first and largest node counts, and the tolerance of
+# pincherle_eval between two levels.
 _TRAPEZOID_START = 32
 _TRAPEZOID_MAX = 1 << 16
+_PINCHERLE_TOL = 1e-11
 
 
 def _trapezoid_circle(fn: Callable[[np.ndarray], np.ndarray], radius: float,
@@ -706,20 +688,20 @@ def _trapezoid_circle(fn: Callable[[np.ndarray], np.ndarray], radius: float,
 
 
 def pincherle_eval(f: AnalyticElement, g: AnalyticElement, z: complex, *,
-                   radius: float | None = None, tol: float = 1e-11) -> complex:
+                   radius: float | None = None) -> complex:
     """Hadamard product value by convolution quadrature on a separating circle."""
     radius = _separating_radius([abs(s) for s in f.singularities()],
                                 [abs(z) / abs(s) for s in g.singularities()], radius)
     value, _ = _trapezoid_circle(
-        lambda u: f.principal_value(u) * g.principal_value(z / u), radius, tol
+        lambda u: f.principal_value(u) * g.principal_value(z / u), radius, _PINCHERLE_TOL
     )
     return value
 
 
 def ene_pincherle_eval(f: AnalyticElement, g: AnalyticElement, z: complex, *,
-                       radius: float | None = None, tol: float = 1e-11) -> complex:
+                       radius: float | None = None) -> complex:
     """Exponential ene product value: -(1/2pii) integral of thetaF(u) G(z/u) du/u."""
-    return -pincherle_eval(f.theta(), g, z, radius=radius, tol=tol)
+    return -pincherle_eval(f.theta(), g, z, radius=radius)
 
 
 # --- train-track construction -----------------------------------------------------------

@@ -57,8 +57,17 @@ def _complex_to_doc(value: complex) -> list[float]:
     return [value.real, value.imag]
 
 
-def _complex_from_doc(pair: Any) -> complex:
-    return complex(pair[0], pair[1])
+def _complex_from_doc(pair: Any, what: str) -> complex:
+    """A [re, im] pair of exactly two finite JSON numbers (not bools)."""
+    _require(isinstance(pair, list) and len(pair) == 2
+             and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair),
+             f"{what} must be a pair of two numbers, not {pair!r}")
+    try:
+        value = complex(pair[0], pair[1])
+    except OverflowError:  # an integer past a double's range
+        value = cmath.inf
+    _require(cmath.isfinite(value), f"{what} is not finite: {pair!r}")
+    return value
 
 
 def _check_header(doc: Any, kind: str) -> None:
@@ -146,9 +155,7 @@ def series_from_doc(doc: Any) -> tuple[TruncatedSeries, bool]:
         if field == FIELD_RATIONAL:
             coeffs = [parse_rational(c) for c in raw]
         elif field == FIELD_COMPLEX:
-            coeffs = [_complex_from_doc(c) for c in raw]
-            for n, c in enumerate(coeffs):
-                _require(cmath.isfinite(c), f"coefficient {n} is not finite")
+            coeffs = [_complex_from_doc(c, f"coefficient {n}") for n, c in enumerate(raw)]
         else:
             raise DocumentError(f"unknown series field {field!r}")
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -226,14 +233,15 @@ def element_from_doc(doc: Any, depth: int = 0) -> AnalyticElement | None:
             k = _integer(doc["k"], "polylog weight k", MAX_POLYLOG_K)
             _require(k >= 1, f"polylog weight k must be >= 1, not {k}")
             return PolylogElement(k)
+        conv = lambda key, default=None: [_complex_from_doc(c, f"{kind} {key}[{n}]") for n, c in
+                                          enumerate(doc[key] if default is None else doc.get(key, default))]
         if kind == "logbranch":
-            return LogBranchElement(_complex_from_doc(doc["location"]),
-                                    [_complex_from_doc(c) for c in doc.get("prefactor", [[1.0, 0.0]])])
-        conv = lambda pairs: [_complex_from_doc(c) for c in pairs]
+            return LogBranchElement(_complex_from_doc(doc["location"], "logbranch location"),
+                                    conv("prefactor", [[1.0, 0.0]]))
         if kind == "rational":
-            return RationalElement(conv(doc["num"]), conv(doc["den"]), conv(doc.get("poles", [])))
+            return RationalElement(conv("num"), conv("den"), conv("poles", []))
         if kind == "series":
-            return SeriesElement(conv(doc["coeffs"]), conv(doc.get("singularities", [])))
+            return SeriesElement(conv("coeffs"), conv("singularities", []))
         if kind == "sum":
             _require(depth < MAX_ELEMENT_DEPTH, f"element nests sum records deeper than {MAX_ELEMENT_DEPTH}")
             return SumElement([element_from_doc(part, depth + 1) for part in doc["parts"]])

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from hadene import cli
 from hadene.cli import main
-from hadene.coeffs import ExactCoeff, GaussianRational
+from hadene.coeffs import ExactCoeff, GaussianRational, log_symbol
 from hadene.continuation import LogBranchElement, PolylogElement, SumElement, geometric_element
 from hadene.documents import (
     MAX_ELEMENT_DEPTH,
@@ -32,6 +33,7 @@ from hadene.monodromy import (
     FunctionSpec,
     GermPart,
     Singularity,
+    hadamard_monodromy_general,
     log_ladder_monodromy,
     polylog_function_spec,
 )
@@ -113,6 +115,7 @@ def test_malformed_documents_raise():
 ONE = [{"coeff": "1", "symbols": {}}]
 FUNCTION = {"format": 1, "kind": "function"}
 DIVISOR = {"format": 1, "kind": "divisor"}
+COMPLEX_SERIES = {"format": 1, "kind": "series", "field": "complex"}
 
 # decoder, document, id: each record breaks one assumption about JSON types or sizes
 MALFORMED_RECORDS = [
@@ -128,6 +131,14 @@ MALFORMED_RECORDS = [
      "polar-coeffs-not-list"),
     (divisor_from_doc, {**DIVISOR, "points": 5}, "points-not-list"),
     (divisor_from_doc, {**DIVISOR, "points": [{"location": "2", "multiplicity": 0.5}]}, "multiplicity-float"),
+    # a complex pair is exactly two finite JSON numbers, not bools
+    (element_from_doc, {"kind": "logbranch", "location": [1e400, 0]}, "element-pair-infinite"),
+    (element_from_doc, {"kind": "rational", "num": [[1, 0]], "den": [[10 ** 400, 0]]}, "element-pair-int-overflow"),
+    (element_from_doc, {"kind": "rational", "num": [[1.0, 0, 7]], "den": [[1, 0]]}, "element-pair-three-numbers"),
+    (element_from_doc, {"kind": "series", "coeffs": [[True, False]]}, "element-pair-bools"),
+    (series_from_doc, {**COMPLEX_SERIES, "coeffs": [[1, 0], [10 ** 400, 0]]}, "series-pair-int-overflow"),
+    (series_from_doc, {**COMPLEX_SERIES, "coeffs": [[1.0, 0, 7]]}, "series-pair-three-numbers"),
+    (series_from_doc, {**COMPLEX_SERIES, "coeffs": [[True, False]]}, "series-pair-bools"),
 ]
 
 
@@ -228,11 +239,43 @@ def test_cli_polylog_ladder(tmp_path, capsys):
     assert log_poly_from_doc(doc["total"]) == log_ladder_monodromy(3)
 
 
+def test_cli_monodromy_is_exact_past_a_doubles_range(tmp_path, capsys):
+    huge = write_doc(tmp_path, "huge.json", huge_location_doc())
+    assert main(["monodromy", "-f", huge, "-g", huge, "--gamma", str(HUGE ** 2)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    spec = function_spec_from_doc(huge_location_doc())
+    assert doc["gamma"] == str(HUGE ** 2) and doc["pairs"] == [[str(HUGE), str(HUGE)]]
+    assert log_poly_from_doc(doc["total"]) == hadamard_monodromy_general(spec, spec, HUGE ** 2).value
+
+    f = write_doc(tmp_path, "log_symbol.json", log_symbol_doc())
+    g = write_doc(tmp_path, "li1.json", li1_function_doc())
+    assert main(["monodromy", "-f", f, "-g", g]) == 0
+    log_huge = ExactCoeff.monomial({log_symbol(HUGE): 1})
+    total = log_poly_from_doc(json.loads(capsys.readouterr().out)["total"])
+    assert total == log_ladder_monodromy(2).scale(log_huge)
+
+
 # --- CLI: verify ------------------------------------------------------------------------------
 
 
 def li1_function_doc():
     return function_spec_to_doc(polylog_function_spec(1), element=PolylogElement(1))
+
+
+HUGE = 10 ** 400  # past a double's range
+
+
+def huge_location_doc():
+    doc = li1_function_doc()
+    doc["singularities"][0]["location"] = str(HUGE)
+    return doc
+
+
+def log_symbol_doc():
+    """Li_1 with its monodromy multiplied by the symbol log(HUGE)."""
+    doc = li1_function_doc()
+    doc["singularities"][0]["monodromy"][0]["coeff"][0]["symbols"][f"log({HUGE})"] = 1
+    return doc
 
 
 def test_cli_verify_polylog_pair_exit_0(tmp_path, capsys):
@@ -310,11 +353,16 @@ REFUSED_INPUTS = [
     (["series", "--op", "hadamard", "-f", "{infinite}", "-g", "{infinite}"], 2, "Infinity"),
     (["series", "--op", "hadamard", "-f", "{overflow}", "-g", "{overflow}"], 2, "coefficient 1 is not finite"),
     (["series", "--op", "hadamard", "-f", "{huge}", "-g", "{huge}"], 3, "not finite"),
+    (["series", "--op", "hadamard", "-f", "{int_overflow}", "-g", "{int_overflow}"], 2,
+     "coefficient 1 is not finite"),
     (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--winding", "1"], 3, "winding 0"),
     (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9,nan"], 3, "'nan'"),
     (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--nodes", "64"], 5, "node budget 64 spent"),
     (["monodromy", "-f", "{negative_logpow}", "-g", "{li1}"], 2, "logpow -1 is negative"),
     (["verify", "-f", "{zpow_overflow}", "-g", "{li1}", "--samples", "0.9"], 3, "overflows a double"),
+    (["verify", "-f", "{huge_location}", "-g", "{huge_location}", "--gamma", str(HUGE ** 2), "--samples", "0.9"],
+     3, "overflows a double"),
+    (["verify", "-f", "{log_symbol}", "-g", "{li1}", "--samples", "0.9"], 3, "overflows a double"),
     # a file cannot be a directory, so no output path under it can be written
     (["monodromy", "-f", "{li1}", "-g", "{li1}", "--out", "{li1}/out.json"], 2, "cannot write"),
     (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9", "--out", "{li1}/out.json"], 2,
@@ -348,8 +396,9 @@ REFUSED_INPUTS = [
 
 @pytest.mark.parametrize("argv, code, message", REFUSED_INPUTS,
                          ids=["gamma-1/0", "series-coeff-1/0", "series-infinity", "series-overflowing-literal",
-                              "series-non-finite-result", "verify-no-winding-0", "verify-nan-sample",
+                              "series-non-finite-result", "series-int-overflow", "verify-no-winding-0", "verify-nan-sample",
                               "verify-node-budget", "negative-logpow", "verify-overflow",
+                              "verify-huge-location-overflow", "verify-log-symbol-overflow",
                               "monodromy-unwritable-out", "verify-unwritable-out", "verify-csv-unwritable-out",
                               "verify-check-tol-nan", "verify-check-tol-negative", "verify-tol-nan",
                               "verify-nodes-0", "verify-nodes-negative", "series-order-too-large",
@@ -368,6 +417,11 @@ def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, mess
         "huge": write_doc(tmp_path, "huge.json", {
             "format": 1, "kind": "series", "field": "complex", "coeffs": [[1, 0], [1e200, 0]],
         }),
+        "int_overflow": write_doc(tmp_path, "int_overflow.json", {
+            "format": 1, "kind": "series", "field": "complex", "coeffs": [[1, 0], [HUGE, 0]],
+        }),
+        "huge_location": write_doc(tmp_path, "huge_location.json", huge_location_doc()),
+        "log_symbol": write_doc(tmp_path, "log_symbol.json", log_symbol_doc()),
     }
     negative_logpow = li1_function_doc()
     negative_logpow["singularities"][0]["monodromy"][0]["logpow"] = -1
@@ -417,6 +471,18 @@ def test_cli_selftest_passes(capsys):
     assert code == 0
     assert "0 failure(s)" in output
     assert "FAIL" not in output
+
+
+def test_cli_failing_selftest_is_exit_4(monkeypatch, capsys):
+    def crash():
+        raise RuntimeError("fixture crashed")
+
+    monkeypatch.setattr(cli, "_selftest_fixtures", lambda: [("wrong", lambda: False), ("crash", crash)])
+    assert main(["selftest"]) == 4
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].startswith("wrong") and "FAIL" in rows[0]
+    assert rows[1].startswith("crash (RuntimeError)") and "FAIL" in rows[1]
+    assert rows[2] == "2 failure(s) out of 2 fixtures"
 
 
 def test_cli_round_trip_of_emitted_series(tmp_path, capsys):

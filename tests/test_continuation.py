@@ -148,15 +148,24 @@ def test_series_element_full_loop_returns_its_polynomial_value():
     assert abs(value - geo.principal_value(0.6)) < 1e-12
 
 
-def test_resuming_a_state_leaves_it_unchanged():
-    elem = SumElement([LogBranchElement(1.0), PolylogElement(2)])
+# states are copied shallowly, which holds only while no element's track changes
+# a branch record in place: every element kind is resumed here
+@pytest.mark.parametrize("elem", [
+    geometric_element(),
+    SeriesElement([1.0, 0.5, 0.25j], [1.0]),
+    LogBranchElement(1.0, [0, 1]),
+    PolylogElement(1),
+    PolylogElement(3),
+    SumElement([LogBranchElement(1.0), PolylogElement(2)]),
+], ids=["rational", "series", "logbranch", "polylog1", "polylog3", "sum"])
+def test_resuming_a_state_leaves_it_unchanged(elem):
     _, state = continue_along(elem, [Arc(1.0, 0.3, math.pi, 2 * math.pi)])
-    point, value = state.point, state.value()
+    point, value, windings = state.point, state.value(), state.windings()
     second_half = [Arc(1.0, 0.3, 2 * math.pi, 3 * math.pi)]
     first, _ = continue_along(state, second_half)
     again, _ = continue_along(state, second_half)
     assert first == again
-    assert (state.point, state.value()) == (point, value)
+    assert (state.point, state.value(), state.windings()) == (point, value, windings)
     assert state.spec is elem
 
 
