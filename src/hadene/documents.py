@@ -380,6 +380,8 @@ def load_document(path: str) -> Any:
         raise DocumentError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a constant _reject_constant refuses, or an integer past the digit limit
+        raise DocumentError(f"{path} cannot be read: {exc}") from exc
     except RecursionError:
         raise DocumentError(f"{path} nests arrays or objects too deeply") from None
 

@@ -13,6 +13,12 @@ The two products:
 ``ene`` is the multiplicative form, conjugated through exp/log:
 ``ene(f, g) = exp(ene_exp(log f, log g))``.  On products of linear factors it
 multiplies the roots: ene(prod(1 - z/a), prod(1 - z/b)) = prod(1 - z/(a*b)).
+So the eñe product of polynomials of degrees d and e is a polynomial of degree
+at most d * e, and ``ene`` runs its recurrences only to min(N, d * e), d and e
+being the indices of the operands' last nonzero coefficients up to N.  This is
+exact: coefficient k of exp, log and ene_exp reads coefficients <= k alone, so
+the coefficients up to d * e are those of the order-N run (bit for bit over the
+complex doubles), and the rest are exact zeros.
 
 Sign convention: ``koebe(N)`` is the expansion of z/(1-z)^2 with positive
 coefficients n, and the product identity used throughout is
@@ -192,10 +198,26 @@ def log_series(f: TruncatedSeries) -> TruncatedSeries:
     return _log_generic(f)
 
 
+def _degree(f: TruncatedSeries, n: int) -> int:
+    """Index of the last nonzero coefficient among c_0..c_n (0 if none)."""
+    while n and not f.coeffs[n]:
+        n -= 1
+    return n
+
+
 def ene(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative product with unit constant terms; multiplies root sets."""
+    """Multiplicative product with unit constant terms; multiplies root sets.
+
+    The result has order N = min(f.order, g.order).  The product of
+    polynomials of degrees d and e has degree at most d * e, so the recurrences
+    run only to min(N, d * e) and the result is padded with zeros to N.  This
+    is exact, since each recurrence computes coefficient k from coefficients
+    <= k alone.
+    """
     f._require_same_field(g)
-    return exp_series(ene_exp(log_series(f), log_series(g)))
+    n = min(f.order, g.order)
+    m = min(n, _degree(f, n) * _degree(g, n))
+    return exp_series(ene_exp(log_series(f.truncate(m)), log_series(g.truncate(m)))).pad(n)
 
 
 def poly_from_roots(roots: Sequence, order: int, field: str | None = None) -> TruncatedSeries:

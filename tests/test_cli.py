@@ -391,6 +391,8 @@ REFUSED_INPUTS = [
     # 0.9 is measured; 1.2 lies outside |z0| < 1, where no circle separates
     (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "0.9,1.2"], 5,
      "at z0 = (1.2+0j): no separating circle"),
+    (["series", "--op", "hadamard", "-f", "{long_int}", "-g", "{long_int}"], 2,
+     "long_int.json cannot be read: Exceeds the limit"),
 ]
 
 
@@ -404,7 +406,8 @@ REFUSED_INPUTS = [
                               "verify-nodes-0", "verify-nodes-negative", "series-order-too-large",
                               "verify-gamma-overflow", "document-not-utf8", "document-nested-too-deeply",
                               "verify-polylog-k-too-large", "verify-polylog-k-float", "verify-polylog-k-zero",
-                              "verify-sum-nested-too-deeply", "verify-names-the-failing-sample"])
+                              "verify-sum-nested-too-deeply", "verify-names-the-failing-sample",
+                              "series-int-past-digit-limit"])
 def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, message):
     docs = {
         "li1": write_doc(tmp_path, "li1.json", li1_function_doc()),
@@ -445,6 +448,10 @@ def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, mess
     docs["overflow"] = str(tmp_path / "overflow.json")
     (tmp_path / "overflow.json").write_text(
         '{"format": 1, "kind": "series", "field": "complex", "coeffs": [[1, 0], [1e400, 0]]}')
+    # an integer longer than the interpreter converts from a string by default
+    docs["long_int"] = str(tmp_path / "long_int.json")
+    (tmp_path / "long_int.json").write_text(
+        '{"format": 1, "kind": "series", "field": "complex", "coeffs": [[1, 0], [%s, 0]]}' % ("9" * 5001))
     assert main([arg.format(**docs) for arg in argv]) == code
     out, err = capsys.readouterr()
     assert out == ""

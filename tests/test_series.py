@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hadene import series
 from hadene.coeffs import GaussianRational, as_exact
 from hadene.series import (
     FIELD_COMPLEX,
@@ -217,6 +218,87 @@ def test_ene_is_commutative():
     f = random_rational_series(rng, 16, constant=1)
     g = random_rational_series(rng, 16, constant=1)
     assert ene(f, g) == ene(g, f)
+
+
+def full_order_ene(f, g):
+    """ene by the composed chain run to the full order: the reference for the degree rule."""
+    return exp_series(ene_exp(log_series(f), log_series(g)))
+
+
+def test_ene_stops_at_the_degree_product_exactly():
+    # deg(ene(f, g)) <= deg f * deg g, so ene runs only that far and pads with zeros
+    rng = random.Random(15)
+
+    def root(field):
+        r = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5))
+        return GaussianRational(r, Fraction(rng.randint(-2, 2), rng.randint(1, 3))) if field == FIELD_EXACT else r
+
+    for field in (FIELD_RATIONAL, FIELD_EXACT):
+        for order in (0, 1, 5, 20):  # below, inside and above deg f * deg g <= 16
+            one = poly_from_roots([], order, field)
+            for d in range(5):
+                for e in range(5):
+                    f = poly_from_roots([root(field) for _ in range(d)], order, field)
+                    g = poly_from_roots([root(field) for _ in range(e)], order, field)
+                    assert ene(f, g) == full_order_ene(f, g)
+                    if d == 0:
+                        assert ene(f, g) == one
+        cube = TruncatedSeries([1, 0, 0, 1] + [0] * 9, field)  # 1 + z^3: interior zeros
+        sparse = TruncatedSeries([1, 0, Fraction(-2, 3)] + [0] * 4 + [Fraction(1, 5)] + [0] * 5, field)
+        dense = TruncatedSeries(random_rational_series(rng, 12, constant=1).coeffs, field)
+        short = poly_from_roots([root(field), root(field)], 7, field)  # a shorter operand sets the order
+        for f, g in ((cube, cube), (cube, sparse), (sparse, dense), (dense, dense), (cube, short), (dense, short)):
+            assert ene(f, g) == full_order_ene(f, g)
+            assert ene(g, f) == full_order_ene(g, f)
+
+
+def test_ene_refuses_a_bad_constant_term_beside_a_degree_zero_operand():
+    one = poly_from_roots([], 6)
+    for coeffs in ([2, 0], [0, 1], [3, 1, 2]):
+        bad = TruncatedSeries(coeffs + [0] * (7 - len(coeffs)))
+        for f, g in ((one, bad), (bad, one)):
+            with pytest.raises(BadConstantTerm):
+                ene(f, g)
+
+
+def test_ene_of_root_polynomials_works_to_the_degree_product(monkeypatch):
+    # both logs and the exp run to deg f * deg g = 12 on order-128 operands
+    lengths = []
+    recurrence = series._rational_recurrence
+
+    def counted(b, log):
+        lengths.append(len(b))
+        return recurrence(b, log)
+
+    monkeypatch.setattr(series, "_rational_recurrence", counted)
+    roots_f = [Fraction(2), Fraction(-1, 3), Fraction(5, 4)]
+    roots_g = [Fraction(-3), Fraction(1, 2), Fraction(4), Fraction(-2, 5)]
+    result = ene(poly_from_roots(roots_f, 128), poly_from_roots(roots_g, 128))
+    assert len(lengths) == 3 and max(lengths) <= 3 * 4 + 1
+    assert result == poly_from_roots([a * b for a in roots_f for b in roots_g], 128)
+
+
+def bits(c):
+    return c.real.hex(), c.imag.hex()
+
+
+def test_complex_ene_is_the_full_order_run_up_to_the_degree_product():
+    # coefficients up to deg f * deg g are bit for bit those of the full-order run;
+    # past it they are exact zeros where the full-order run leaves rounding residue
+    tails = {}
+    for seed, order in ((3, 40), (11, 40), (80, 40), (80, 5), (21, 0)):
+        rng = random.Random(seed)
+        d, e = rng.randint(1, 4), rng.randint(1, 4)
+        roots = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(d + e)]
+        g = poly_from_roots(roots[d:], order)
+        for f, degrees in ((poly_from_roots(roots[:d], order), d * e), (poly_from_roots([], order, FIELD_COMPLEX), 0)):
+            m = min(order, degrees)
+            got, reference = ene(f, g), full_order_ene(f, g)
+            assert got.field == FIELD_COMPLEX and got.order == order
+            assert [bits(c) for c in got.coeffs[:m + 1]] == [bits(c) for c in reference.coeffs[:m + 1]]
+            assert [bits(c) for c in got.coeffs[m + 1:]] == [bits(0j)] * (order - m)
+            tails[seed, order, m] = max((abs(c) for c in reference.coeffs[m + 1:]), default=0.0)
+    assert tails[80, 40, 12] > 0.05  # the full-order run's tail, where the exact value is 0
 
 
 # --- poly_from_roots ------------------------------------------------------------
