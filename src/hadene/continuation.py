@@ -735,16 +735,17 @@ def _detours(z0: complex, pairs: Sequence[tuple[complex, complex]], r: float,
     """The detour loop radius and the detours in anchor order, each pair's anchor
     being where [z0/beta, alpha] crosses the circle |u| = r (see build_traintrack).
 
-    The detours admit every eps below one bound: the marked points (each alpha
-    and z0/beta) lie more than 2 eps apart and eps / 2 off the circle, and each
-    anchor lies more than 1.25 eps from its pair's loop centres.  A given eps is
-    checked against it.  The default is 0.1 of the smallest distance between
-    marked points, or half the bound where that is not below it.
+    The detours admit every eps below one bound: the marked points (each alpha,
+    each z0/beta, and 0, which no loop may enclose) lie more than 2 eps apart and
+    eps / 2 off the circle, and each anchor lies more than 1.25 eps from its
+    pair's loop centres.  A given eps is checked against it.  The default is 0.1
+    of the smallest distance between marked points, or half the bound where that
+    is not below it.
     """
     marked = [(complex(alpha), z0 / complex(beta)) for alpha, beta in pairs]
     _separating_radius([abs(alpha) for alpha, _ in marked], [abs(p) for _, p in marked], r)
     anchors = [(_circle_crossing(p, alpha, r), alpha, p) for alpha, p in marked]
-    points = [alpha for alpha, _ in marked] + [p for _, p in marked]
+    points = [alpha for alpha, _ in marked] + [p for _, p in marked] + [0j]
     min_sep = min((abs(x - y) for i, x in enumerate(points) for y in points[i + 1:]), default=math.inf)
     bound = min([0.5 * min_sep, *(2.0 * abs(abs(x) - r) for x in points),
                  *(min(abs(a - alpha), abs(a - p)) / 1.25 for a, alpha, p in anchors)])

@@ -12,7 +12,7 @@ import cmath
 import json
 from typing import TYPE_CHECKING, Any
 
-from .coeffs import ExactCoeff, parse_gaussian_rational, parse_rational, parse_symbol
+from .coeffs import GR_ZERO, ExactCoeff, _make_monomial, parse_gaussian_rational, parse_rational, parse_symbol
 from .logpoly import LogLaurentPoly
 from .monodromy import Divisor, FunctionSpec, GermPart, MonodromyResult, Singularity
 from .series import FIELD_COMPLEX, FIELD_RATIONAL, TruncatedSeries
@@ -89,9 +89,9 @@ def exact_coeff_to_doc(value: ExactCoeff) -> list[dict]:
     return out
 
 
-def exact_coeff_from_doc(doc: Any) -> ExactCoeff:
+def _add_exact_terms(terms: dict, doc: Any) -> dict:
+    """terms[monomial] += coeff for each term record of an exact coefficient document."""
     _require(isinstance(doc, list), "exact coefficient must be a list of term records")
-    total = ExactCoeff.zero()
     for record in doc:
         _require(isinstance(record, dict), "term record must be an object")
         symbols = record.get("symbols", {})
@@ -101,8 +101,13 @@ def exact_coeff_from_doc(doc: Any) -> ExactCoeff:
             powers = {parse_symbol(k): _integer(e, f"exponent of {k}") for k, e in symbols.items()}
         except (KeyError, ValueError) as exc:
             raise DocumentError(f"bad exact coefficient record: {exc}") from exc
-        total = total + ExactCoeff.monomial(powers, coeff)
-    return total
+        mono = _make_monomial(powers)
+        terms[mono] = terms.get(mono, GR_ZERO) + coeff
+    return terms
+
+
+def exact_coeff_from_doc(doc: Any) -> ExactCoeff:
+    return ExactCoeff(_add_exact_terms({}, doc))
 
 
 def log_poly_to_doc(p: LogLaurentPoly) -> list[dict]:
@@ -114,16 +119,15 @@ def log_poly_to_doc(p: LogLaurentPoly) -> list[dict]:
 
 def log_poly_from_doc(doc: Any) -> LogLaurentPoly:
     _require(isinstance(doc, list), "log polynomial must be a list of term records")
-    terms = {}
+    terms: dict = {}
     for record in doc:
         try:
             key = (_integer(record["zpow"], "zpow", MAX_ZPOW), _integer(record["logpow"], "logpow", MAX_LOGPOW))
-            coeff = exact_coeff_from_doc(record["coeff"])
+            _add_exact_terms(terms.setdefault(key, {}), record["coeff"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DocumentError(f"bad log-polynomial record: {exc}") from exc
         _require(key[1] >= 0, f"bad log-polynomial record: logpow {key[1]} is negative")
-        terms[key] = terms.get(key, ExactCoeff.zero()) + coeff
-    return LogLaurentPoly(terms)
+    return LogLaurentPoly({key: ExactCoeff(raw) for key, raw in terms.items()})
 
 
 # --- series ------------------------------------------------------------------------

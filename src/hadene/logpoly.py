@@ -16,22 +16,23 @@ recursion on l, whose rational factors are cached per (k, l); the k = -1
 column integrates to (log u)^(l+1)/(l+1).
 
 LogLaurentPoly and BiLogPoly share the term-map core of ``coeffs`` and, above
-it, one product and one derivation.  Every log(z/x) rewrite reads the one
-cached signed-binomial row per log power (_signed_binomials).  shift_log,
-integrate_u and the product pair terms of ``monodromy`` each fill one
-unreduced accumulator (``coeffs._accumulate``) keyed by (zpow, zlogpow): every
-term enters as coeff * (binomial * rational factor) * location unit, and each
-output ExactCoeff is built once at the end (_finished).  A location unit
-c^k * Log(c)^n is a monomial unit cached per (c, k, n) (_location_unit,
-bounded like the binomial rows and the antiderivative table).  Two functions
-read it: _add_at substitutes x = c, and _add_at_z_over substitutes x = z/c,
-where log(z/c) becomes log z - Log(c).  _add_integral reads the
-antiderivative table and feeds one integrand term to both endpoints, for
-integrate_u and for each term pair of a product alike.
+it, one product and one derivation.  One cached function, _z_over, rewrites
+log(z/y) as log z - log y, over the signed binomial row.  It has two readers:
+_pair_terms, the one stream of the terms of unit * first(u) * second(z/u) that
+every product pair term of ``monodromy`` reads, and _add_at_z_over, the
+endpoint x = z/c.  shift_log (log z -> log z + a) is a shift, not a quotient,
+and expands its own row.  shift_log, integrate_u and the pair terms each fill
+one unreduced accumulator (``coeffs._accumulate``) keyed by (zpow, zlogpow):
+every term enters as coeff * (binomial * rational factor) * location unit, and
+each output ExactCoeff is built once (_finished).  _add_at (x = c) and
+_add_at_z_over read c^k * Log(c)^n as a monomial unit cached per (c, k, n)
+(_location_unit, bounded like the binomial rows and the antiderivative table).
+_add_integral feeds each antiderivative term to both endpoints.
 
-Branches are formal here: log(z/u) is rewritten as log z - log u, and endpoint
-logs become Log(location) symbols (Log(1) simplifies to 0 eagerly, nothing else
-does).  Numeric evaluation picks a sheet explicitly through BranchPoint.
+Branches are formal here: _z_over rewrites log(z/u) as log z - log u with no
+2pii*k term, and endpoint logs become Log(location) symbols (Log(1) simplifies
+to 0 eagerly, nothing else does).  Numeric evaluation picks a sheet explicitly
+through BranchPoint.
 """
 
 from __future__ import annotations
@@ -119,18 +120,33 @@ def _add_at(acc: dict, zkey: tuple, location: GaussianRational, k: int, l: int, 
         _accumulate(acc.setdefault(zkey, {}), coeff, factor if c is GR_ONE else factor * c, mono, times)
 
 
+@lru_cache(maxsize=1024)
+def _z_over(k: int, l: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The terms (zpow, zlogpow, ypow, ylogpow, sign) of x^k (log x)^l at x = z/y: the one
+    rewrite of log(z/y) as log z - log y, its l-th power over the signed binomial row."""
+    return tuple((k, j, -k, l - j, sign) for j, sign in enumerate(_signed_binomials(l)))
+
+
+def _pair_terms(first: LogLaurentPoly, second: LogLaurentPoly, unit: ExactCoeff):
+    """The terms (upow, ulogpow, zpow, zlogpow, coeff, sign) of unit * first(u) * second(z/u),
+    each coeff * sign * u^upow (log u)^ulogpow z^zpow (log z)^zlogpow, second(z/u) by _z_over."""
+    for (m, a), f in first.terms.items():
+        f_unit = f * unit
+        for (n, b), g in second.terms.items():
+            coeff = f_unit * g
+            for zpow, zlogpow, upow, ulogpow, sign in _z_over(n, b):
+                yield m + upow, a + ulogpow, zpow, zlogpow, coeff, sign
+
+
 def _add_at_z_over(acc: dict, zpow: int, zlogpow: int, location: GaussianRational, k: int, l: int,
                    coeff: ExactCoeff, factor: GaussianRational, times: int = 1) -> None:
-    """acc += coeff * factor * times * x^k (log x)^l z^zpow (log z)^zlogpow at x = z/location.
-
-    log(z/location) is rewritten as log z - Log(location) and its l-th power
-    expanded by the signed binomial row; at location 1 only (log z)^l is left.
-    """
+    """acc += coeff * factor * times * x^k (log x)^l z^zpow (log z)^zlogpow at x = z/location,
+    through the rows of _z_over; at location 1 only the row free of Log(1), (log z)^l, is left."""
     if location == GR_ONE:
         _add_at(acc, (zpow + k, zlogpow + l), location, -k, 0, coeff, factor, times)
         return
-    for j, sign in enumerate(_signed_binomials(l)):
-        _add_at(acc, (zpow + k, zlogpow + j), location, -k, l - j, coeff, factor, sign * times)
+    for zp, zl, yp, yl, sign in _z_over(k, l):
+        _add_at(acc, (zpow + zp, zlogpow + zl), location, yp, yl, coeff, factor, sign * times)
 
 
 def _add_integral(acc: dict, lower: GaussianRational, upper: GaussianRational, k: int, l: int,

@@ -28,15 +28,15 @@ supplies only its pair term, and the *_total variants differ only in refusing
 polar germ parts.
 
 Each pair term fills one unreduced accumulator (see ``logpoly``) and finishes
-it once.  For every pair of terms, one of dF (or dF') and one of dG, dG(z/u)
-expands (log z - log u)^b by the cached signed-binomial row, and each
-integrand term u^k (log u)^l goes through _add_integral to both endpoints;
-the -+1/2pii unit multiplies each term of dF once.  The ene evaluation term
-substitutes z/alpha, and each residue differentiates u^p (log u)^q in closed
-form, with sign * a_k/(k-1)! folded into one weight per polar order.  Every
-substitution passes the location itself, and its powers and Log powers come
-from the bounded cache of location units in ``logpoly``, so repeated products
-on the same locations build none of them again.
+it once.  Its parts read one stream, logpoly._pair_terms, of the terms of
+unit * dF(u) dG(z/u), in which logpoly alone expands log(z/u) = log z - log u.
+The integral feeds each term u^k (log u)^l (dF' in place of dF for ene) to
+_add_integral at both endpoints, with the -+1/2pii unit on each term of dF
+once; the ene evaluation term puts u = alpha; each residue reads the stream
+with dF = 1 and the unit sign * a_k/(k-1)!, one weight per polar order, and
+differentiates u^p (log u)^q in closed form.  Every substitution passes the
+location itself, and its powers and Log powers come from the bounded cache of
+location units in ``logpoly``, so repeated products build none of them again.
 """
 
 from __future__ import annotations
@@ -47,12 +47,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coeffs import GR_ONE, ExactCoeff, GaussianRational, as_exact
-from .logpoly import (LogLaurentPoly, _add_at, _add_at_z_over, _add_integral, _finished, _gauss,
-                      _signed_binomials)
+from .logpoly import LogLaurentPoly, _add_at, _add_integral, _finished, _gauss, _pair_terms
 from .series import TruncatedSeries
 
 INV_TWO_PI_I = ExactCoeff.two_pi_i(-1)
 NEG_INV_TWO_PI_I = -INV_TWO_PI_I
+_ONE = LogLaurentPoly.constant(1)
 
 
 class GermNotTotallyHolomorphic(ValueError):
@@ -202,20 +202,6 @@ def _product_monodromy(pair_term, f: FunctionSpec, g: FunctionSpec, gamma,
     )
 
 
-def _add_convolution(acc: dict, alpha: GaussianRational, beta: GaussianRational, first: LogLaurentPoly,
-                     second: LogLaurentPoly, du: int, unit: ExactCoeff) -> None:
-    """acc += unit * integral_alpha^{z/beta} first(u) second(z/u) u^du du, one term pair at a time.
-
-    second(z/u) expands (log z - log u)^b through the signed binomial row.
-    """
-    for (m, a), f in first.terms.items():
-        f_unit = f * unit
-        for (n, b), g in second.terms.items():
-            coeff = f_unit * g
-            for j, sign in enumerate(_signed_binomials(b)):
-                _add_integral(acc, alpha, beta, m - n + du, a + b - j, n, j, coeff, sign)
-
-
 def _derivative_row(p: int, q: int, r: int) -> list[int]:
     """c with d^r/du^r u^p (log u)^q = u^(p-r) sum_t c[t] (log u)^(q-t)."""
     row = [1]
@@ -236,23 +222,23 @@ def _add_residue(acc: dict, pole: GaussianRational, polar: Sequence[ExactCoeff],
     Res = sum_k a_k h^(k-1)(pole) / (k-1)!, with sign * a_k / (k-1)! folded
     into one weight per order and h differentiated term by term.
     """
-    weights = [(k - 1, a_k * Fraction(sign, math.factorial(k - 1)))
-               for k, a_k in enumerate(polar, start=1) if a_k]
-    for (n, b), g in other.terms.items():
-        for r, weight in weights:
-            coeff = g * weight
-            for j, binomial in enumerate(_signed_binomials(b)):
-                p, q = du - n, b - j
-                for t, c in enumerate(_derivative_row(p, q, r)):
-                    if c:
-                        _add_at(acc, (n + dz, j), pole, p - r, q - t, coeff, GR_ONE, binomial * c)
+    for r, a_k in enumerate(polar):
+        if not a_k:
+            continue
+        weight = a_k * Fraction(sign, math.factorial(r))
+        for upow, q, zpow, zlogpow, coeff, binomial in _pair_terms(_ONE, other, weight):
+            p = upow + du
+            for t, c in enumerate(_derivative_row(p, q, r)):
+                if c:
+                    _add_at(acc, (zpow + dz, zlogpow), pole, p - r, q - t, coeff, GR_ONE, binomial * c)
 
 
 def _hadamard_pair(sf: Singularity, sg: Singularity) -> LogLaurentPoly:
     """One factorization's Hadamard term: the integral, minus polar residues."""
     alpha, beta = sf.location, sg.location
     acc: dict = {}
-    _add_convolution(acc, alpha, beta, sf.monodromy, sg.monodromy, -1, NEG_INV_TWO_PI_I)
+    for k, l, zpow, zlogpow, coeff, sign in _pair_terms(sf.monodromy, sg.monodromy, NEG_INV_TWO_PI_I):
+        _add_integral(acc, alpha, beta, k - 1, l, zpow, zlogpow, coeff, sign)
     _add_residue(acc, alpha, sf.germ.polar, sg.monodromy, -1, 0, -1)
     _add_residue(acc, beta, sg.germ.polar, sf.monodromy, -1, 0, -1)
     return LogLaurentPoly._wrap(_finished(acc))
@@ -262,18 +248,13 @@ def _ene_pair(sf: Singularity, sg: Singularity) -> LogLaurentPoly:
     """One factorization's ene term: evaluation plus integral, plus polar residues."""
     alpha, beta = sf.location, sg.location
     acc: dict = {}
-    # evaluation term: (1/2pii) dF(alpha) * dG(z/alpha)
-    at_alpha: dict = {}
-    for (m, a), f in sf.monodromy.terms.items():
-        _add_at(at_alpha, (), alpha, m, a, f, GR_ONE)
-    df_at_alpha = _finished(at_alpha).get(())
-    if df_at_alpha:
-        df_at_alpha = df_at_alpha * INV_TWO_PI_I
-        for (n, b), g in sg.monodromy.terms.items():
-            _add_at_z_over(acc, 0, 0, alpha, n, b, g * df_at_alpha, GR_ONE)
+    # evaluation term: (1/2pii) dF(alpha) dG(z/alpha), the pair terms at u = alpha
+    for k, l, zpow, zlogpow, coeff, sign in _pair_terms(sf.monodromy, sg.monodromy, INV_TWO_PI_I):
+        _add_at(acc, (zpow, zlogpow), alpha, k, l, coeff, GR_ONE, sign)
     # integral term: (1/2pii) * int_alpha^{z/beta} dF'(u) dG(z/u) du   (no 1/u factor)
     df = sf.monodromy.derivative()
-    _add_convolution(acc, alpha, beta, df, sg.monodromy, 0, INV_TWO_PI_I)
+    for k, l, zpow, zlogpow, coeff, sign in _pair_terms(df, sg.monodromy, INV_TWO_PI_I):
+        _add_integral(acc, alpha, beta, k, l, zpow, zlogpow, coeff, sign)
     # Res_{u=alpha}( F0'(u) dG(z/u) ): differentiate the stored polar part
     _add_residue(acc, alpha, _polar_of_derivative(sf.germ.polar), sg.monodromy, 0, 0, 1)
     # Res_{u=beta}( G0(u) dF'(z/u) z/u^2 ): the z/u^2 Jacobian comes from

@@ -8,7 +8,7 @@ import pytest
 
 from hadene import cli
 from hadene.cli import main
-from hadene.coeffs import ExactCoeff, GaussianRational, log_symbol
+from hadene.coeffs import ExactCoeff, GaussianRational, _TermMap, log_symbol
 from hadene.continuation import LogBranchElement, PolylogElement, SumElement, geometric_element
 from hadene.documents import (
     MAX_ELEMENT_DEPTH,
@@ -59,6 +59,29 @@ def test_exact_coeff_round_trip():
 def test_log_poly_round_trip():
     p = log_ladder_monodromy(4) + LogLaurentPoly.term(-2, 1, Fraction(5, 3))
     assert log_poly_from_doc(log_poly_to_doc(p)) == p
+
+
+def test_coefficient_documents_parse_without_a_sum_per_record(monkeypatch):
+    # a running sum copies its whole term map on every record: quadratic work
+    calls = 0
+    add = _TermMap.__add__
+
+    def counting_add(self, other):
+        nonlocal calls
+        calls += 1
+        return add(self, other)
+
+    monkeypatch.setattr(_TermMap, "__add__", counting_add)
+    counts = []
+    for n in (500, 5000):
+        records = [{"coeff": f"{i + 1}/7", "symbols": {"log(2)": i % 50, "2pii": i // 50}} for i in range(n)]
+        calls = 0
+        coeff = exact_coeff_from_doc(records)
+        log_poly = log_poly_from_doc([{"zpow": 1, "logpow": 2, "coeff": [record]} for record in records])
+        counts.append(calls)
+        assert len(coeff.terms) == n
+        assert log_poly.terms == {(1, 2): coeff}
+    assert counts[1] == counts[0]
 
 
 def test_series_round_trip_rational_and_complex():
@@ -298,6 +321,13 @@ def test_cli_verify_measures_where_the_circle_passes_close_to_z0(tmp_path, capsy
     assert json.loads(capsys.readouterr().out)["max_abs_error"] < 1e-8
 
 
+def test_cli_verify_measures_a_small_z0(tmp_path, capsys):
+    # z0 = 0.05 lies closer to 0 than the loop radius 0.1 |1 - z0| would be
+    f = write_doc(tmp_path, "li1.json", li1_function_doc())
+    assert main(["verify", "-f", f, "-g", f, "--gamma", "1", "--samples", "0.05"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_abs_error"] < 1e-8
+
+
 def test_cli_verify_corrupted_symbolic_is_exit_4(tmp_path, capsys):
     doc = li1_function_doc()
     # corrupt the declared monodromy: the measurement will contradict it
@@ -393,6 +423,8 @@ REFUSED_INPUTS = [
      "at z0 = (1.2+0j): no separating circle"),
     (["series", "--op", "hadamard", "-f", "{long_int}", "-g", "{long_int}"], 2,
      "long_int.json cannot be read: Exceeds the limit"),
+    # z0 = 1e-320 is a subnormal so near 0 that no detour loop fits between it and 0
+    (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "1e-320"], 5, "at z0 = (1e-320+0j)"),
 ]
 
 
@@ -407,7 +439,7 @@ REFUSED_INPUTS = [
                               "verify-gamma-overflow", "document-not-utf8", "document-nested-too-deeply",
                               "verify-polylog-k-too-large", "verify-polylog-k-float", "verify-polylog-k-zero",
                               "verify-sum-nested-too-deeply", "verify-names-the-failing-sample",
-                              "series-int-past-digit-limit"])
+                              "series-int-past-digit-limit", "verify-z0-subnormal"])
 def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, message):
     docs = {
         "li1": write_doc(tmp_path, "li1.json", li1_function_doc()),

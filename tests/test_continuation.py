@@ -424,6 +424,16 @@ def test_monodromy_z0_without_separating_circle_is_infeasible():
         monodromy_numeric(li1, li1, 1.0, 1.1, tol=1e-6)
 
 
+@pytest.mark.parametrize("z0", [0.09, 0.05, 0.01, 1e-5, 0.05j])
+def test_small_z0_loop_leaves_the_origin_outside(z0):
+    # |z0/beta| lies below 0.1 |z0/beta - alpha|, the loop radius the pair alone
+    # would allow, so 0 must count as a marked point or the loop around z0/beta
+    # encloses it
+    li1 = PolylogElement(1)
+    measured = monodromy_numeric(li1, li1, 1.0, z0)
+    assert abs(measured - (-TWO_PI_I * cmath.log(z0))) < 1e-9
+
+
 def test_monodromy_two_factorizations_superpose():
     # gamma = 4i factors as 2 * 2i and 2i * 2: the deformed contour grows one
     # detour per pair and the measured total matches the symbolic superposition

@@ -137,3 +137,15 @@ def test_the_oracle_imports_the_exact_side_only_in_crosscheck():
     hadene_imports = [(function, name) for function, name in _imports("continuation")
                       if name.split(".")[0] == "hadene"]
     assert hadene_imports == [("crosscheck", "hadene.logpoly"), ("crosscheck", "hadene.monodromy")]
+
+
+def test_monodromy_leaves_every_log_z_over_x_rewrite_to_logpoly():
+    # logpoly._z_over alone expands log(z/x) = log z - log x binomially, so a
+    # branch term added there reaches every pair term; monodromy must not
+    # expand a power of log(z/u) itself
+    tree = ast.parse((ROOT / "src" / "hadene" / "monodromy.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    referenced |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not (imported | referenced) & {"comb", "_signed_binomials", "_z_over"}

@@ -469,6 +469,20 @@ def test_substitutions_equal_the_composed_chain(l):
             assert q.shift_log(amount) == reference_shift_log(q, amount)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_pair_terms_equal_the_product_of_both_readings(seed):
+    # the one stream of pair terms, summed, against first(u) * second(z/u) as BiLogPolys
+    rng = random.Random(1300 + seed)
+    for _ in range(10):
+        first, second = (random_poly(rng, zmin=-4, zmax=3, max_log=4, max_terms=5) for _ in range(2))
+        unit = multi_term_coeff(rng)
+        out = {}
+        for upow, ulogpow, zpow, zlogpow, coeff, sign in logpoly._pair_terms(first, second, unit):
+            key = (upow, ulogpow, zpow, zlogpow)
+            out[key] = out.get(key, ExactCoeff.zero()) + coeff * sign
+        assert BiLogPoly(out) == (from_poly_in_u(first) * from_poly_at_z_over_u(second)).scale(unit)
+
+
 def test_substitutions_drop_what_cancels_exactly():
     # (log u + log z) c1 - (log z) c1' with c1 and c1' sharing their 2pii term:
     # at z/2 the log z coefficient keeps only the rational parts, and at 1 the
