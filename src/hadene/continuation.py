@@ -740,7 +740,8 @@ def _detours(z0: complex, pairs: Sequence[tuple[complex, complex]], r: float,
     eps / 2 off the circle, and each anchor lies more than 1.25 eps from its
     pair's loop centres.  A given eps is checked against it.  The default is 0.1
     of the smallest distance between marked points, or half the bound where that
-    is not below it.
+    is not below it.  Either is refused where adding it to a loop centre leaves
+    the centre unchanged, since that loop would collapse onto its centre.
     """
     marked = [(complex(alpha), z0 / complex(beta)) for alpha, beta in pairs]
     _separating_radius([abs(alpha) for alpha, _ in marked], [abs(p) for _, p in marked], r)
@@ -757,6 +758,12 @@ def _detours(z0: complex, pairs: Sequence[tuple[complex, complex]], r: float,
         raise GeometryInfeasible(
             f"loop radius eps = {eps:g} is not below {bound:g}, the largest the detours admit at r = {r:g}"
         )
+    for centre in (x for pair in marked for x in pair):
+        if centre + eps == centre or centre + 1j * eps == centre:
+            raise GeometryInfeasible(
+                f"loop radius eps = {eps:g} is below the float resolution at the marked point {centre}, "
+                "so the loop round it collapses"
+            )
     anchored = sorted(((cmath.phase(a), a, alpha, p) for a, alpha, p in anchors), key=lambda item: item[0])
     detours = []
     for idx, (phi, a, alpha, p) in enumerate(anchored):

@@ -1,9 +1,21 @@
 """Truncated formal power series and the two coefficientwise products.
 
-A series is a plain coefficient list c_0..c_N over one of three coefficient
-fields: exact rationals (Fraction), complex doubles, or ExactCoeff.  Products
-truncate to the minimum operand order, which is the only computable finite
-presentation of the formal identities.
+A series is a coefficient list c_0..c_N over one of three coefficient fields:
+exact rationals (Fraction), complex doubles, or ExactCoeff.  Products truncate
+to the minimum operand order, which is the only computable finite presentation
+of the formal identities.
+
+Representation, chosen so that the rational products run on machine integers:
+a rational series stores two parallel tuples of ints, ``nums`` and ``dens``,
+and coefficient n is ``nums[n] / dens[n]`` in lowest terms with
+``dens[n] > 0``, so equal series have equal tuples.  Each operation forms the
+unreduced pairs with C-level ``map`` and ends with one ``math.gcd`` per
+coefficient, as ``coeffs.GaussianRational`` does.  Every coefficient keeps its
+own denominator: over one common denominator the numerators of
+``hadamard(Li_2, Li_3)`` at order 10,000 grow to 72k bits.  ``coeffs`` is a
+``Fraction`` view of the pairs, built when it is first read and then kept;
+equality, the products and the recurrences never build it.  The complex and
+exact fields store ``coeffs`` itself and leave ``nums`` and ``dens`` as None.
 
 The two products:
 
@@ -30,7 +42,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from itertools import count
+from operator import add, floordiv, mul, neg
 from typing import Iterable, Sequence
 
 from .coeffs import ExactCoeff, GaussianRational, as_exact
@@ -71,8 +84,8 @@ def _check_order(order: int) -> None:
 
 
 def _coerce(value, field: str):
-    if field == FIELD_RATIONAL:
-        return value if isinstance(value, Fraction) else Fraction(value)
+    if field == FIELD_RATIONAL:  # an int or a Fraction: both carry a reduced numerator and denominator
+        return value if type(value) is int or type(value) is Fraction else Fraction(value)
     if field == FIELD_COMPLEX:
         return complex(value)
     return as_exact(value)
@@ -81,26 +94,50 @@ def _coerce(value, field: str):
 class TruncatedSeries:
     """Power series truncated at an explicit order N (inclusive)."""
 
-    __slots__ = ("order", "coeffs", "field")
+    __slots__ = ("order", "field", "nums", "dens", "_coeffs")
 
     def __init__(self, coeffs: Sequence, field: str | None = None):
         field = field or _infer_field(coeffs)
         if field not in _ZEROS:
             raise ValueError(f"unknown field tag {field!r}")
-        self.field = field
-        self.coeffs = tuple(_coerce(c, field) for c in coeffs)
-        if not self.coeffs:
+        if field == FIELD_RATIONAL:
+            values = [_coerce(c, field) for c in coeffs]
+            self._fill(field, None, tuple([c.numerator for c in values]), tuple([c.denominator for c in values]))
+        else:
+            self._fill(field, tuple(_coerce(c, field) for c in coeffs))
+        if self.order < 0:
             raise ValueError("a series needs at least the constant term")
-        self.order = len(self.coeffs) - 1
+
+    def _fill(self, field: str, coeffs: tuple | None, nums: tuple | None = None,
+              dens: tuple | None = None) -> "TruncatedSeries":
+        self.field = field
+        self._coeffs = coeffs
+        self.nums = nums
+        self.dens = dens
+        self.order = len(coeffs if nums is None else nums) - 1
+        return self
 
     @classmethod
     def _wrap(cls, coeffs: Iterable, field: str) -> "TruncatedSeries":
-        """A series around coefficients that are already in ``field``."""
-        out = object.__new__(cls)
-        out.field = field
-        out.coeffs = tuple(coeffs)
-        out.order = len(out.coeffs) - 1
-        return out
+        """A complex or exact series around coefficients that are already in ``field``."""
+        return object.__new__(cls)._fill(field, tuple(coeffs))
+
+    @classmethod
+    def _from_pairs(cls, nums: Sequence[int], dens: Sequence[int]) -> "TruncatedSeries":
+        """A rational series around reduced pairs with positive denominators.
+
+        Callers pass sequences, not iterators: a tuple built from an iterator is
+        resized to its length, and CPython's per-length tuple free lists then
+        hold on to up to 2,000 freed tuples of each resized length.
+        """
+        return object.__new__(cls)._fill(FIELD_RATIONAL, None, tuple(nums), tuple(dens))
+
+    @property
+    def coeffs(self) -> tuple:
+        """c_0..c_N; over the rationals a Fraction view of the pairs, built on first read."""
+        if self._coeffs is None:
+            self._coeffs = tuple(map(Fraction, self.nums, self.dens))
+        return self._coeffs
 
     @staticmethod
     def zero(order: int, field: str = FIELD_RATIONAL) -> "TruncatedSeries":
@@ -116,7 +153,11 @@ class TruncatedSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        if self.field != other.field:
+            return False
+        if self.field == FIELD_RATIONAL:
+            return self.nums == other.nums and self.dens == other.dens
+        return self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:6])
@@ -127,14 +168,19 @@ class TruncatedSeries:
         _check_order(order)
         if order >= self.order:
             return self
-        return TruncatedSeries(self.coeffs[: order + 1], self.field)
+        if self.field == FIELD_RATIONAL:
+            return TruncatedSeries._from_pairs(self.nums[: order + 1], self.dens[: order + 1])
+        return TruncatedSeries._wrap(self.coeffs[: order + 1], self.field)
 
     def pad(self, order: int) -> "TruncatedSeries":
         """Extend with zero coefficients up to ``order``; the inverse of truncate."""
         _check_order(order)
-        if order <= self.order:
+        extra = order - self.order
+        if extra <= 0:
             return self
-        return TruncatedSeries(self.coeffs + (_ZEROS[self.field],) * (order - self.order), self.field)
+        if self.field == FIELD_RATIONAL:
+            return TruncatedSeries._from_pairs(self.nums + (0,) * extra, self.dens + (1,) * extra)
+        return TruncatedSeries._wrap(self.coeffs + (_ZEROS[self.field],) * extra, self.field)
 
     def _require_same_field(self, other: "TruncatedSeries") -> None:
         if self.field != other.field:
@@ -142,65 +188,82 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_field(other)
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)], self.field
-        )
+        if self.field == FIELD_RATIONAL:
+            a, b, c, d = self.nums, self.dens, other.nums, other.dens
+            return _reduced(map(add, map(mul, a, d), map(mul, c, b)), map(mul, b, d))
+        return TruncatedSeries._wrap(map(add, self.coeffs, other.coeffs), self.field)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs], self.field)
+        if self.field == FIELD_RATIONAL:
+            return TruncatedSeries._from_pairs(list(map(neg, self.nums)), self.dens)
+        return TruncatedSeries._wrap(map(neg, self.coeffs), self.field)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
 
+def _reduced(nums: Iterable[int], dens: Iterable[int]) -> TruncatedSeries:
+    """The rational series of unreduced pairs (dens > 0), with one gcd per coefficient."""
+    nums, dens = list(nums), list(dens)
+    g = list(map(math.gcd, nums, dens))
+    return TruncatedSeries._from_pairs(list(map(floordiv, nums, g)), list(map(floordiv, dens, g)))
+
+
 def hadamard(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Coefficientwise product: coefficient n of the result is A_n * B_n."""
     f._require_same_field(g)
+    if f.field == FIELD_RATIONAL:
+        return _reduced(map(mul, f.nums, g.nums), map(mul, f.dens, g.dens))
     return TruncatedSeries._wrap(map(mul, f.coeffs, g.coeffs), f.field)
 
 
 def ene_exp(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Weighted coefficientwise product: coefficient n is -n * A_n * B_n."""
     f._require_same_field(g)
-    if f.field == FIELD_RATIONAL:  # one Fraction per coefficient, not two products
-        out = [Fraction(-n * a.numerator * b.numerator, a.denominator * b.denominator)
-               for n, (a, b) in enumerate(zip(f.coeffs, g.coeffs))]
-    else:
-        out = [_ZEROS[f.field]]
-        for i in range(1, min(f.order, g.order) + 1):
-            out.append(_coerce(-i, f.field) * f.coeffs[i] * g.coeffs[i])
+    if f.field == FIELD_RATIONAL:
+        return _reduced(map(mul, count(0, -1), map(mul, f.nums, g.nums)), map(mul, f.dens, g.dens))
+    out = [_ZEROS[f.field]]
+    for i in range(1, min(f.order, g.order) + 1):
+        out.append(_coerce(-i, f.field) * f.coeffs[i] * g.coeffs[i])
     return TruncatedSeries._wrap(out, f.field)
 
 
 def koebe(order: int, field: str = FIELD_RATIONAL) -> TruncatedSeries:
     """Expansion of z/(1-z)^2: coefficients 0, 1, 2, 3, ..."""
     _check_order(order)
+    if field == FIELD_RATIONAL:
+        return TruncatedSeries._from_pairs(range(order + 1), (1,) * (order + 1))
     return TruncatedSeries(range(order + 1), field)
+
+
+def _constant_is(f: TruncatedSeries, value: int) -> bool:
+    if f.field == FIELD_RATIONAL:
+        return f.nums[0] == value and f.dens[0] == 1
+    return f.coeffs[0] == _coerce(value, f.field)
 
 
 def exp_series(f: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant term, by the F'*e = e' recurrence."""
-    if f.coeffs[0] != _ZEROS[f.field]:
+    if not _constant_is(f, 0):
         raise BadConstantTerm("exp_series requires c_0 = 0")
     if f.field == FIELD_RATIONAL:
-        ka = [Fraction(k * c.numerator, c.denominator) for k, c in enumerate(f.coeffs)]
-        return TruncatedSeries._wrap(_rational_recurrence(ka, False), FIELD_RATIONAL)
+        return _rational_recurrence(list(map(mul, range(f.order + 1), f.nums)), f.dens, False)
     return _exp_generic(f)
 
 
 def log_series(f: TruncatedSeries) -> TruncatedSeries:
     """log of a series with unit constant term; inverse of exp_series."""
-    if f.coeffs[0] != _ONES[f.field]:
+    if not _constant_is(f, 1):
         raise BadConstantTerm("log_series requires c_0 = 1")
     if f.field == FIELD_RATIONAL:
-        return TruncatedSeries._wrap(_rational_recurrence(f.coeffs, True), FIELD_RATIONAL)
+        return _rational_recurrence(f.nums, f.dens, True)
     return _log_generic(f)
 
 
 def _degree(f: TruncatedSeries, n: int) -> int:
     """Index of the last nonzero coefficient among c_0..c_n (0 if none)."""
-    while n and not f.coeffs[n]:
+    c = f.nums if f.field == FIELD_RATIONAL else f.coeffs
+    while n and not c[n]:
         n -= 1
     return n
 
@@ -233,7 +296,7 @@ def poly_from_roots(roots: Sequence, order: int, field: str | None = None) -> Tr
         coerced.append(r)
     field = field or _infer_field(coerced)
     if field == FIELD_RATIONAL:
-        return TruncatedSeries(_poly_from_roots_rational(coerced, order), FIELD_RATIONAL)
+        return _poly_from_roots_rational(coerced, order)
     return _poly_from_roots_generic(coerced, order, field)
 
 
@@ -243,9 +306,11 @@ def poly_from_roots(roots: Sequence, order: int, field: str | None = None) -> Tr
 # the complex and ExactCoeff fields.  Over the rationals, exp and log share one
 # recurrence on Python integers (_rational_recurrence): the fixed operand sits over
 # one common denominator, the running values over another, and only as many of
-# them are kept as the operand has terms.  Each step is one C-level dot product,
-# one Fraction and one gcd that decides whether the running denominator grows; no
-# gcd is taken per term.  The results are equal (==) to the generic ones.
+# them are kept as the operand has terms.  Each step is one C-level dot product and
+# one gcd that reduces the new coefficient to its pair, plus one gcd that decides
+# whether the running denominator grows; no gcd is taken per term.  The common
+# denominators live inside one recurrence; what it returns is per-coefficient
+# pairs.  The results are equal (==) to the generic ones.
 
 
 def _exp_generic(f: TruncatedSeries) -> TruncatedSeries:
@@ -287,35 +352,43 @@ def _poly_from_roots_generic(roots: Sequence, order: int, field: str) -> Truncat
     return TruncatedSeries(out, field)
 
 
-def _rational_recurrence(b: Sequence[Fraction], log: bool) -> list[Fraction]:
-    """x_0..x_N from m x_m = h_m + sum_{j>=1} b_j v_{m-j}.
+def _rational_recurrence(nums: Sequence[int], dens: Sequence[int], log: bool) -> TruncatedSeries:
+    """x_0..x_N from m x_m = h_m + sum_{j>=1} b_j v_{m-j}, with b_j = nums[j] / dens[j].
 
     exp (b_j = j a_j):  x_0 = v_0 = 1, h_m = 0, v_m = x_m = E_m.
     log (b_j = a_j):    x_0 = v_0 = 0, h_m = m a_m, v_m = -m x_m = -m L_m.
 
-    The fixed operand is B_j / D over one common denominator D, set once.  The
-    running values are V_i / Q over one running denominator Q, in a window that
-    holds the newest K of them, newest first, K being the last index with
-    b_K != 0 (at least 1).  When a new value's denominator does not divide w Q (w = 1 for exp,
-    -m for log), Q grows and the window is rescaled in place, after the value
-    that leaves it has been dropped.
+    The pairs of b need not be reduced (exp passes j times a_j's pair).  The
+    fixed operand is B_j / D over one common denominator D, set once and reduced
+    by one gcd(D, *B).  The running values are V_i / Q over one running
+    denominator Q, in a window that holds the newest K of them, newest first, K
+    being the last index with b_K != 0 (at least 1).  Each x_m is reduced to its
+    pair (n, q) by one gcd.  When q does not divide w Q (w = 1 for exp, -m for
+    log), Q grows and the window is rescaled in place, after the value that
+    leaves it has been dropped.  Returns the series of the pairs of x.
     """
-    K = len(b) - 1
-    while K > 1 and not b[K]:
+    K = len(nums) - 1
+    while K > 1 and not nums[K]:
         K -= 1
-    D = math.lcm(*(c.denominator for c in b[1:K + 1]))
-    B = [c.numerator * (D // c.denominator) for c in b[1:K + 1]]
+    D = math.lcm(*dens[1:K + 1])
+    B = [n * (D // d) for n, d in zip(nums[1:K + 1], dens[1:K + 1])]
+    g = math.gcd(D, *B)
+    D //= g
+    B = [v // g for v in B]
     Q, DQ = 1, D
     window = [] if log else [1]
-    out = [Fraction(0 if log else 1)]
-    for m in range(1, len(b)):
+    out_nums, out_dens = [0 if log else 1], [1]
+    for m in range(1, len(nums)):
         num = sum(map(mul, B, window))
         if log and m <= K:
             num += m * B[m - 1] * Q
-        x = Fraction(num, m * DQ)
-        out.append(x)
+        den = m * DQ
+        g = math.gcd(num, den)
+        n, q = num // g, den // g
+        out_nums.append(n)
+        out_dens.append(q)
         del window[K - 1:]
-        q, wQ = x.denominator, -m * Q if log else Q
+        wQ = -m * Q if log else Q
         g = math.gcd(wQ, q)
         if g != q:
             grow = q // g
@@ -323,22 +396,25 @@ def _rational_recurrence(b: Sequence[Fraction], log: bool) -> list[Fraction]:
             DQ *= grow
             for i, v in enumerate(window):
                 window[i] = v * grow
-        window.insert(0, x.numerator * (wQ // g))
-    return out
+        window.insert(0, n * (wQ // g))
+    return TruncatedSeries._from_pairs(out_nums, out_dens)
 
 
-def _poly_from_roots_rational(roots: Sequence, order: int) -> list[Fraction]:
-    """Multiply by each 1 - (q/p) z in place: c_i <- p c_i - q c_{i-1} over D <- p D."""
+def _poly_from_roots_rational(roots: Sequence, order: int) -> TruncatedSeries:
+    """Multiply by each 1 - (q/p) z in place, p > 0: c_i <- p c_i - q c_{i-1} over
+    common <- p common; each c_i / common is reduced once at the end."""
     c = [1] + [0] * order
     common = 1
     for degree, r in enumerate(roots, 1):
-        r = Fraction(r)
+        r = _coerce(r, FIELD_RATIONAL)
         p, q = r.numerator, r.denominator
+        if p < 0:
+            p, q = -p, -q
         for i in range(min(degree, order), 0, -1):
             c[i] = p * c[i] - q * c[i - 1]
         c[0] *= p
         common *= p
-    return [Fraction(x, common) for x in c]
+    return _reduced(c, (common,) * (order + 1))
 
 
 def polylog_series(k: int, order: int) -> TruncatedSeries:
@@ -346,8 +422,7 @@ def polylog_series(k: int, order: int) -> TruncatedSeries:
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_order(order)
-    coeffs = [Fraction(0)] + [Fraction(1, n ** k) for n in range(1, order + 1)]
-    return TruncatedSeries(coeffs, FIELD_RATIONAL)
+    return TruncatedSeries._from_pairs((0,) + (1,) * order, [1] + [n ** k for n in range(1, order + 1)])
 
 
 def eval_series(f: TruncatedSeries, z: complex) -> complex:

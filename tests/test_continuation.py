@@ -348,6 +348,16 @@ def test_traintrack_rejects_non_separating_circle():
         build_traintrack(0.9, [(1.0, 1.0)], 0.5, 0.01)
 
 
+def test_loop_radius_below_the_float_resolution_is_refused_by_name():
+    # at z0 = 1e-320 the default eps is about 1e-321, and 1 + eps == 1: the loop round
+    # alpha = 1 would collapse onto it, so the refusal names the loop radius
+    li1 = PolylogElement(1)
+    with pytest.raises(GeometryInfeasible, match=r"loop radius eps = .* below the float resolution .*\(1\+0j\)"):
+        monodromy_numeric(li1, li1, 1.0, 1e-320, tol=1e-6)
+    with pytest.raises(GeometryInfeasible, match="loop radius eps = 1e-17 is below the float resolution"):
+        build_traintrack(0.9, [(1.0, 1.0)], 0.95, 1e-17)
+
+
 # --- monodromy measurement ------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -149,3 +150,15 @@ def test_monodromy_leaves_every_log_z_over_x_rewrite_to_logpoly():
     referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     referenced |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not (imported | referenced) & {"comb", "_signed_binomials", "_z_over"}
+
+
+def test_series_uses_no_private_fraction_api():
+    # pyproject declares Python >= 3.10, and Fraction's private API changed in 3.12:
+    # the `_normalize=` keyword went, `_from_coprime_ints` came.  The series kernels
+    # reach Fraction through its public constructor, numerator and denominator only.
+    tree = ast.parse((ROOT / "src" / "hadene" / "series.py").read_text())
+    private = {"_normalize", "_from_coprime_ints", "_numerator", "_denominator"}
+    private |= {name for name in vars(Fraction) if name.startswith("_") and not name.startswith("__")}
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    used |= {kw.arg for node in ast.walk(tree) if isinstance(node, ast.Call) for kw in node.keywords}
+    assert not used & private

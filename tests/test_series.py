@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -266,9 +267,9 @@ def test_ene_of_root_polynomials_works_to_the_degree_product(monkeypatch):
     lengths = []
     recurrence = series._rational_recurrence
 
-    def counted(b, log):
-        lengths.append(len(b))
-        return recurrence(b, log)
+    def counted(nums, dens, log):
+        lengths.append(len(nums))
+        return recurrence(nums, dens, log)
 
     monkeypatch.setattr(series, "_rational_recurrence", counted)
     roots_f = [Fraction(2), Fraction(-1, 3), Fraction(5, 4)]
@@ -456,6 +457,166 @@ def test_rational_products_equal_fraction_arithmetic():
     for series in (hadamard(f, g), ene_exp(f, g), koebe(order)):
         assert series.order == order and series.field == FIELD_RATIONAL
         assert all(type(c) is Fraction for c in series.coeffs)
+
+
+# --- the pair representation against Fraction arithmetic ----------------------
+
+
+def assert_reduced_pairs(s):
+    """The stored pairs are in lowest terms over positive denominators, and the view reads them."""
+    assert len(s.nums) == len(s.dens) == s.order + 1
+    assert all(d > 0 and math.gcd(n, d) == 1 for n, d in zip(s.nums, s.dens))
+    assert [(c.numerator, c.denominator) for c in s.coeffs] == list(zip(s.nums, s.dens))
+    assert all(type(c) is Fraction for c in s.coeffs)
+
+
+def assert_equals_fractions(s, values):
+    """s is == to the series of the Fraction list `values`, and its view is that list."""
+    assert s == TruncatedSeries(values) and list(s.coeffs) == values
+    assert_reduced_pairs(s)
+
+
+def differential_inputs():
+    """Seeded rational coefficient lists: zero tails, roots of both signs, Li_k."""
+    rng = random.Random(21)
+
+    def coeff():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.8 else Fraction(0)
+
+    def root():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 7))
+
+    inputs = []
+    for order in (0, 1, 64, 256):
+        inputs.append([coeff() for _ in range(order + 1)])
+        head = order // 3 + 1
+        inputs.append([coeff() for _ in range(head)] + [Fraction(0)] * (order + 1 - head))
+        inputs.append(list(poly_from_roots([root() for _ in range(3)], order).coeffs))
+    return inputs
+
+
+def fraction_ene_exp(a, b):
+    return [-n * x * y for n, (x, y) in enumerate(zip(a, b))]
+
+
+def test_rational_operations_equal_fraction_arithmetic_on_every_input():
+    inputs = differential_inputs()
+    # each input against itself, its neighbour (another order, so the products truncate)
+    # and Li_k at order 2,000, which sets no order of its own
+    li = [list(polylog_series(k, 2000).coeffs) for k in (1, 2, 3)]
+    for i, a in enumerate(inputs):
+        f = TruncatedSeries(a)
+        assert_equals_fractions(f, a)
+        for b in (a, inputs[i - 1], li[i % 3]):
+            g = TruncatedSeries(b)
+            assert_equals_fractions(hadamard(f, g), [x * y for x, y in zip(a, b)])
+            assert_equals_fractions(ene_exp(f, g), fraction_ene_exp(a, b))
+            assert_equals_fractions(f + g, [x + y for x, y in zip(a, b)])
+            assert_equals_fractions(f - g, [x - y for x, y in zip(a, b)])
+        assert_equals_fractions(-f, [-x for x in a])
+        for order in (0, len(a) // 2, len(a) + 3):
+            assert_equals_fractions(f.truncate(order), a[:order + 1])
+            assert_equals_fractions(f.pad(order), a + [Fraction(0)] * (order + 1 - len(a)))
+        assert_equals_fractions(koebe(len(a) - 1), [Fraction(n) for n in range(len(a))])
+    li2, li3 = (TruncatedSeries(c) for c in li[1:])
+    assert_equals_fractions(hadamard(li2, li3), [x * y for x, y in zip(li[1], li[2])])
+    assert hadamard(li2, li3) == polylog_series(5, 2000)
+    assert_equals_fractions(ene_exp(li2, li3), fraction_ene_exp(li[1], li[2]))
+    assert_equals_fractions(li2 - li3 + li3, li[1])
+
+
+def test_rational_recurrences_and_ene_equal_the_generic_ones_on_every_input():
+    inputs = differential_inputs()
+    for i, a in enumerate(inputs):
+        unit = TruncatedSeries([Fraction(1)] + a[1:])
+        zero = TruncatedSeries([Fraction(0)] + a[1:])
+        if len(a) > 65 and i % 3 != 2:
+            # dense order-256 logs: the generic recurrences take a second each, so
+            # these two inputs go round trip instead
+            assert exp_series(log_series(unit)) == unit and log_series(exp_series(zero)) == zero
+            continue
+        for got, expected in ((log_series(unit), _log_generic(unit)), (exp_series(zero), _exp_generic(zero))):
+            assert got == expected
+            assert_reduced_pairs(got)
+        other = TruncatedSeries([Fraction(1)] + inputs[i - 1][1:])
+        if len(a) <= 65:
+            expected = _exp_generic(ene_exp(_log_generic(unit), _log_generic(other)))
+            assert ene(unit, other) == expected and ene(other, unit) == expected
+
+
+def test_equal_values_store_equal_pairs():
+    assert TruncatedSeries([Fraction(2, 4)]) == TruncatedSeries([Fraction(1, 2)])
+    assert TruncatedSeries([Fraction(2, 4)]).dens == (2,)
+    ints = [1, -2, 0, 3, 0]
+    assert TruncatedSeries(ints) == TruncatedSeries([Fraction(c) for c in ints])
+    assert TruncatedSeries(ints).dens == (1,) * 5
+    assert TruncatedSeries(ints, FIELD_RATIONAL) == TruncatedSeries([Fraction(c) for c in ints], FIELD_RATIONAL)
+    assert poly_from_roots([2, -3, 5], 6) == poly_from_roots([Fraction(2), Fraction(-3), Fraction(5)], 6)
+    assert koebe(6) == TruncatedSeries(list(range(7)))
+    # negative roots leave the denominators positive
+    assert_reduced_pairs(poly_from_roots([Fraction(-2, 3), Fraction(-5), Fraction(7, -4)], 5))
+
+
+def test_rational_series_paths_build_no_fraction(monkeypatch):
+    # on prebuilt operands the products, the recurrences, root products, padding
+    # and == run on int pairs alone; only a read of .coeffs builds Fractions
+    rng = random.Random(16)
+    roots_f = [Fraction(2), Fraction(-1, 3), Fraction(5, 4)]
+    roots_g = [Fraction(-3), Fraction(1, 2)]
+    roots_fg = [a * b for a in roots_f for b in roots_g]
+    f, g = random_rational_series(rng, 256), random_rational_series(rng, 256)
+    h = TruncatedSeries([1] + [rng.randint(-3, 3) for _ in range(64)])
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert Fraction(1, 3) and len(built) == 1  # the count sees a Fraction
+    built.clear()
+    assert ene(poly_from_roots(roots_f, 128), poly_from_roots(roots_g, 128)) == poly_from_roots(roots_fg, 128)
+    assert ene_exp(f, g) == -hadamard(koebe(256), hadamard(f, g))
+    assert exp_series(log_series(h)) == h
+    assert built == []
+    h.coeffs
+    assert len(built) == 65
+
+
+def test_repeated_products_hold_no_memory():
+    # a tuple built from an iterator is resized to its length, and the interpreter's
+    # per-length tuple free lists then keep thousands of the freed ones: the series
+    # are built from sequences of known length, so repeated products hold no blocks
+    rng = random.Random(17)
+
+    def root():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5))
+
+    pairs = [(poly_from_roots([root() for _ in range(a)], 64), poly_from_roots([root() for _ in range(b)], 64))
+             for a in range(1, 5) for b in range(1, 5)]
+
+    def products(rounds):
+        for _ in range(rounds):
+            for f, g in pairs:
+                ene(f, g)
+                -hadamard(f, g)
+
+    products(5)
+    before = sys.getallocatedblocks()
+    products(100)
+    assert sys.getallocatedblocks() - before < 1000
+
+
+def test_each_coefficient_keeps_its_own_denominator():
+    # Li_2 at order 2,000: the largest reduced denominator, 2000^2, has 22 bits; one
+    # common denominator, lcm(1..2000)^2, would have 5,755
+    li1, li2 = polylog_series(1, 2000), polylog_series(2, 2000)
+    for s in (li2, hadamard(li1, li1), -ene_exp(li2, li1), (li2 + li2 - li2).truncate(1000).pad(2000)):
+        assert s.dens[1:1001] == tuple(n * n for n in range(1, 1001))
+    assert hadamard(li1, li1).dens == li2.dens == (1,) + tuple(n * n for n in range(1, 2001))
+    assert max(d.bit_length() for d in li2.dens) == 22
+    assert math.lcm(*li2.dens).bit_length() == 5755
 
 
 # --- orders -------------------------------------------------------------------
