@@ -9,12 +9,16 @@ Two independent engines:
   convolution contours and tracking branches, consulting no formula.
 
 The oracle (`continuation`) needs numpy; the exact modules do not.  Its names
-are served here on first use (PEP 562), so `import hadene` and the exact CLI
-commands start without numpy; only measuring (`verify`, `selftest`) loads it.
+(the elements, paths and measurements in `_ORACLE_NAMES`) are served here on
+first use (PEP 562), so `import hadene` and the exact CLI commands start
+without numpy; only measuring (`verify`, `selftest`) loads it.  The comparison
+of the two engines (`crosscheck`, `OracleReport`) lives in `checks`, which
+loads no numpy, and is imported eagerly.
 
 See README.md for a tour; the examples live under demos/.
 """
 
+from .checks import OracleReport, crosscheck
 from .coeffs import ConstantSymbol, ExactCoeff, GaussianRational
 from .logpoly import BiLogPoly, BranchPoint, LogLaurentPoly, integrate_u, lp_eval
 from .monodromy import (
@@ -49,9 +53,9 @@ from .series import (
 __version__ = "0.1.0"
 
 _ORACLE_NAMES = frozenset({
-    "AnalyticElement", "Arc", "ContourSpec", "Line", "LogBranchElement", "OracleReport",
-    "PolylogElement", "RationalElement", "SeriesElement", "SumElement", "build_traintrack",
-    "continue_along", "crosscheck", "ene_pincherle_eval", "monodromy_numeric", "pincherle_eval",
+    "AnalyticElement", "Arc", "ContourSpec", "Line", "LogBranchElement", "PolylogElement",
+    "RationalElement", "SeriesElement", "SumElement", "build_traintrack", "continue_along",
+    "ene_pincherle_eval", "monodromy_numeric", "pincherle_eval",
 })
 
 

@@ -2,7 +2,7 @@
 
 Commands
     series     hadamard / ene_exp / ene of two series documents
-    monodromy  symbolic product monodromy at gamma from two function documents
+    monodromy  symbolic product monodromy at gamma; reads function documents only
     divisor    product divisor of two divisor documents
     polylog    weight-k ladder monodromy, computed by iterated integration
     verify     symbolic result vs contour-measured monodromy at sample points
@@ -25,6 +25,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 
+from .checks import crosscheck
 from .coeffs import parse_gaussian_rational
 from .documents import (
     DocumentError,
@@ -135,14 +136,8 @@ def cmd_series(args) -> int:
 
 def cmd_monodromy(args) -> int:
     job = _job_from_args(args)
-    f_doc = load_document(args.f)
-    g_doc = load_document(args.g)
-    if all(isinstance(doc, dict) and doc.get("kind") == "divisor" for doc in (f_doc, g_doc)):
-        result = divisor_ene(divisor_from_doc(f_doc), divisor_from_doc(g_doc))
-        _emit(divisor_to_doc(result), job)
-        return EXIT_OK
-    f_spec = function_spec_from_doc(f_doc)
-    g_spec = function_spec_from_doc(g_doc)
+    f_spec = function_spec_from_doc(load_document(args.f))
+    g_spec = function_spec_from_doc(load_document(args.g))
     gamma = parse_gaussian_rational(args.gamma)
     engine = hadamard_monodromy_general if args.product == "hadamard" else ene_monodromy_general
     result: MonodromyResult = engine(f_spec, g_spec, gamma)
@@ -177,7 +172,7 @@ def cmd_polylog(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .continuation import GeometryInfeasible, PathTooCloseToSingularity, QuadratureNotConverged, crosscheck
+    from .continuation import MEASUREMENT_FAILURES
 
     job = _job_from_args(args)
     f_doc = load_document(args.f)
@@ -195,7 +190,7 @@ def cmd_verify(args) -> int:
             windings=job.windings, tol=min(job.tol, job.check_tol),
             node_budget=job.nodes,
         )
-    except (QuadratureNotConverged, GeometryInfeasible, PathTooCloseToSingularity) as exc:
+    except MEASUREMENT_FAILURES as exc:
         # two of these are ValueErrors, which main would report as exit 3
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_QUADRATURE
@@ -364,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("monodromy", help="symbolic product monodromy at gamma")
     p.add_argument("--product", choices=("hadamard", "ene"), default="hadamard")
-    p.add_argument("-f", required=True, help="function (or divisor) document")
-    p.add_argument("-g", required=True, help="function (or divisor) document")
+    p.add_argument("-f", required=True, help="function document")
+    p.add_argument("-g", required=True, help="function document")
     p.add_argument("--gamma", default="1", help="product location, e.g. 3/2 or 1+2i")
     _add_out(p)
     p.set_defaults(func=cmd_monodromy)

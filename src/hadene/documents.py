@@ -18,7 +18,8 @@ from .monodromy import Divisor, FunctionSpec, GermPart, MonodromyResult, Singula
 from .series import FIELD_COMPLEX, FIELD_RATIONAL, TruncatedSeries
 
 if TYPE_CHECKING:  # the oracle (and numpy) loads only where an element is read or written
-    from .continuation import AnalyticElement, OracleReport
+    from .checks import OracleReport
+    from .continuation import AnalyticElement
 
 FORMAT_VERSION = 1
 # Largest |zpow| and logpow a log-polynomial record may carry.  The exact

@@ -104,7 +104,7 @@ class TruncatedSeries:
             values = [_coerce(c, field) for c in coeffs]
             self._fill(field, None, tuple([c.numerator for c in values]), tuple([c.denominator for c in values]))
         else:
-            self._fill(field, tuple(_coerce(c, field) for c in coeffs))
+            self._fill(field, tuple([_coerce(c, field) for c in coeffs]))
         if self.order < 0:
             raise ValueError("a series needs at least the constant term")
 
@@ -118,8 +118,13 @@ class TruncatedSeries:
         return self
 
     @classmethod
-    def _wrap(cls, coeffs: Iterable, field: str) -> "TruncatedSeries":
-        """A complex or exact series around coefficients that are already in ``field``."""
+    def _wrap(cls, coeffs: Sequence, field: str) -> "TruncatedSeries":
+        """A complex or exact series around coefficients that are already in ``field``.
+
+        Callers pass sequences, not iterators: a tuple built from an iterator is
+        resized to its length, and CPython's per-length tuple free lists then
+        hold on to up to 2,000 freed tuples of each resized length.
+        """
         return object.__new__(cls)._fill(field, tuple(coeffs))
 
     @classmethod
@@ -191,12 +196,12 @@ class TruncatedSeries:
         if self.field == FIELD_RATIONAL:
             a, b, c, d = self.nums, self.dens, other.nums, other.dens
             return _reduced(map(add, map(mul, a, d), map(mul, c, b)), map(mul, b, d))
-        return TruncatedSeries._wrap(map(add, self.coeffs, other.coeffs), self.field)
+        return TruncatedSeries._wrap(list(map(add, self.coeffs, other.coeffs)), self.field)
 
     def __neg__(self) -> "TruncatedSeries":
         if self.field == FIELD_RATIONAL:
             return TruncatedSeries._from_pairs(list(map(neg, self.nums)), self.dens)
-        return TruncatedSeries._wrap(map(neg, self.coeffs), self.field)
+        return TruncatedSeries._wrap(list(map(neg, self.coeffs)), self.field)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
@@ -214,7 +219,7 @@ def hadamard(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     f._require_same_field(g)
     if f.field == FIELD_RATIONAL:
         return _reduced(map(mul, f.nums, g.nums), map(mul, f.dens, g.dens))
-    return TruncatedSeries._wrap(map(mul, f.coeffs, g.coeffs), f.field)
+    return TruncatedSeries._wrap(list(map(mul, f.coeffs, g.coeffs)), f.field)
 
 
 def ene_exp(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:

@@ -236,11 +236,12 @@ def test_cli_monodromy_without_factorization_adds_advisory(tmp_path, capsys):
 
 
 def test_cli_monodromy_on_divisor_documents(tmp_path, capsys):
+    # divisor is the one command for divisor documents; monodromy refuses them (REFUSED_INPUTS)
     f = write_doc(tmp_path, "a.json", divisor_to_doc(Divisor.of({GaussianRational.of(2): 1,
                                                                  GaussianRational.of(3): 1})))
     g = write_doc(tmp_path, "b.json", divisor_to_doc(Divisor.of({GaussianRational.of(3): 1,
                                                                  GaussianRational.of(2): 1})))
-    code = main(["monodromy", "-f", f, "-g", g])
+    code = main(["divisor", "-f", f, "-g", g])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     points = {rec["location"]: rec["multiplicity"] for rec in doc["points"]}
@@ -425,6 +426,8 @@ REFUSED_INPUTS = [
      "long_int.json cannot be read: Exceeds the limit"),
     # z0 = 1e-320 is a subnormal so near 0 that no detour loop fits between it and 0
     (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "1e-320"], 5, "at z0 = (1e-320+0j)"),
+    (["monodromy", "--product", "hadamard", "--gamma", "7", "-f", "{divisor}", "-g", "{divisor}"], 2,
+     "expected kind 'function', got 'divisor'"),
 ]
 
 
@@ -439,7 +442,7 @@ REFUSED_INPUTS = [
                               "verify-gamma-overflow", "document-not-utf8", "document-nested-too-deeply",
                               "verify-polylog-k-too-large", "verify-polylog-k-float", "verify-polylog-k-zero",
                               "verify-sum-nested-too-deeply", "verify-names-the-failing-sample",
-                              "series-int-past-digit-limit", "verify-z0-subnormal"])
+                              "series-int-past-digit-limit", "verify-z0-subnormal", "monodromy-divisor-documents"])
 def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, message):
     docs = {
         "li1": write_doc(tmp_path, "li1.json", li1_function_doc()),
@@ -457,6 +460,7 @@ def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, mess
         }),
         "huge_location": write_doc(tmp_path, "huge_location.json", huge_location_doc()),
         "log_symbol": write_doc(tmp_path, "log_symbol.json", log_symbol_doc()),
+        "divisor": write_doc(tmp_path, "divisor.json", divisor_to_doc(Divisor.of({2: 1, 3: -1}))),
     }
     negative_logpow = li1_function_doc()
     negative_logpow["singularities"][0]["monodromy"][0]["logpow"] = -1

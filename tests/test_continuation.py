@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hadene.checks import crosscheck
 from hadene.coeffs import ExactCoeff, GaussianRational
 from hadene.continuation import (
     Arc,
@@ -31,7 +32,6 @@ from hadene.continuation import (
     _trapezoid_circle,
     build_traintrack,
     continue_along,
-    crosscheck,
     ene_pincherle_eval,
     geometric_element,
     monodromy_numeric,

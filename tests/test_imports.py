@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hadene
-from hadene import continuation
+from hadene import checks, continuation
 from hadene.continuation import PolylogElement
 from hadene.documents import divisor_to_doc, function_spec_to_doc, series_to_doc
 from hadene.monodromy import Divisor, polylog_function_spec
@@ -22,10 +22,29 @@ ORACLE_MODULES = ("numpy", "hadene.continuation")
 
 # the oracle names `hadene` has exported since it was first published
 ORACLE_NAMES = (
-    "AnalyticElement", "Arc", "ContourSpec", "Line", "LogBranchElement", "OracleReport",
-    "PolylogElement", "RationalElement", "SeriesElement", "SumElement", "build_traintrack",
-    "continue_along", "crosscheck", "ene_pincherle_eval", "monodromy_numeric", "pincherle_eval",
+    "AnalyticElement", "Arc", "ContourSpec", "Line", "LogBranchElement", "PolylogElement",
+    "RationalElement", "SeriesElement", "SumElement", "build_traintrack", "continue_along",
+    "ene_pincherle_eval", "monodromy_numeric", "pincherle_eval",
 )
+
+# every name `hadene` has exported since it was first published, by the module
+# that defines it now: the comparison of the engines moved from the oracle to checks
+PUBLISHED_NAMES = {**dict.fromkeys(ORACLE_NAMES, continuation),
+                   "OracleReport": checks, "crosscheck": checks}
+
+# the hadene modules each module may import at its top level; an import inside a
+# function, or under `if TYPE_CHECKING:`, does not run when the module loads
+IMPORT_LAYERS = {
+    "coeffs": set(),
+    "series": {"coeffs"},
+    "logpoly": {"coeffs"},
+    "monodromy": {"coeffs", "logpoly", "series"},
+    "continuation": set(),
+    "checks": {"logpoly", "monodromy"},
+    "documents": {"coeffs", "logpoly", "monodromy", "series"},
+    "cli": {"checks", "coeffs", "documents", "monodromy", "series"},
+    "__init__": {"checks", "coeffs", "logpoly", "monodromy", "series"},
+}
 
 # argv as JSON in sys.argv[1] (null: only `import hadene`); prints the exit code
 # and which oracle modules the interpreter holds afterwards
@@ -43,13 +62,18 @@ print(json.dumps({"code": code, "loaded": [m for m in %r if m in sys.modules]}))
 """ % (ORACLE_MODULES,)
 
 
-def _fresh_interpreter(argv):
+def _python(code: str, *args: str):
+    """The JSON that `code`, run in a fresh interpreter with args, prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argv)], env=env,
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+def _fresh_interpreter(argv):
+    return _python(_CHILD, json.dumps(argv))
 
 
 @pytest.fixture
@@ -92,10 +116,18 @@ def test_verify_loads_numpy_and_the_oracle(docs):
     assert _fresh_interpreter(argv) == {"code": 0, "loaded": list(ORACLE_MODULES)}
 
 
-@pytest.mark.parametrize("name", ORACLE_NAMES)
+@pytest.mark.parametrize("name", sorted(PUBLISHED_NAMES))
 def test_lazy_oracle_names_are_the_oracle_objects(name):
-    assert getattr(hadene, name) is getattr(continuation, name)
+    assert getattr(hadene, name) is getattr(PUBLISHED_NAMES[name], name)
     assert name in dir(hadene)
+
+
+def test_the_comparison_names_are_the_checks_objects_and_load_no_oracle():
+    assert hadene.crosscheck is checks.crosscheck
+    assert hadene.OracleReport is checks.OracleReport
+    child = ("import json, sys, hadene; hadene.crosscheck, hadene.OracleReport; "
+             "print(json.dumps([m for m in %r if m in sys.modules]))" % (ORACLE_MODULES,))
+    assert _python(child) == []
 
 
 def test_unknown_package_attribute_raises_attribute_error():
@@ -104,11 +136,20 @@ def test_unknown_package_attribute_raises_attribute_error():
     assert not hasattr(hadene, "QuadratureNotConverged")
 
 
+def _is_type_checking(node) -> bool:
+    return isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"
+
+
 def _imports(module: str) -> list[tuple[str | None, str]]:
-    """(enclosing function or None, imported module) for each import in hadene/<module>.py."""
+    """(enclosing function or None, imported module) for each import in hadene/<module>.py.
+
+    An import under `if TYPE_CHECKING:` is reported as inside "TYPE_CHECKING".
+    """
     found = []
 
     def visit(node, function):
+        if _is_type_checking(node):
+            function = "TYPE_CHECKING"
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Import):
                 found.extend((function, alias.name) for alias in child.names)
@@ -133,11 +174,26 @@ def test_exact_modules_import_neither_the_oracle_nor_numpy(module):
                           if name == "hadene.continuation" or name.split(".")[0] == "numpy"]
 
 
-def test_the_oracle_imports_the_exact_side_only_in_crosscheck():
-    # the measurement consults no symbolic result; only the comparison loads one
-    hadene_imports = [(function, name) for function, name in _imports("continuation")
-                      if name.split(".")[0] == "hadene"]
-    assert hadene_imports == [("crosscheck", "hadene.logpoly"), ("crosscheck", "hadene.monodromy")]
+def test_the_oracle_imports_no_hadene_module():
+    # the measurement consults no symbolic result: the comparison lives in checks
+    assert [name for _, name in _imports("continuation") if name.split(".")[0] == "hadene"] == []
+
+
+def test_checks_imports_the_oracle_only_inside_functions():
+    # so `import hadene`, which loads checks, loads no numpy
+    scopes = [function for function, name in _imports("checks") if name == "hadene.continuation"]
+    assert "crosscheck" in scopes and None not in scopes
+
+
+def test_each_module_imports_only_its_layers_at_top_level():
+    # the exact modules import exact modules, the oracle none; the modules that
+    # read both sides reach the oracle only inside functions
+    modules = sorted(path.stem for path in (ROOT / "src" / "hadene").glob("*.py"))
+    assert modules == sorted(IMPORT_LAYERS)
+    for module in modules:
+        top = {name.split(".")[1] for function, name in _imports(module)
+               if function is None and name.split(".")[0] == "hadene" and "." in name}
+        assert top <= IMPORT_LAYERS[module], (module, top - IMPORT_LAYERS[module])
 
 
 def test_monodromy_leaves_every_log_z_over_x_rewrite_to_logpoly():

@@ -587,25 +587,30 @@ def test_rational_series_paths_build_no_fraction(monkeypatch):
 def test_repeated_products_hold_no_memory():
     # a tuple built from an iterator is resized to its length, and the interpreter's
     # per-length tuple free lists then keep thousands of the freed ones: the series
-    # are built from sequences of known length, so repeated products hold no blocks
+    # are built from sequences of known length, so repeated products hold no blocks.
+    # The free lists keep tuples of fewer than 20 items, so the complex input runs orders 0-17.
     rng = random.Random(17)
 
     def root():
         return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5))
 
-    pairs = [(poly_from_roots([root() for _ in range(a)], 64), poly_from_roots([root() for _ in range(b)], 64))
-             for a in range(1, 5) for b in range(1, 5)]
+    rational = [(poly_from_roots([root() for _ in range(a)], 64), poly_from_roots([root() for _ in range(b)], 64))
+                for a in range(1, 5) for b in range(1, 5)]
+    complex_ = [(poly_from_roots([root() for _ in range(a)], order, FIELD_COMPLEX),
+                 poly_from_roots([root() for _ in range(4 - a)], order, FIELD_COMPLEX))
+                for order in range(18) for a in range(1, 4)]
 
-    def products(rounds):
+    def products(pairs, rounds):
         for _ in range(rounds):
             for f, g in pairs:
                 ene(f, g)
-                -hadamard(f, g)
+                -hadamard(f, g) + f
 
-    products(5)
-    before = sys.getallocatedblocks()
-    products(100)
-    assert sys.getallocatedblocks() - before < 1000
+    for pairs in (rational, complex_):
+        products(pairs, 5)
+        before = sys.getallocatedblocks()
+        products(pairs, 100)
+        assert sys.getallocatedblocks() - before < 1000, pairs[0][0].field
 
 
 def test_each_coefficient_keeps_its_own_denominator():
