@@ -9,16 +9,14 @@ Two independent engines:
   convolution contours and tracking branches, consulting no formula.
 
 The oracle (`continuation`) needs numpy; the exact modules do not.  Its names
-(the elements, paths and measurements in `_ORACLE_NAMES`) are served here on
-first use (PEP 562), so `import hadene` and the exact CLI commands start
-without numpy; only measuring (`verify`, `selftest`) loads it.  The comparison
-of the two engines (`crosscheck`, `OracleReport`) lives in `checks`, which
-loads no numpy, and is imported eagerly.
+(the elements, paths and measurements) and the comparison of the two engines
+(`crosscheck`, `OracleReport`, in `checks`) are served here on first use (PEP
+562), each from the module `_LAZY_NAMES` gives, so `import hadene` and the
+exact CLI commands load neither; `verify` loads both, `selftest` the oracle.
 
 See README.md for a tour; the examples live under demos/.
 """
 
-from .checks import OracleReport, crosscheck
 from .coeffs import ConstantSymbol, ExactCoeff, GaussianRational
 from .logpoly import BiLogPoly, BranchPoint, LogLaurentPoly, integrate_u, lp_eval
 from .monodromy import (
@@ -52,21 +50,21 @@ from .series import (
 
 __version__ = "0.1.0"
 
-_ORACLE_NAMES = frozenset({
+_LAZY_NAMES = dict.fromkeys((
     "AnalyticElement", "Arc", "ContourSpec", "Line", "LogBranchElement", "PolylogElement",
     "RationalElement", "SeriesElement", "SumElement", "build_traintrack", "continue_along",
     "ene_pincherle_eval", "monodromy_numeric", "pincherle_eval",
-})
+), "continuation") | {"OracleReport": "checks", "crosscheck": "checks"}
 
 
 def __getattr__(name: str):
-    if name not in _ORACLE_NAMES:
+    if name not in _LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import continuation
+    from importlib import import_module
 
-    value = globals()[name] = getattr(continuation, name)
+    value = globals()[name] = getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | _ORACLE_NAMES)
+    return sorted(set(globals()) | set(_LAZY_NAMES))

@@ -13,7 +13,8 @@ Exit codes are a stable contract: 0 success, 2 document/parse error,
 failure.
 
 Only `verify` and `selftest` load the contour oracle (`continuation`) and
-numpy, inside the command; the exact commands start without them.
+numpy, and only `verify` the comparison (`checks`), inside the command; the
+exact commands start without them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import sys
 import time
 from dataclasses import dataclass, fields
 
-from .checks import crosscheck
 from .coeffs import parse_gaussian_rational
 from .documents import (
     DocumentError,
@@ -83,8 +83,6 @@ class JobConfig:
                 raise ValueError(f"{name} must be finite and positive, not {value:g}")
         if self.nodes < 1:
             raise ValueError("--nodes must be >= 1")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError("--format must be json or csv")
 
 
 def _job_from_args(args) -> JobConfig:
@@ -172,6 +170,7 @@ def cmd_polylog(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .checks import crosscheck
     from .continuation import MEASUREMENT_FAILURES
 
     job = _job_from_args(args)

@@ -61,10 +61,6 @@ class NotAUnit(ArithmeticError):
     """Raised when inverting an ExactCoeff that is not a single monomial unit."""
 
 
-class UnassignedSymbol(KeyError):
-    """Raised when eval() meets a symbol missing from the assignment."""
-
-
 _new = object.__new__
 
 
@@ -516,8 +512,8 @@ class ExactCoeff(_TermMap):
 
     # -- numeric bridge ------------------------------------------------------
 
-    def eval(self, assignment: Mapping[ConstantSymbol, complex] | None = None) -> complex:
-        """Evaluate to a complex double; assignment defaults to principal values.
+    def eval(self) -> complex:
+        """Evaluate to a complex double, each symbol at its principal value.
 
         Terms and the symbols of each term are taken in sorted_terms order, so
         equal values give the same float whatever the order they were built in.
@@ -526,15 +522,10 @@ class ExactCoeff(_TermMap):
         for mono, coeff in self.sorted_terms():
             value = complex(coeff)
             for sym, exp in mono:
-                if assignment is None:
-                    base = sym._value
-                    if base is None:
-                        base = cmath.log(complex(sym.base)) if sym.kind == _KIND_LOG else complex(sym.base)
-                        object.__setattr__(sym, "_value", base)
-                else:
-                    if sym not in assignment:
-                        raise UnassignedSymbol(sym.key)
-                    base = assignment[sym]
+                base = sym._value
+                if base is None:
+                    base = cmath.log(complex(sym.base)) if sym.kind == _KIND_LOG else complex(sym.base)
+                    object.__setattr__(sym, "_value", base)
                 value *= base ** exp
             total += value
         return total

@@ -335,26 +335,17 @@ class PolylogElement(AnalyticElement):
         return {1.0 + 0j: round(branch[1] / TWO_PI)}
 
 
-class SeriesElement(AnalyticElement):
+class SeriesElement(RationalElement):
     """A truncated series: a polynomial, so single-valued, and evaluated by
-    Horner's rule wherever it is continued.  It approximates the function it
-    truncates only as well as the truncation allows, hence is_approximate.
+    Horner's rule wherever it is continued, as the rational element over the
+    denominator 1.  It approximates the function it truncates only as well as
+    the truncation allows, hence is_approximate.
     """
 
     is_approximate = True
 
     def __init__(self, coeffs: Sequence[complex], declared_singularities: Sequence[complex] = ()):
-        self.coeffs = [complex(c) for c in coeffs]
-        self.declared = [complex(s) for s in declared_singularities]
-
-    def singularities(self) -> list[complex]:
-        return list(self.declared)
-
-    def principal_value(self, u: complex | np.ndarray) -> complex | np.ndarray:
-        return _polyval(self.coeffs, u)
-
-    def theta(self) -> "SeriesElement":
-        return SeriesElement(_theta_coeffs(self.coeffs), self.declared)
+        super().__init__(coeffs, [1.0], declared_singularities)
 
 
 class SumElement(AnalyticElement):
@@ -603,36 +594,36 @@ class _ElementState:
         return copy.copy(self)
 
 
-# Gauss-Legendre nodes per panel of continue_along, and the panels' largest
-# length as a fraction of their clearance.
+# Gauss-Legendre nodes per panel of continue_along, the panels' largest length
+# as a fraction of their clearance, the equal pieces each segment starts as, and
+# the distance from a singularity within which a panel midpoint is refused.
 _CONTINUE_NODES = 12
 _CONTINUE_FRAC = 0.35
+_CONTINUE_PIECES = 64
+_CONTINUE_DELTA = 1e-6
 
 
-def continue_along(element, path: Sequence[PathSegment], *, delta: float = 1e-6,
-                   steps_per_segment: int = 64) -> tuple[complex, _ElementState]:
+def continue_along(element, path: Sequence[PathSegment]) -> tuple[complex, _ElementState]:
     """Continue an element along a path, returning (end value, state at the end).
 
     `element` is an AnalyticElement, started on the principal branch at the
     path start, or a state an earlier call returned, resumed from a copy (so it
     can be resumed again); the path must then begin at its point.  A state has
     point, value(), windings() and spec, the element it tracks.  Each segment
-    is cut into `steps_per_segment` equal panels, halved until each is at most
-    0.35 of its clearance from the state's singularities; a panel whose
-    midpoint lies within `delta` of one raises PathTooCloseToSingularity.
+    is cut into 64 equal panels, halved until each is at most 0.35 of its
+    clearance from the state's singularities; a panel whose midpoint lies
+    within 1e-6 of one raises PathTooCloseToSingularity.
     """
     if not path:
         raise ValueError("continue_along needs a nonempty path")
-    if steps_per_segment < 1:
-        raise ValueError(f"steps_per_segment must be at least 1, got {steps_per_segment}")
     if isinstance(element, _ElementState):
         state = element.clone()
         if abs(path[0].point(0.0) - state.point) > 1e-9:
             raise ValueError("path does not start at the element's current point")
     else:
         state = element.make_state(path[0].point(0.0))
-    chain = _GradedChain(path, steps_per_segment)
-    state.advance(chain.refine(state.obstacles(), _CONTINUE_FRAC, 0.0, delta).panels(_CONTINUE_NODES))
+    chain = _GradedChain(path, _CONTINUE_PIECES).refine(state.obstacles(), _CONTINUE_FRAC, 0.0, _CONTINUE_DELTA)
+    state.advance(chain.panels(_CONTINUE_NODES))
     return state.value(), state
 
 

@@ -206,18 +206,18 @@ def _element_to_doc(element: AnalyticElement | None) -> dict | None:
             "location": _complex_to_doc(element.location),
             "prefactor": [_complex_to_doc(c) for c in element.prefactor],
         }
+    if isinstance(element, SeriesElement):  # a RationalElement over the denominator 1
+        return {
+            "kind": "series",
+            "coeffs": [_complex_to_doc(c) for c in element.num],
+            "singularities": [_complex_to_doc(s) for s in element.poles],
+        }
     if isinstance(element, RationalElement):
         return {
             "kind": "rational",
             "num": [_complex_to_doc(c) for c in element.num],
             "den": [_complex_to_doc(c) for c in element.den],
             "poles": [_complex_to_doc(p) for p in element.poles],
-        }
-    if isinstance(element, SeriesElement):
-        return {
-            "kind": "series",
-            "coeffs": [_complex_to_doc(c) for c in element.coeffs],
-            "singularities": [_complex_to_doc(s) for s in element.declared],
         }
     if isinstance(element, SumElement):
         return {"kind": "sum", "parts": [_element_to_doc(part) for part in element.parts]}

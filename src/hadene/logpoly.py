@@ -291,12 +291,12 @@ class LogLaurentPoly(_LogTermMap):
         """One positive loop around 0: sigma(p) - p."""
         return self.sigma_power(1) - self
 
-    def lp_eval(self, at: BranchPoint, assignment=None) -> complex:
+    def lp_eval(self, at: BranchPoint) -> complex:
         """Numeric value on the chosen sheet, summed in sorted_terms order."""
         logz = at.log_value()
         total = 0j
         for (m, l), coeff in self.sorted_terms():
-            total += coeff.eval(assignment) * at.z ** m * logz ** l
+            total += coeff.eval() * at.z ** m * logz ** l
         return total
 
 
@@ -346,5 +346,5 @@ def integrate_u(p: BiLogPoly, alpha: GaussianRational, beta: GaussianRational) -
     return LogLaurentPoly._wrap(_finished(acc))
 
 
-def lp_eval(p: LogLaurentPoly, at: BranchPoint, assignment=None) -> complex:
-    return p.lp_eval(at, assignment)
+def lp_eval(p: LogLaurentPoly, at: BranchPoint) -> complex:
+    return p.lp_eval(at)

@@ -145,12 +145,12 @@ class TruncatedSeries:
         return self._coeffs
 
     @staticmethod
-    def zero(order: int, field: str = FIELD_RATIONAL) -> "TruncatedSeries":
-        return TruncatedSeries([_ZEROS[field]] * (order + 1), field)
+    def zero(order: int) -> "TruncatedSeries":
+        return TruncatedSeries([0] * (order + 1))
 
     @staticmethod
-    def geometric(order: int, field: str = FIELD_RATIONAL) -> "TruncatedSeries":
-        return TruncatedSeries([_ONES[field]] * (order + 1), field)
+    def geometric(order: int) -> "TruncatedSeries":
+        return TruncatedSeries([1] * (order + 1))
 
     def __getitem__(self, n: int):
         return self.coeffs[n]
@@ -233,12 +233,10 @@ def ene_exp(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries._wrap(out, f.field)
 
 
-def koebe(order: int, field: str = FIELD_RATIONAL) -> TruncatedSeries:
+def koebe(order: int) -> TruncatedSeries:
     """Expansion of z/(1-z)^2: coefficients 0, 1, 2, 3, ..."""
     _check_order(order)
-    if field == FIELD_RATIONAL:
-        return TruncatedSeries._from_pairs(range(order + 1), (1,) * (order + 1))
-    return TruncatedSeries(range(order + 1), field)
+    return TruncatedSeries._from_pairs(range(order + 1), (1,) * (order + 1))
 
 
 def _constant_is(f: TruncatedSeries, value: int) -> bool:

@@ -121,6 +121,24 @@ def test_sum_element_round_trip():
     assert sorted(s.real for s in parsed_element.singularities()) == [0.0, 2.0]
 
 
+# one element record of each kind, as the documents write them
+ELEMENT_DOCS = {
+    "polylog": {"kind": "polylog", "k": 3},
+    "logbranch": {"kind": "logbranch", "location": [2.0, 0.5], "prefactor": [[1.0, 0.0], [0.0, -1.0]]},
+    "rational": {"kind": "rational", "num": [[0.0, 0.0], [1.0, 0.0]], "den": [[1.0, 0.0], [-1.0, 0.0]],
+                 "poles": [[1.0, 0.0]]},
+    # a series element is a rational one over the denominator 1, and keeps its own kind
+    "series": {"kind": "series", "coeffs": [[1.0, 0.0], [0.5, 0.25]], "singularities": [[1.5, 0.0]]},
+}
+ELEMENT_DOCS["sum"] = {"kind": "sum", "parts": list(ELEMENT_DOCS.values())}
+
+
+@pytest.mark.parametrize("doc", ELEMENT_DOCS.values(), ids=list(ELEMENT_DOCS))
+def test_element_documents_round_trip(doc):
+    element = element_from_doc(doc)
+    assert function_spec_to_doc(polylog_function_spec(1), element=element)["element"] == doc
+
+
 def test_divisor_round_trip():
     d = Divisor.of({GaussianRational.of(2): 1, GaussianRational.of(Fraction(1, 3)): -2})
     assert divisor_from_doc(divisor_to_doc(d)) == d
@@ -503,6 +521,14 @@ def test_cli_commands_offer_only_the_options_they_read(argv, capsys):
         main(argv)
     assert stop.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_verify_refuses_an_unknown_format(capsys):
+    # argparse's choices refuse it before any option is validated
+    with pytest.raises(SystemExit) as stop:
+        main(["verify", "-f", "F.json", "-g", "G.json", "--format", "xml"])
+    assert stop.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
 
 
 # --- CLI: selftest -----------------------------------------------------------------------------

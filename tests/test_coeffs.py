@@ -18,7 +18,6 @@ from hadene.coeffs import (
     ExactCoeff,
     GaussianRational,
     NotAUnit,
-    UnassignedSymbol,
     log_symbol,
     loc_symbol,
     parse_gaussian_rational,
@@ -116,12 +115,6 @@ def test_eval_is_ring_homomorphism():
         lhs = (a * b).eval()
         rhs = a.eval() * b.eval()
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
-
-
-def test_eval_strict_assignment_raises_on_missing_symbol():
-    a = ExactCoeff.monomial({log_symbol(2): 1})
-    with pytest.raises(UnassignedSymbol):
-        a.eval({two_pi_i_symbol(): 1.0})
 
 
 def test_commutative_ring_axioms_on_random_values():

@@ -23,6 +23,9 @@ from hadene.continuation import (
     SumElement,
     _block_integral,
     _clearances,
+    _CONTINUE_DELTA,
+    _CONTINUE_FRAC,
+    _CONTINUE_NODES,
     _gl_cumulative,
     _gl_rule,
     _GradedChain,
@@ -119,18 +122,24 @@ def test_coarse_and_fine_starting_pieces_of_a_polylog3_loop_agree():
     # side reach the same value
     li3 = PolylogElement(3)
     triangle = [Line(0.3, 1.2 - 0.01j), Line(1.2 - 0.01j, 1.2 + 0.4j), Line(1.2 + 0.4j, 0.3)]
-    coarse, cont = continue_along(li3, triangle, steps_per_segment=2)
-    fine, _ = continue_along(li3, triangle, steps_per_segment=256)
+
+    def loop(pieces):
+        state = li3.make_state(0.3)
+        chain = _GradedChain(triangle, pieces).refine(state.obstacles(), _CONTINUE_FRAC, 0.0, _CONTINUE_DELTA)
+        state.advance(chain.panels(_CONTINUE_NODES))
+        return state
+
+    coarse, fine = loop(2), loop(256)
     jump = -TWO_PI_I / 2 * cmath.log(0.3) ** 2
-    assert abs(coarse - fine) < 1e-12
-    assert abs((coarse - li3.principal_value(0.3)) - jump) < 1e-12
-    assert cont.windings() == {1.0 + 0j: 1}
+    assert abs(coarse.value() - fine.value()) < 1e-12
+    assert abs((coarse.value() - li3.principal_value(0.3)) - jump) < 1e-12
+    assert coarse.windings() == {1.0 + 0j: 1}
 
 
 def test_path_too_close_raises():
     lb = LogBranchElement(1.0)
     with pytest.raises(PathTooCloseToSingularity):
-        continue_along(lb, [Line(0.5, 1.5)], delta=1e-3)
+        continue_along(lb, [Line(0.5, 1.5)])
 
 
 def test_series_element_recenters():

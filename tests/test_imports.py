@@ -19,6 +19,8 @@ from hadene.series import polylog_series
 
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE_MODULES = ("numpy", "hadene.continuation")
+# the fresh interpreters also watch the comparison of the engines, which only verify needs
+WATCHED_MODULES = (*ORACLE_MODULES, "hadene.checks")
 
 # the oracle names `hadene` has exported since it was first published
 ORACLE_NAMES = (
@@ -42,12 +44,12 @@ IMPORT_LAYERS = {
     "continuation": set(),
     "checks": {"logpoly", "monodromy"},
     "documents": {"coeffs", "logpoly", "monodromy", "series"},
-    "cli": {"checks", "coeffs", "documents", "monodromy", "series"},
-    "__init__": {"checks", "coeffs", "logpoly", "monodromy", "series"},
+    "cli": {"coeffs", "documents", "monodromy", "series"},
+    "__init__": {"coeffs", "logpoly", "monodromy", "series"},
 }
 
 # argv as JSON in sys.argv[1] (null: only `import hadene`); prints the exit code
-# and which oracle modules the interpreter holds afterwards
+# and which watched modules the interpreter holds afterwards
 _CHILD = """
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
@@ -59,7 +61,7 @@ else:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
 print(json.dumps({"code": code, "loaded": [m for m in %r if m in sys.modules]}))
-""" % (ORACLE_MODULES,)
+""" % (WATCHED_MODULES,)
 
 
 def _python(code: str, *args: str):
@@ -103,17 +105,19 @@ EXACT_COMMANDS = {
 
 
 def test_import_hadene_loads_neither_numpy_nor_the_oracle():
+    # nor checks: crosscheck and OracleReport are served on first use
     assert _fresh_interpreter(None) == {"code": None, "loaded": []}
 
 
 @pytest.mark.parametrize("argv", EXACT_COMMANDS.values(), ids=list(EXACT_COMMANDS))
 def test_exact_commands_load_neither_numpy_nor_the_oracle(docs, argv):
+    # nor checks, which cli imports inside verify
     assert _fresh_interpreter([arg.format(**docs) for arg in argv]) == {"code": 0, "loaded": []}
 
 
 def test_verify_loads_numpy_and_the_oracle(docs):
     argv = ["verify", "-f", docs["li1_element"], "-g", docs["li1_element"], "--samples", "0.9"]
-    assert _fresh_interpreter(argv) == {"code": 0, "loaded": list(ORACLE_MODULES)}
+    assert _fresh_interpreter(argv) == {"code": 0, "loaded": list(WATCHED_MODULES)}
 
 
 @pytest.mark.parametrize("name", sorted(PUBLISHED_NAMES))
