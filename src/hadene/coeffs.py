@@ -18,19 +18,28 @@ Representation, chosen so that the ring operations run on machine integers:
 * A ``ConstantSymbol`` is interned: there is one instance per ``(kind, base)``,
   and it carries a small int ``id``.  Symbols compare and hash by identity.
 * An ``ExactCoeff`` maps monomials to nonzero Gaussian rationals.  A monomial
-  is a tuple of ``(symbol id, nonzero exponent)`` pairs sorted by id, so that
-  keys hash and compare as tuples of ints.  Ids depend on the order in which a
-  process first meets its symbols, so everything that leaves the field
-  (``sorted_terms``, ``symbols``, ``repr``, the document form) maps ids back to
-  symbols and orders by the symbols' keys instead.
+  is one int, ``sum(exp << (_W * id))``: the ``_W``-bit field at ``id`` holds
+  the signed exponent of symbol ``id``, so keys hash and compare as ints, a
+  product of monomials is one int addition and an inverse is a negation.
+  Exponents enter within ``MAX_EXPONENT = 2**20`` in magnitude (``monomial``,
+  ``**`` and documents refuse more).  A product adds exponents, so a field
+  leaves its signed 64 bits, and would alias another monomial, only after
+  2**43 chained products of factors at the bound, or 43 squarings of one.  The
+  exponents the engine forms, powers of 2pii and of Log(c), are log powers:
+  below 2**12 on documents, whose log powers are at most 1024.
+  Ids depend on the order in which a process first meets its symbols, so
+  everything that leaves the field (``sorted_terms``, ``symbols``, ``repr``,
+  the document form) decodes the fields back to symbols and orders by the
+  symbols' keys instead.
 
 ``ExactCoeff`` shares its term-map core, ``_TermMap`` (normalizing constructor,
 addition, negation, equality), with the log polynomial rings of ``logpoly``;
 ring operations build normalized dicts directly and skip the constructor.
 Products of sums go through one rule, ``_accumulate``: it adds each
-coefficient times a monomial unit (a Gaussian rational times a monomial) into
-an unreduced accumulator of ``(a, b, d)`` triples per monomial, and
-``_finish`` reduces each sum with one gcd and builds the ``ExactCoeff`` once.
+coefficient times a monomial unit (the ints ``(a, b, d)`` of a Gaussian
+rational, and a monomial) into an unreduced accumulator of ``(a, b, d)``
+triples per monomial, and ``_finish`` reduces each sum with one gcd and builds
+the ``ExactCoeff`` once.
 A unit maps monomials one to one, so a product by a one-term factor skips the
 accumulator; the exact substitutions of ``logpoly`` and each product pair term
 of ``monodromy`` feed all their terms into one accumulator per output key.
@@ -291,42 +300,43 @@ def parse_symbol(key: str) -> ConstantSymbol:
     raise ValueError(f"unknown symbol key {key!r}")
 
 
-two_pi_i_symbol()  # id 0, so that 2pii leads every monomial it occurs in
+two_pi_i_symbol()  # id 0, the lowest field of a monomial
 
-# Monomial: tuple of (symbol id, nonzero integer exponent) sorted by id.
-Monomial = tuple[tuple[int, int], ...]
+# Monomial: sum(exp << (_W * symbol id)), one signed _W-bit field per symbol.
+Monomial = int
 # The same monomial with symbols in place of ids, sorted by symbol key.
 SymbolMonomial = tuple[tuple[ConstantSymbol, int], ...]
 
-_EMPTY_MONOMIAL: Monomial = ()
+_W = 64
+_FIELD = 1 << _W
+_HALF = _FIELD >> 1
+MAX_EXPONENT = 1 << 20
+
+
+def _bounded(exp: int, what) -> int:
+    if abs(exp) > MAX_EXPONENT:
+        raise ValueError(f"exponent {exp} of {what} exceeds 2**20 in magnitude")
+    return exp
 
 
 def _make_monomial(powers: Mapping[ConstantSymbol, int]) -> Monomial:
-    return tuple(sorted((sym.id, exp) for sym, exp in powers.items() if exp != 0))
+    return sum(_bounded(exp, sym) << (_W * sym.id) for sym, exp in powers.items())
 
 
-def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(b) == 1:  # a unit's monomial, such as Log(c)^n: merge it into place
-        sid = b[0][0]
-        for i, (s, e) in enumerate(a):
-            if s >= sid:
-                if s > sid:
-                    return a[:i] + b + a[i:]
-                e += b[0][1]
-                return a[:i] + ((s, e),) + a[i + 1:] if e else a[:i] + a[i + 1:]
-        return a + b
-    powers = dict(a)
-    for sid, exp in b:
-        powers[sid] = powers.get(sid, 0) + exp
-    return tuple(sorted(item for item in powers.items() if item[1]))
+def _fields(mono: Monomial):
+    """The (symbol id, nonzero exponent) pairs of a monomial, by id."""
+    sid = 0
+    while mono:
+        skip = ((mono & -mono).bit_length() - 1) // _W  # empty fields below the next one
+        mono >>= _W * skip
+        exp = ((mono + _HALF) & (_FIELD - 1)) - _HALF  # the low field, signed
+        yield sid + skip, exp
+        mono = (mono - exp) >> _W
+        sid += skip + 1
 
 
 def _symbolic(mono: Monomial) -> SymbolMonomial:
-    return tuple(sorted(((_SYMBOLS[sid], exp) for sid, exp in mono), key=lambda it: it[0].key))
+    return tuple(sorted(((_SYMBOLS[sid], exp) for sid, exp in _fields(mono)), key=lambda it: it[0].key))
 
 
 def _add_term(out: dict, key, value) -> None:
@@ -436,7 +446,7 @@ class ExactCoeff(_TermMap):
 
     @staticmethod
     def from_gaussian(value: GaussianRational) -> "ExactCoeff":
-        return _wrap({_EMPTY_MONOMIAL: value} if value else {})
+        return _wrap({0: value} if value else {})
 
     @staticmethod
     def monomial(powers: Mapping[ConstantSymbol, int], coeff=GR_ONE) -> "ExactCoeff":
@@ -450,7 +460,7 @@ class ExactCoeff(_TermMap):
     # -- predicates ----------------------------------------------------------
 
     def symbols(self) -> set[ConstantSymbol]:
-        return {_SYMBOLS[sid] for mono in self.terms for sid, _ in mono}
+        return {_SYMBOLS[sid] for mono in self.terms for sid, _ in _fields(mono)}
 
     def _key(self):
         return tuple((mono, c.re, c.im) for mono, c in self.sorted_terms())
@@ -483,15 +493,15 @@ class ExactCoeff(_TermMap):
             return other._times(c._a, c._b, c._d, mono)
         raw: dict = {}
         for mono, c in self.terms.items():
-            _accumulate(raw, other, c, mono)
+            _accumulate(raw, other, c._a, c._b, c._d, mono)
         return _finish(raw)
 
-    def _times(self, fa: int, fb: int, fd: int, shift: Monomial = _EMPTY_MONOMIAL) -> "ExactCoeff":
+    def _times(self, fa: int, fb: int, fd: int, shift: Monomial = 0) -> "ExactCoeff":
         """Every term times the unit (fa + fb i) / fd * shift, for fd > 0."""
         if not (fa or fb):
             return _wrap({})
         return _wrap({
-            _mul_monomials(m, shift): _reduced(c._a * fa - c._b * fb, c._a * fb + c._b * fa, c._d * fd)
+            m + shift: _reduced(c._a * fa - c._b * fb, c._a * fb + c._b * fa, c._d * fd)
             for m, c in self.terms.items()
         })
 
@@ -501,6 +511,10 @@ class ExactCoeff(_TermMap):
     def __pow__(self, k: int) -> "ExactCoeff":
         if k < 0:
             return self.invert_monomial() ** (-k)
+        # each symbol's largest |exponent| in the power is exactly k times the base's
+        for mono in self.terms:
+            for sid, exp in _fields(mono):
+                _bounded(k * exp, _SYMBOLS[sid])
         return _power(self, k, EC_ONE)
 
     def invert_monomial(self) -> "ExactCoeff":
@@ -508,7 +522,7 @@ class ExactCoeff(_TermMap):
         if len(self.terms) != 1:
             raise NotAUnit(f"not a monomial unit: {self}")
         (mono, coeff), = self.terms.items()
-        return _wrap({tuple((sid, -exp) for sid, exp in mono): GR_ONE / coeff})
+        return _wrap({-mono: GR_ONE / coeff})
 
     # -- numeric bridge ------------------------------------------------------
 
@@ -554,18 +568,16 @@ class ExactCoeff(_TermMap):
 EC_ONE = ExactCoeff.from_gaussian(GR_ONE)
 
 
-def _accumulate(raw: dict, coeff: ExactCoeff, factor: GaussianRational,
-                shift: Monomial = _EMPTY_MONOMIAL, times: int = 1) -> None:
-    """raw[m * shift] += c * factor * times for every term c * m of coeff.
+def _accumulate(raw: dict, coeff: ExactCoeff, a2: int, b2: int, d2: int, shift: Monomial = 0) -> None:
+    """raw[m * shift] += c * (a2 + b2 i) / d2 for every term c * m of coeff, for d2 > 0.
 
     raw maps monomials to unreduced triples (a, b, d) standing for
     (a + b i) / d: equal denominators add their numerators, others cross
     multiply, and ``_finish`` takes one gcd per monomial (Henrici 1956).
     """
-    a2, b2, d2 = factor._a * times, factor._b * times, factor._d
     for m1, c1 in coeff.terms.items():
         a1, b1, d1 = c1._a, c1._b, c1._d
-        mono = _mul_monomials(m1, shift)
+        mono = m1 + shift
         a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
         acc = raw.get(mono)
         if acc is not None:

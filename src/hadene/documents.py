@@ -12,7 +12,15 @@ import cmath
 import json
 from typing import TYPE_CHECKING, Any
 
-from .coeffs import GR_ZERO, ExactCoeff, _make_monomial, parse_gaussian_rational, parse_rational, parse_symbol
+from .coeffs import (
+    GR_ZERO,
+    MAX_EXPONENT,
+    ExactCoeff,
+    _make_monomial,
+    parse_gaussian_rational,
+    parse_rational,
+    parse_symbol,
+)
 from .logpoly import LogLaurentPoly
 from .monodromy import Divisor, FunctionSpec, GermPart, MonodromyResult, Singularity
 from .series import FIELD_COMPLEX, FIELD_RATIONAL, TruncatedSeries
@@ -99,7 +107,7 @@ def _add_exact_terms(terms: dict, doc: Any) -> dict:
         _require(isinstance(symbols, dict), "term symbols must be an object of exponents")
         try:
             coeff = parse_gaussian_rational(record["coeff"])
-            powers = {parse_symbol(k): _integer(e, f"exponent of {k}") for k, e in symbols.items()}
+            powers = {parse_symbol(k): _integer(e, f"exponent of {k}", MAX_EXPONENT) for k, e in symbols.items()}
         except (KeyError, ValueError) as exc:
             raise DocumentError(f"bad exact coefficient record: {exc}") from exc
         mono = _make_monomial(powers)

@@ -25,8 +25,11 @@ and expands its own row.  shift_log, integrate_u and the pair terms each fill
 one unreduced accumulator (``coeffs._accumulate``) keyed by (zpow, zlogpow):
 every term enters as coeff * (binomial * rational factor) * location unit, and
 each output ExactCoeff is built once (_finished).  _add_at (x = c) and
-_add_at_z_over read c^k * Log(c)^n as a monomial unit cached per (c, k, n)
-(_location_unit, bounded like the binomial rows and the antiderivative table).
+_add_at_z_over read c^k * Log(c)^n as the ints (monomial, a, b, d) of a
+monomial unit cached per (c, k, n) (_location_unit, bounded like the binomial
+rows and the antiderivative table), and multiply factor, unit and sign on
+those ints: no endpoint row builds a GaussianRational or takes a gcd, and the
+accumulator takes one per output key.
 _add_integral feeds each antiderivative term to both endpoints.
 
 Branches are formal here: _z_over rewrites log(z/u) as log z - log u with no
@@ -53,6 +56,8 @@ from .coeffs import (
     _accumulate,
     _add_term,
     _finish,
+    _make_monomial,
+    _reduced,
     _TermMap,
     as_exact,
     log_symbol,
@@ -99,25 +104,26 @@ def _finished(acc: dict) -> dict:
 
 
 @lru_cache(maxsize=1024)
-def _location_unit(location: GaussianRational, k: int, n: int) -> tuple | None:
-    """location^k * Log(location)^n as a monomial unit (monomial, c), or None where Log(1)^n vanishes.
-
-    A power equal to 1 comes back as GR_ONE, so that callers skip the product.
-    """
+def _location_unit(a: int, b: int, d: int, k: int, n: int) -> tuple[int, int, int, int] | None:
+    """c^k * Log(c)^n at the location c = (a + b i) / d, keyed by ints so that a cache
+    hit hashes no object, as the ints (monomial, a, b, d) of the monomial unit
+    (a + b i) / d * monomial; None where Log(1)^n vanishes."""
+    location = _reduced(a, b, d)
     if location == GR_ONE:
-        return None if n else ((), GR_ONE)
+        return None if n else (0, 1, 0, 1)
     power = location ** k
-    (mono, _), = (ExactCoeff.monomial({log_symbol(location): n}) if n else EC_ONE).terms.items()
-    return mono, GR_ONE if power == GR_ONE else power
+    return _make_monomial({log_symbol(location): n}) if n else 0, power._a, power._b, power._d
 
 
 def _add_at(acc: dict, zkey: tuple, location: GaussianRational, k: int, l: int, coeff: ExactCoeff,
             factor: GaussianRational, times: int = 1) -> None:
-    """acc[zkey] += coeff * factor * times * x^k (log x)^l at x = location."""
-    unit = _location_unit(location, k, l)
+    """acc[zkey] += coeff * factor * times * x^k (log x)^l at x = location, the unit's
+    product as unreduced ints: the accumulator's one gcd per key reduces it."""
+    unit = _location_unit(location._a, location._b, location._d, k, l)
     if unit is not None:
-        mono, c = unit
-        _accumulate(acc.setdefault(zkey, {}), coeff, factor if c is GR_ONE else factor * c, mono, times)
+        mono, a, b, d = unit
+        fa, fb = factor._a * times, factor._b * times
+        _accumulate(acc.setdefault(zkey, {}), coeff, fa * a - fb * b, fa * b + fb * a, factor._d * d, mono)
 
 
 @lru_cache(maxsize=1024)
@@ -278,7 +284,7 @@ class LogLaurentPoly(_LogTermMap):
             for j, sign in enumerate(_signed_binomials(l)):
                 raw = acc.setdefault((m, j), {})
                 for mono, c in powers[l - j].terms.items():
-                    _accumulate(raw, coeff, c, mono, sign)
+                    _accumulate(raw, coeff, c._a * sign, c._b * sign, c._d, mono)
         return LogLaurentPoly._wrap(_finished(acc))
 
     def sigma_power(self, n: int) -> "LogLaurentPoly":

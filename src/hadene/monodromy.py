@@ -107,8 +107,7 @@ class FunctionSpec:
     germ_at_zero: TruncatedSeries | None = None
 
     def __post_init__(self):
-        locations = [s.location for s in self.singularities]
-        if len({(l.re, l.im) for l in locations}) != len(locations):
+        if len(set(s.location for s in self.singularities)) != len(self.singularities):
             raise ValueError("singularity locations must be pairwise distinct")
 
     @staticmethod

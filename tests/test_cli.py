@@ -8,7 +8,7 @@ import pytest
 
 from hadene import cli
 from hadene.cli import main
-from hadene.coeffs import ExactCoeff, GaussianRational, _TermMap, log_symbol
+from hadene.coeffs import MAX_EXPONENT, ExactCoeff, GaussianRational, _TermMap, log_symbol
 from hadene.continuation import LogBranchElement, PolylogElement, SumElement, geometric_element
 from hadene.documents import (
     MAX_ELEMENT_DEPTH,
@@ -446,6 +446,9 @@ REFUSED_INPUTS = [
     (["verify", "-f", "{li1}", "-g", "{li1}", "--samples", "1e-320"], 5, "at z0 = (1e-320+0j)"),
     (["monodromy", "--product", "hadamard", "--gamma", "7", "-f", "{divisor}", "-g", "{divisor}"], 2,
      "expected kind 'function', got 'divisor'"),
+    # a symbol exponent past the bound would overflow its field of a monomial
+    (["monodromy", "-f", "{symbol_exponent}", "-g", "{li1}"], 2,
+     f"exponent of 2pii {MAX_EXPONENT + 1} exceeds {MAX_EXPONENT} in magnitude"),
 ]
 
 
@@ -460,7 +463,8 @@ REFUSED_INPUTS = [
                               "verify-gamma-overflow", "document-not-utf8", "document-nested-too-deeply",
                               "verify-polylog-k-too-large", "verify-polylog-k-float", "verify-polylog-k-zero",
                               "verify-sum-nested-too-deeply", "verify-names-the-failing-sample",
-                              "series-int-past-digit-limit", "verify-z0-subnormal", "monodromy-divisor-documents"])
+                              "series-int-past-digit-limit", "verify-z0-subnormal", "monodromy-divisor-documents",
+                              "monodromy-symbol-exponent-too-large"])
 def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, message):
     docs = {
         "li1": write_doc(tmp_path, "li1.json", li1_function_doc()),
@@ -486,6 +490,9 @@ def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, mess
     zpow_overflow = li1_function_doc()
     zpow_overflow["singularities"][0]["monodromy"][0]["zpow"] = -1000000
     docs["zpow_overflow"] = write_doc(tmp_path, "zpow_overflow.json", zpow_overflow)
+    symbol_exponent = li1_function_doc()
+    symbol_exponent["singularities"][0]["monodromy"][0]["coeff"][0]["symbols"]["2pii"] = MAX_EXPONENT + 1
+    docs["symbol_exponent"] = write_doc(tmp_path, "symbol_exponent.json", symbol_exponent)
     for name, k in (("k_too_large", MAX_POLYLOG_K + 1), ("k_float", 2.5), ("k_zero", 0)):
         polylog_k = li1_function_doc()
         polylog_k["element"]["k"] = k

@@ -14,10 +14,13 @@ import pytest
 
 from hadene.coeffs import (
     EC_ONE,
+    MAX_EXPONENT,
     ConstantSymbol,
     ExactCoeff,
     GaussianRational,
     NotAUnit,
+    _make_monomial,
+    _symbolic,
     log_symbol,
     loc_symbol,
     parse_gaussian_rational,
@@ -272,3 +275,87 @@ def test_products_do_not_depend_on_the_order_symbols_were_interned():
     assert ids1 != ids2 and sorted(ids1) == sorted(ids2)
     assert json.dumps(doc1) == json.dumps(doc2) and repr1 == repr2
     assert exact_coeff_from_doc(doc1) == exact_coeff_from_doc(doc2)
+
+
+# --- packed monomials against a dict-of-exponents reference ----------------------------
+
+
+def ref_monomial(powers):
+    """A monomial as the reference sees it: the set of its (symbol, nonzero exponent) pairs."""
+    return frozenset((sym, e) for sym, e in powers.items() if e)
+
+
+def ref_terms(value):
+    """{reference monomial: coefficient} of an ExactCoeff, read through sorted_terms."""
+    return {frozenset(mono): coeff for mono, coeff in value.sorted_terms()}
+
+
+def ref_product(x, y):
+    out = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            powers = dict(m1)
+            for sym, e in m2:
+                powers[sym] = powers.get(sym, 0) + e
+            key = ref_monomial(powers)
+            out[key] = out.get(key, GaussianRational()) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def test_packed_monomials_match_a_dict_of_exponents_reference():
+    # symbols with ids past 64 put fields in several machine words
+    many = [log_symbol(Fraction(n, 97)) for n in range(1, 81)] + [loc_symbol(Fraction(n, 89)) for n in range(1, 11)]
+    high = [sym for sym in many if sym.id >= 64]
+    assert high
+    pool = [two_pi_i_symbol(), log_symbol(2), loc_symbol(3)] + many[:3] + high
+    rng = random.Random(24)
+
+    def exponent():
+        return rng.choice((MAX_EXPONENT, -MAX_EXPONENT, rng.randint(-3, 3), rng.randint(-MAX_EXPONENT, MAX_EXPONENT)))
+
+    def draw_powers():
+        return {sym: exponent() for sym in rng.sample(pool, rng.randint(0, 4))}
+
+    def draw_coeff():
+        return GaussianRational.of(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)), rng.randint(-2, 2))
+
+    for _ in range(300):
+        p1, p2 = draw_powers(), draw_powers()
+        c1, c2 = draw_coeff(), draw_coeff()
+        r1, r2 = ref_monomial(p1), ref_monomial(p2)
+        x, y = ExactCoeff.monomial(p1, c1), ExactCoeff.monomial(p2, c2)
+        # decoding: _symbolic and sorted_terms order by symbol key, symbols() reads the fields
+        assert set(_symbolic(_make_monomial(p1))) == r1
+        assert [sym.key for sym, _ in _symbolic(_make_monomial(p1))] == sorted(sym.key for sym, _ in r1)
+        assert ref_terms(x) == {r1: c1}
+        assert x.symbols() == {sym for sym, _ in r1}
+        # == and hash: the same monomial built in the opposite order, or built twice
+        again = ExactCoeff.monomial(dict(reversed(list(p1.items()))), c1)
+        assert again == x and hash(again) == hash(x)
+        assert (x == ExactCoeff.monomial(p2, c1)) == (r1 == r2)
+        # products and inverses
+        assert ref_terms(x * y) == ref_product({r1: c1}, {r2: c2})
+        inverse = x.invert_monomial()
+        assert ref_terms(inverse) == {frozenset((sym, -e) for sym, e in r1): GaussianRational.of(1) / c1}
+        assert x * inverse == EC_ONE
+        # sums of monomials: their product goes through the unreduced accumulator
+        xs = [ExactCoeff.monomial(draw_powers(), draw_coeff()) for _ in range(3)]
+        ys = [ExactCoeff.monomial(draw_powers(), draw_coeff()) for _ in range(2)]
+        sx, sy = xs[0] + xs[1] + xs[2], ys[0] + ys[1]
+        assert ref_terms(sx * sy) == ref_product(ref_terms(sx), ref_terms(sy))
+        assert (sx * sy).symbols() == {sym for mono in ref_product(ref_terms(sx), ref_terms(sy)) for sym, _ in mono}
+
+
+def test_exponents_past_the_bound_are_refused():
+    sym = log_symbol(Fraction(5, 7))
+    at_bound = ExactCoeff.monomial({sym: MAX_EXPONENT})
+    assert at_bound ** 1 == at_bound and at_bound ** -1 == ExactCoeff.monomial({sym: -MAX_EXPONENT})
+    half = ExactCoeff.monomial({sym: MAX_EXPONENT // 2}) + EC_ONE
+    assert ref_terms(half ** 2)[frozenset({(sym, MAX_EXPONENT)})] == GaussianRational.of(1)
+    for make in (lambda: ExactCoeff.monomial({sym: MAX_EXPONENT + 1}),
+                 lambda: ExactCoeff.monomial({sym: -MAX_EXPONENT - 1}),
+                 lambda: at_bound ** 2,
+                 lambda: at_bound ** -2,
+                 lambda: half ** 3):
+        with pytest.raises(ValueError, match="exceeds 2\\*\\*20 in magnitude"):
+            make()

@@ -298,6 +298,7 @@ def test_integrate_u_work_bound(monkeypatch, engine):
     g = FunctionSpec.of("g", [Singularity(gr(3), LogLaurentPoly.term(0, 40))])
     engine(f, g, 6)
     top, evaluation = (100, 0) if engine is hadamard_monodromy_total else (99, 1 + 41)
+    assert terms > 0  # the endpoint rows feed the patched entry
     assert terms <= sum(top + 2 - j + 1 for j in range(41)) + evaluation
 
 
@@ -336,6 +337,7 @@ def test_integrate_u_accumulated_term_bound(monkeypatch, location, l):
     monkeypatch.setattr(logpoly, "_accumulate", counted)
     integrate_u(BiLogPoly({(0, l, 0, 0): EC_ONE}), gr(location), gr(location))
     binomial_terms = (l + 1) * (l + 2) // 2 if location != 1 else 0
+    assert terms > 0  # the endpoint rows feed the patched entry
     assert terms <= binomial_terms + 2 * (l + 1)
 
 
