@@ -28,6 +28,7 @@ from dataclasses import dataclass, fields
 
 from .coeffs import parse_gaussian_rational
 from .documents import (
+    MAX_LOGPOW,
     DocumentError,
     _write_text,
     divisor_from_doc,
@@ -156,8 +157,9 @@ def cmd_divisor(args) -> int:
 
 def cmd_polylog(args) -> int:
     job = _job_from_args(args)
-    if args.k < 1:
-        raise ValueError("--k must be >= 1")
+    # the weight-k ladder monodromy has log power k - 1, which documents bound
+    if not 1 <= args.k <= MAX_LOGPOW + 1:
+        raise ValueError(f"--k must be in 1..{MAX_LOGPOW + 1}")
     value = polylog_monodromy(args.k)
     result = MonodromyResult(
         gamma=parse_gaussian_rational("1"),
@@ -371,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_divisor)
 
     p = sub.add_parser("polylog", help="ladder monodromy at 1 for weight k")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help=f"ladder weight, 1..{MAX_LOGPOW + 1}")
     _add_out(p)
     p.set_defaults(func=cmd_polylog)
 

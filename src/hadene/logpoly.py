@@ -5,8 +5,8 @@ Monodromies of product singularities live in this ring: finitely many terms
     coeff * z^zpow * (log z)^logpow        (zpow integer, logpow >= 0)
 
 with ExactCoeff coefficients.  The module provides the ring operations, the
-derivation, the monodromy-at-origin operator (substitute log z -> log z + 2pii
-and subtract), and the closed-form definite integrals
+derivation and theta = z d/dz, the monodromy-at-origin operator (substitute
+log z -> log z + 2pii and subtract), and the closed-form definite integrals
 
     integral from u=alpha to u=z/beta of  (two-variable integrand) du
 
@@ -19,9 +19,10 @@ LogLaurentPoly and BiLogPoly share the term-map core of ``coeffs`` and, above
 it, one product and one derivation.  One cached function, _z_over, rewrites
 log(z/y) as log z - log y, over the signed binomial row.  It has two readers:
 _pair_terms, the one stream of the terms of unit * first(u) * second(z/u) that
-every product pair term of ``monodromy`` reads, and _add_at_z_over, the
-endpoint x = z/c.  shift_log (log z -> log z + a) is a shift, not a quotient,
-and expands its own row.  shift_log, integrate_u and the pair terms each fill
+the integral and the residues of the Hadamard pair term of ``monodromy`` read
+(the ene pair term is -theta of it), and _add_at_z_over, the endpoint x = z/c.
+shift_log (log z -> log z + a) is a shift, not a quotient, and expands its
+own row.  shift_log, integrate_u and the pair terms each fill
 one unreduced accumulator (``coeffs._accumulate``) keyed by (zpow, zlogpow):
 every term enters as coeff * (binomial * rational factor) * location unit, and
 each output ExactCoeff is built once (_finished).  _add_at (x = c) and
@@ -269,6 +270,10 @@ class LogLaurentPoly(_LogTermMap):
     # -- calculus -------------------------------------------------------------
 
     derivative = _LogTermMap._derivative
+
+    def theta(self) -> "LogLaurentPoly":
+        """z d/dz: the derivative, times z."""
+        return LogLaurentPoly._wrap({(m + 1, l): c for (m, l), c in self.derivative().terms.items()})
 
     def shift_log(self, amount: ExactCoeff) -> "LogLaurentPoly":
         """Substitute log z -> log z + amount, expanding powers binomially."""

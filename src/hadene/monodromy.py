@@ -14,12 +14,13 @@ gamma = alpha * beta:
   Hadamard product, polar germ parts additionally contribute
       - Res_{u=alpha}( F0(u) dG(z/u) / u )  -  Res_{u=beta}( G0(u) dF(z/u) / u )
 
-  ene product, totally holomorphic pairs:
-      (1/2pii) dF(alpha) dG(z/alpha)
-      + (1/2pii) * integral_alpha^{z/beta} dF'(u) dG(z/u) du
+  ene product, every pair, polar germ parts included:
+      -theta( Hadamard pair term ),  theta = z d/dz
 
-  ene product, polar parts additionally contribute
-      + Res_{u=alpha}( F0'(u) dG(z/u) )  +  Res_{u=beta}( G0(u) dF'(z/u) z/u^2 )
+  On series ene_exp(F, G) = -sum n a_n b_n z^n = -theta(F (.) G), and analytic
+  continuation commutes with theta (singular expansions are closed under
+  differentiation), so the ene monodromy at gamma is -theta of the Hadamard
+  one.  theta kills constants, which is why the ene product is better behaved.
 
 Residues are computed symbolically from the stored polar coefficients,
 Res = sum_k a_k * H^(k-1)(pole) / (k-1)!, never by numeric limits.  One
@@ -27,16 +28,17 @@ driver sums over the factorizations for all four entry points; each product
 supplies only its pair term, and the *_total variants differ only in refusing
 polar germ parts.
 
-Each pair term fills one unreduced accumulator (see ``logpoly``) and finishes
-it once.  Its parts read one stream, logpoly._pair_terms, of the terms of
-unit * dF(u) dG(z/u), in which logpoly alone expands log(z/u) = log z - log u.
-The integral feeds each term u^k (log u)^l (dF' in place of dF for ene) to
-_add_integral at both endpoints, with the -+1/2pii unit on each term of dF
-once; the ene evaluation term puts u = alpha; each residue reads the stream
-with dF = 1 and the unit sign * a_k/(k-1)!, one weight per polar order, and
-differentiates u^p (log u)^q in closed form.  Every substitution passes the
-location itself, and its powers and Log powers come from the bounded cache of
-location units in ``logpoly``, so repeated products build none of them again.
+The Hadamard pair term fills one unreduced accumulator (see ``logpoly``) and
+finishes it once; it is the one pair formula, and the ene term applies theta
+to its result.  Its parts read one stream, logpoly._pair_terms, of the terms
+of unit * dF(u) dG(z/u), in which logpoly alone expands log(z/u) = log z -
+log u.  The integral feeds each term u^k (log u)^l to _add_integral at both
+endpoints, with the -1/2pii unit on each term of dF once; each residue reads
+the stream with dF = 1 and the unit -a_k/(k-1)!, one weight per polar order,
+and differentiates u^p (log u)^q in closed form.  Every substitution passes
+the location itself, and its powers and Log powers come from the bounded
+cache of location units in ``logpoly``, so repeated products build none of
+them again.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ from .coeffs import GR_ONE, ExactCoeff, GaussianRational, as_exact
 from .logpoly import LogLaurentPoly, _add_at, _add_integral, _finished, _gauss, _pair_terms
 from .series import TruncatedSeries
 
-INV_TWO_PI_I = ExactCoeff.two_pi_i(-1)
-NEG_INV_TWO_PI_I = -INV_TWO_PI_I
+NEG_INV_TWO_PI_I = -ExactCoeff.two_pi_i(-1)
 _ONE = LogLaurentPoly.constant(1)
 
 
@@ -171,16 +172,6 @@ def _pairs_for_gamma(f: FunctionSpec, g: FunctionSpec, gamma: GaussianRational):
     return pairs
 
 
-def _polar_of_derivative(polar: Sequence[ExactCoeff]) -> tuple[ExactCoeff, ...]:
-    """Polar part of d/du applied to sum_k a_k (u-pole)^-k: orders shift up by one."""
-    out = [ExactCoeff.zero()]
-    for k, a_k in enumerate(polar, start=1):
-        out.append(a_k * (-k))
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
 def _product_monodromy(pair_term, f: FunctionSpec, g: FunctionSpec, gamma,
                        holomorphic_only: bool) -> MonodromyResult:
     """Sum pair_term over the factorizations gamma = alpha * beta."""
@@ -214,22 +205,21 @@ def _derivative_row(p: int, q: int, r: int) -> list[int]:
     return row
 
 
-def _add_residue(acc: dict, pole: GaussianRational, polar: Sequence[ExactCoeff], other: LogLaurentPoly,
-                 du: int, dz: int, sign: int) -> None:
-    """acc += sign * Res_{u=pole} (sum_k a_k (u-pole)^-k) h(u), h(u) = other(z/u) u^du z^dz.
+def _add_residue(acc: dict, pole: GaussianRational, polar: Sequence[ExactCoeff], other: LogLaurentPoly) -> None:
+    """acc -= Res_{u=pole} (sum_k a_k (u-pole)^-k) h(u), h(u) = other(z/u) / u.
 
-    Res = sum_k a_k h^(k-1)(pole) / (k-1)!, with sign * a_k / (k-1)! folded
-    into one weight per order and h differentiated term by term.
+    Res = sum_k a_k h^(k-1)(pole) / (k-1)!, with -a_k / (k-1)! folded into one
+    weight per order and h differentiated term by term.
     """
     for r, a_k in enumerate(polar):
         if not a_k:
             continue
-        weight = a_k * Fraction(sign, math.factorial(r))
+        weight = a_k * Fraction(-1, math.factorial(r))
         for upow, q, zpow, zlogpow, coeff, binomial in _pair_terms(_ONE, other, weight):
-            p = upow + du
+            p = upow - 1
             for t, c in enumerate(_derivative_row(p, q, r)):
                 if c:
-                    _add_at(acc, (zpow + dz, zlogpow), pole, p - r, q - t, coeff, GR_ONE, binomial * c)
+                    _add_at(acc, (zpow, zlogpow), pole, p - r, q - t, coeff, GR_ONE, binomial * c)
 
 
 def _hadamard_pair(sf: Singularity, sg: Singularity) -> LogLaurentPoly:
@@ -238,29 +228,14 @@ def _hadamard_pair(sf: Singularity, sg: Singularity) -> LogLaurentPoly:
     acc: dict = {}
     for k, l, zpow, zlogpow, coeff, sign in _pair_terms(sf.monodromy, sg.monodromy, NEG_INV_TWO_PI_I):
         _add_integral(acc, alpha, beta, k - 1, l, zpow, zlogpow, coeff, sign)
-    _add_residue(acc, alpha, sf.germ.polar, sg.monodromy, -1, 0, -1)
-    _add_residue(acc, beta, sg.germ.polar, sf.monodromy, -1, 0, -1)
+    _add_residue(acc, alpha, sf.germ.polar, sg.monodromy)
+    _add_residue(acc, beta, sg.germ.polar, sf.monodromy)
     return LogLaurentPoly._wrap(_finished(acc))
 
 
 def _ene_pair(sf: Singularity, sg: Singularity) -> LogLaurentPoly:
-    """One factorization's ene term: evaluation plus integral, plus polar residues."""
-    alpha, beta = sf.location, sg.location
-    acc: dict = {}
-    # evaluation term: (1/2pii) dF(alpha) dG(z/alpha), the pair terms at u = alpha
-    for k, l, zpow, zlogpow, coeff, sign in _pair_terms(sf.monodromy, sg.monodromy, INV_TWO_PI_I):
-        _add_at(acc, (zpow, zlogpow), alpha, k, l, coeff, GR_ONE, sign)
-    # integral term: (1/2pii) * int_alpha^{z/beta} dF'(u) dG(z/u) du   (no 1/u factor)
-    df = sf.monodromy.derivative()
-    for k, l, zpow, zlogpow, coeff, sign in _pair_terms(df, sg.monodromy, INV_TWO_PI_I):
-        _add_integral(acc, alpha, beta, k, l, zpow, zlogpow, coeff, sign)
-    # Res_{u=alpha}( F0'(u) dG(z/u) ): differentiate the stored polar part
-    _add_residue(acc, alpha, _polar_of_derivative(sf.germ.polar), sg.monodromy, 0, 0, 1)
-    # Res_{u=beta}( G0(u) dF'(z/u) z/u^2 ): the z/u^2 Jacobian comes from
-    # symmetrizing the residue at z/beta through v = z/u (the du measure,
-    # unlike du/u, does not absorb it)
-    _add_residue(acc, beta, sg.germ.polar, df, -2, 1, 1)
-    return LogLaurentPoly._wrap(_finished(acc))
+    """One factorization's ene term: -theta of its Hadamard term, theta = z d/dz."""
+    return -_hadamard_pair(sf, sg).theta()
 
 
 def hadamard_monodromy_total(f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyResult:
@@ -284,7 +259,7 @@ def ene_monodromy_general(f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyR
 
 
 def ene_symmetry_check(f: FunctionSpec, g: FunctionSpec, gamma) -> bool:
-    """The ene formula is symmetric in its arguments (integration by parts)."""
+    """The ene formula is symmetric in its arguments, as -theta of the symmetric Hadamard one."""
     return ene_monodromy_total(f, g, gamma).value == ene_monodromy_total(g, f, gamma).value
 
 

@@ -12,6 +12,7 @@ from hadene.coeffs import MAX_EXPONENT, ExactCoeff, GaussianRational, _TermMap, 
 from hadene.continuation import LogBranchElement, PolylogElement, SumElement, geometric_element
 from hadene.documents import (
     MAX_ELEMENT_DEPTH,
+    MAX_LOGPOW,
     MAX_POLYLOG_K,
     DocumentError,
     divisor_from_doc,
@@ -449,6 +450,8 @@ REFUSED_INPUTS = [
     # a symbol exponent past the bound would overflow its field of a monomial
     (["monodromy", "-f", "{symbol_exponent}", "-g", "{li1}"], 2,
      f"exponent of 2pii {MAX_EXPONENT + 1} exceeds {MAX_EXPONENT} in magnitude"),
+    # the ladder's log power k - 1 would pass what a function document accepts
+    (["polylog", "--k", str(MAX_LOGPOW + 2)], 3, f"--k must be in 1..{MAX_LOGPOW + 1}"),
 ]
 
 
@@ -464,7 +467,7 @@ REFUSED_INPUTS = [
                               "verify-polylog-k-too-large", "verify-polylog-k-float", "verify-polylog-k-zero",
                               "verify-sum-nested-too-deeply", "verify-names-the-failing-sample",
                               "series-int-past-digit-limit", "verify-z0-subnormal", "monodromy-divisor-documents",
-                              "monodromy-symbol-exponent-too-large"])
+                              "monodromy-symbol-exponent-too-large", "polylog-k-too-large"])
 def test_cli_refuses_bad_input_with_exit_code(tmp_path, capsys, argv, code, message):
     docs = {
         "li1": write_doc(tmp_path, "li1.json", li1_function_doc()),

@@ -212,6 +212,21 @@ def test_monodromy_leaves_every_log_z_over_x_rewrite_to_logpoly():
     assert not (imported | referenced) & {"comb", "_signed_binomials", "_z_over"}
 
 
+def test_monodromy_holds_one_pair_formula():
+    # the ene pair term is -theta of the Hadamard one, so only _hadamard_pair
+    # integrates or takes residues: a term added there reaches both products
+    tree = ast.parse((ROOT / "src" / "hadene" / "monodromy.py").read_text())
+    primitives = {"_add_integral", "_add_residue"}
+    callers = {}
+    for function in tree.body:
+        if isinstance(function, ast.FunctionDef):
+            called = primitives & {node.func.id for node in ast.walk(function)
+                                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+            if called:
+                callers[function.name] = called
+    assert callers == {"_hadamard_pair": primitives}
+
+
 def test_series_uses_no_private_fraction_api():
     # pyproject declares Python >= 3.10, and Fraction's private API changed in 3.12:
     # the `_normalize=` keyword went, `_from_coprime_ints` came.  The series kernels

@@ -279,12 +279,10 @@ def test_integrate_u_of_a_deep_log_power():
 def test_integrate_u_work_bound(monkeypatch, engine):
     # coefficient terms a product pair feeds into its accumulator, for
     # dF = (log z)^60 at 2 and dG = (log z)^40 at 3.  Term j of the binomial
-    # row of dG(z/u) leaves u^-1 (log u)^(L-j), with L = 100 for Hadamard (the
-    # du/u measure) and L = 99 for ene (dF' = 60 (log z)^59 / z), whose
-    # antiderivative has one term: its upper endpoint (log z - Log 3)^(L+1-j)
-    # gives L+2-j terms and its lower endpoint one.  ene adds the evaluation
-    # term: dF(2) = Log(2)^60, one term, then Log(2)^60 (log z - Log 2)^40 / 2pii,
-    # 41 terms.
+    # row of dG(z/u) leaves u^-1 (log u)^(100-j) under the du/u measure, whose
+    # antiderivative has one term: its upper endpoint (log z - Log 3)^(101-j)
+    # gives 102-j terms and its lower endpoint one.  The ene pair term is
+    # -theta of the Hadamard one, which feeds no accumulator: the same bound.
     terms = 0
     accumulate = logpoly._accumulate
 
@@ -297,9 +295,8 @@ def test_integrate_u_work_bound(monkeypatch, engine):
     f = FunctionSpec.of("f", [Singularity(gr(2), LogLaurentPoly.term(0, 60))])
     g = FunctionSpec.of("g", [Singularity(gr(3), LogLaurentPoly.term(0, 40))])
     engine(f, g, 6)
-    top, evaluation = (100, 0) if engine is hadamard_monodromy_total else (99, 1 + 41)
     assert terms > 0  # the endpoint rows feed the patched entry
-    assert terms <= sum(top + 2 - j + 1 for j in range(41)) + evaluation
+    assert terms <= sum(102 - j + 1 for j in range(41))
 
 
 def test_integrate_u_derivative_is_the_integrand_at_z_over_beta():

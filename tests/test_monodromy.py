@@ -1,6 +1,7 @@
 """Product monodromy formulas: polylog ladder, residues, divisors, symmetry."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -531,10 +532,42 @@ def composed_ene_pair(sf, sg):
     return value
 
 
+DEEP_POLAR_LOCATIONS = [gr(-2), GaussianRational.of(1, 1), GaussianRational.of(-1, -1)]
+
+
+def deep_polar_singularity(rng, location):
+    """0-2 monodromy terms and an order-3 polar part whose coefficients carry 2pii and Log(c)."""
+    def rational():
+        return ExactCoeff.from_rational(Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3)))
+
+    log_c = ExactCoeff.monomial({log_symbol(rng.choice(DEEP_POLAR_LOCATIONS + [gr(3)])): 1})
+    polar = [rational() * log_c + rational(), rational() * TWO_PI_I, rational() * TWO_PI_I * log_c]
+    rng.shuffle(polar)
+    terms = {}
+    for _ in range(rng.randint(0, 2)):
+        key = (rng.randint(-1, 2), rng.randint(0, 3))
+        terms[key] = terms.get(key, ExactCoeff.zero()) + rational() * rng.choice((TWO_PI_I, log_c))
+    return Singularity(location, LogLaurentPoly(terms), GermPart.polar_part(polar))
+
+
+def deep_polar_grid():
+    """Order-3 polar parts at -2, 1+i and -1-i on both factors; every gamma collects
+    two factorizations, (1+i)^2 = (-1-i)^2 = 2i among them."""
+    rng = random.Random(2025)
+    plus, minus = DEEP_POLAR_LOCATIONS[1:]
+    triples = [((a1, a2), (a2, a1), a1 * a2) for a1, a2 in itertools.combinations(DEEP_POLAR_LOCATIONS, 2)]
+    triples.append(((plus, minus), (plus, minus), plus * plus))
+    for f_locs, g_locs, gamma in triples:
+        yield (FunctionSpec.of("f", [deep_polar_singularity(rng, loc) for loc in f_locs]),
+               FunctionSpec.of("g", [deep_polar_singularity(rng, loc) for loc in g_locs]), gamma)
+
+
 @pytest.mark.parametrize("engine, composed", [(hadamard_monodromy_general, composed_hadamard_pair),
                                               (ene_monodromy_general, composed_ene_pair)], ids=["hadamard", "ene"])
 def test_pair_terms_equal_the_composed_chain(engine, composed):
-    for f, g, gamma in golden_grid():
+    # the composed ene chain is the paper's formula, with its z/u^2 Jacobian
+    # residue; the engine's ene term is -theta of its Hadamard term
+    for f, g, gamma in itertools.chain(golden_grid(), deep_polar_grid()):
         result = engine(f, g, gamma)
         for (alpha, beta), value in zip(result.pairs, result.contributions, strict=True):
             sf = next(s for s in f.singularities if s.location == alpha)
