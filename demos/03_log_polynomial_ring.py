@@ -6,9 +6,8 @@ subtracts; everything below is exact (no floating point anywhere).
 
 from fractions import Fraction
 
-from hadene.coeffs import ExactCoeff
-from hadene.logpoly import BiLogPoly, LogLaurentPoly, integrate_u
-from hadene.coeffs import GaussianRational
+from hadene.coeffs import ExactCoeff, GaussianRational
+from hadene.logpoly import LogLaurentPoly, integrate_u
 
 logz = LogLaurentPoly.log_z()
 z = LogLaurentPoly.z()
@@ -33,13 +32,11 @@ for _ in range(n):
 binomial = 3 * deltas[1] + 3 * deltas[2] + deltas[3]
 print("triple loop = binomial sum  :", p.sigma_power(3) - p == binomial)
 
-# exact definite integration from u = alpha to u = z/beta:
-# the engine that evaluates the monodromy formulas
-one = GaussianRational.of(1)
-du_over_u = BiLogPoly({(-1, 0, 0, 0): ExactCoeff.from_rational(1)})
-print("\nintegral of du/u from 1 to z          :", integrate_u(du_over_u, one, one))
-log_cubed = BiLogPoly({(-1, 2, 0, 0): ExactCoeff.from_rational(1)})
-print("integral of (log u)^2 du/u from 1 to z:", integrate_u(log_cubed, one, one))
+# exact definite integration from u = alpha to u = z/beta, of an integrand given
+# as {(upow, ulogpow, zpow, zlogpow): coeff}: the engine that evaluates the
+# monodromy formulas
+one, unit = GaussianRational.of(1), ExactCoeff.from_rational(1)
+print("\nintegral of du/u from 1 to z          :", integrate_u({(-1, 0, 0, 0): unit}, one, one))
+print("integral of (log u)^2 du/u from 1 to z:", integrate_u({(-1, 2, 0, 0): unit}, one, one))
 two = GaussianRational.of(2)
-mixed = BiLogPoly({(1, 1, 0, 0): ExactCoeff.from_rational(1)})
-print("integral of u log u du from 2 to z/2  :", integrate_u(mixed, two, two))
+print("integral of u log u du from 2 to z/2  :", integrate_u({(1, 1, 0, 0): unit}, two, two))

@@ -18,7 +18,7 @@ See README.md for a tour; the examples live under demos/.
 """
 
 from .coeffs import ConstantSymbol, ExactCoeff, GaussianRational
-from .logpoly import BiLogPoly, BranchPoint, LogLaurentPoly, integrate_u, lp_eval
+from .logpoly import BranchPoint, LogLaurentPoly, integrate_u
 from .monodromy import (
     Divisor,
     FunctionSpec,

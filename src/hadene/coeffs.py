@@ -33,8 +33,9 @@ Representation, chosen so that the ring operations run on machine integers:
   symbols' keys instead.
 
 ``ExactCoeff`` shares its term-map core, ``_TermMap`` (normalizing constructor,
-addition, negation, equality), with the log polynomial rings of ``logpoly``;
-ring operations build normalized dicts directly and skip the constructor.
+addition, negation, equality), with the one log polynomial ring,
+``logpoly.LogLaurentPoly``; ring operations build normalized dicts directly
+and skip the constructor.
 Products of sums go through one rule, ``_accumulate``: it adds each
 coefficient times a monomial unit (the ints ``(a, b, d)`` of a Gaussian
 rational, and a monomial) into an unreduced accumulator of ``(a, b, d)``
@@ -43,6 +44,8 @@ the ``ExactCoeff`` once.
 A unit maps monomials one to one, so a product by a one-term factor skips the
 accumulator; the exact substitutions of ``logpoly`` and each product pair term
 of ``monodromy`` feed all their terms into one accumulator per output key.
+``logpoly._theta`` maps such accumulators on their raw triples, so a term
+finished after theta, as the ene pair term is, still takes one gcd per output.
 
 Arithmetic is exact; only single monomials are invertible (every prefactor the
 monodromy formulas need divides by rationals, powers of ``2*pi*i`` or powers of
@@ -355,8 +358,8 @@ def _add_term(out: dict, key, value) -> None:
 class _TermMap:
     """Finite map from exponent-tuple keys to nonzero coefficients.
 
-    The shared core of ExactCoeff (monomial -> GaussianRational) and of the
-    log polynomial rings in ``logpoly`` (exponent tuple -> ExactCoeff).  The
+    The shared core of ExactCoeff (monomial -> GaussianRational) and of
+    ``logpoly.LogLaurentPoly`` ((zpow, logpow) -> ExactCoeff).  The
     constructor normalizes any mapping: equal keys are summed, zero
     coefficients dropped, and each key slot named in ``_LOG_SLOTS`` (a log
     power) must be >= 0.  Ring operations build normalized dicts themselves

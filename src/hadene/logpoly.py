@@ -1,37 +1,36 @@
-"""The symbolic ring K[z^(+-1), log z] and its two-variable extension.
+"""The symbolic ring K[z^(+-1), log z] and the exact integrals into it.
 
-Monodromies of product singularities live in this ring: finitely many terms
+Monodromies of product singularities live in this one ring, LogLaurentPoly:
+finitely many terms
 
     coeff * z^zpow * (log z)^logpow        (zpow integer, logpow >= 0)
 
-with ExactCoeff coefficients.  The module provides the ring operations, the
-derivation and theta = z d/dz, the monodromy-at-origin operator (substitute
+with ExactCoeff coefficients.  The module provides the ring operations, theta
+= z d/dz and the derivation, the monodromy-at-origin operator (substitute
 log z -> log z + 2pii and subtract), and the closed-form definite integrals
 
-    integral from u=alpha to u=z/beta of  (two-variable integrand) du
+    integral from u=alpha to u=z/beta of  (integrand in u and z) du
 
 that evaluate the convolution formulas without any numeric step.  Antiderivatives
 of u^k (log u)^l come from the closed form of the integration-by-parts
 recursion on l, whose rational factors are cached per (k, l); the k = -1
 column integrates to (log u)^(l+1)/(l+1).
 
-LogLaurentPoly and BiLogPoly share the term-map core of ``coeffs`` and, above
-it, one product and one derivation.  One cached function, _z_over, rewrites
-log(z/y) as log z - log y, over the signed binomial row.  It has two readers:
-_pair_terms, the one stream of the terms of unit * first(u) * second(z/u) that
-the integral and the residues of the Hadamard pair term of ``monodromy`` read
-(the ene pair term is -theta of it), and _add_at_z_over, the endpoint x = z/c.
-shift_log (log z -> log z + a) is a shift, not a quotient, and expands its
-own row.  shift_log, integrate_u and the pair terms each fill
-one unreduced accumulator (``coeffs._accumulate``) keyed by (zpow, zlogpow):
-every term enters as coeff * (binomial * rational factor) * location unit, and
-each output ExactCoeff is built once (_finished).  _add_at (x = c) and
-_add_at_z_over read c^k * Log(c)^n as the ints (monomial, a, b, d) of a
-monomial unit cached per (c, k, n) (_location_unit, bounded like the binomial
-rows and the antiderivative table), and multiply factor, unit and sign on
-those ints: no endpoint row builds a GaussianRational or takes a gcd, and the
-accumulator takes one per output key.
-_add_integral feeds each antiderivative term to both endpoints.
+The exact operations fill one unreduced accumulator {(zpow, zlogpow): raw}
+(``coeffs._accumulate``): every term enters as coeff * (binomial * rational
+factor) * location unit, and _finished builds each output ExactCoeff once.
+_theta is the one theta: it takes an accumulator to times * theta of itself
+on the raw triples, with no gcd, for theta(), derivative() and the ene pair
+term (-theta of the Hadamard one).  One cached function, _z_over, rewrites
+log(z/y) as log z - log y over the signed binomial row, for _pair_terms (the
+one stream of the terms of unit * first(u) * second(z/u) that the Hadamard
+pair term of ``monodromy`` reads) and for _add_at_z_over, the endpoint
+x = z/c; shift_log expands its own row.  _add_at (x = c) and _add_at_z_over
+read c^k * Log(c)^n as the ints of a monomial unit cached per (c, k, n)
+(_location_unit), so no endpoint row builds a GaussianRational or takes a
+gcd.  _add_integral feeds each antiderivative term to both endpoints;
+integrate_u reads an integrand given as a mapping (upow, ulogpow, zpow,
+zlogpow) -> coeff.
 
 Branches are formal here: _z_over rewrites log(z/u) as log z - log u with no
 2pii*k term, and endpoint logs become Log(location) symbols (Log(1) simplifies
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add
+from typing import Mapping
 
 from .coeffs import (
     EC_ONE,
@@ -101,6 +100,29 @@ def _finished(acc: dict) -> dict:
         coeff = _finish(raw)
         if coeff:
             out[key] = coeff
+    return out
+
+
+def _theta(acc: dict, times: int = 1) -> dict:
+    """times * theta of an accumulator {(zpow, zlogpow): raw}, theta = z d/dz, on the raw
+    triples: z^m (log z)^l -> m z^m (log z)^l + l z^m (log z)^(l-1), so each raw entry at
+    (m, l) is scaled by m in place and by l at (m, l-1).  No gcd: _finished takes one per key."""
+    out: dict = {}
+    for (m, l), raw in acc.items():
+        for key, n in (((m, l), m * times), ((m, l - 1), l * times)):
+            if not n:
+                continue
+            into = out.setdefault(key, {})
+            for mono, (a, b, d) in raw.items():
+                a, b = a * n, b * n
+                prev = into.get(mono)
+                if prev is not None:
+                    ea, eb, ed = prev
+                    if ed == d:
+                        a, b = ea + a, eb + b
+                    else:
+                        a, b, d = ea * d + a * ed, eb * d + b * ed, ed * d
+                into[mono] = (a, b, d)
     return out
 
 
@@ -166,49 +188,11 @@ def _add_integral(acc: dict, lower: GaussianRational, upper: GaussianRational, k
         _add_at(acc, zkey, lower, upow, ulogpow, coeff, factor, -times)
 
 
-class _LogTermMap(_TermMap):
-    """Ring operations shared by LogLaurentPoly and BiLogPoly.
-
-    Keys are exponent tuples; slots (0, 1) hold the power and the log power of
-    the variable x (z, or u) that the derivation acts on, and any further
-    slots are constants for it.
-    """
-
-    __slots__ = ()
-    _LOG_SLOTS = (1,)
-
-    def __mul__(self, other):
-        if isinstance(other, type(self)):
-            out: dict = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    _add_term(out, tuple(map(add, k1, k2)), c1 * c2)
-            return self._wrap(out)
-        return self.scale(as_exact(other))
-
-    __rmul__ = __mul__
-
-    def scale(self, coeff: ExactCoeff):
-        if not coeff:
-            return self._wrap({})
-        return self._wrap({k: c * coeff for k, c in self.terms.items()})
-
-    def _derivative(self):
-        """d/dz (or d/du) term by term: x^m (log x)^l -> m x^(m-1)(log x)^l + l x^(m-1)(log x)^(l-1)."""
-        out: dict = {}
-        for key, coeff in self.terms.items():
-            m, l = key[0], key[1]
-            if m:
-                _add_term(out, (m - 1,) + key[1:], coeff * m)
-            if l:
-                _add_term(out, (m - 1, l - 1) + key[2:], coeff * l)
-        return self._wrap(out)
-
-
-class LogLaurentPoly(_LogTermMap):
+class LogLaurentPoly(_TermMap):
     """Finite term map (zpow, logpow) -> ExactCoeff, normalized."""
 
     __slots__ = ()
+    _LOG_SLOTS = (1,)
 
     # -- constructors ---------------------------------------------------------
 
@@ -241,9 +225,6 @@ class LogLaurentPoly(_LogTermMap):
         # graded lexicographic on (zpow, logpow): canonical serialization order
         return sorted(self.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0], kv[0][1]))
 
-    def min_zpow(self) -> int:
-        return min((k[0] for k in self.terms), default=0)
-
     def max_logpow(self) -> int:
         return max((k[1] for k in self.terms), default=0)
 
@@ -267,13 +248,35 @@ class LogLaurentPoly(_LogTermMap):
             parts.append(f"[{coeff}]*{body}")
         return " + ".join(parts)
 
+    # -- ring operations ------------------------------------------------------
+
+    def __mul__(self, other):
+        if isinstance(other, LogLaurentPoly):
+            out: dict = {}
+            for (m1, l1), c1 in self.terms.items():
+                for (m2, l2), c2 in other.terms.items():
+                    _add_term(out, (m1 + m2, l1 + l2), c1 * c2)
+            return LogLaurentPoly._wrap(out)
+        return self.scale(as_exact(other))
+
+    __rmul__ = __mul__
+
+    def scale(self, coeff: ExactCoeff) -> "LogLaurentPoly":
+        if not coeff:
+            return LogLaurentPoly()
+        return LogLaurentPoly._wrap({k: c * coeff for k, c in self.terms.items()})
+
     # -- calculus -------------------------------------------------------------
 
-    derivative = _LogTermMap._derivative
-
     def theta(self) -> "LogLaurentPoly":
-        """z d/dz: the derivative, times z."""
-        return LogLaurentPoly._wrap({(m + 1, l): c for (m, l), c in self.derivative().terms.items()})
+        """z d/dz, through _theta on the raw triples of the terms."""
+        acc = {key: {mono: (c._a, c._b, c._d) for mono, c in coeff.terms.items()}
+               for key, coeff in self.terms.items()}
+        return LogLaurentPoly._wrap(_finished(_theta(acc)))
+
+    def derivative(self) -> "LogLaurentPoly":
+        """d/dz: theta, divided by z."""
+        return LogLaurentPoly._wrap({(m - 1, l): c for (m, l), c in self.theta().terms.items()})
 
     def shift_log(self, amount: ExactCoeff) -> "LogLaurentPoly":
         """Substitute log z -> log z + amount, expanding powers binomially."""
@@ -311,21 +314,6 @@ class LogLaurentPoly(_LogTermMap):
         return total
 
 
-class BiLogPoly(_LogTermMap):
-    """Term map (upow, ulogpow, zpow, zlogpow) -> ExactCoeff: integrands in u."""
-
-    __slots__ = ()
-    _LOG_SLOTS = (1, 3)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=lambda k: (sum(k), k)):
-            parts.append(f"[{self.terms[key]}]*u^{key[0]}(log u)^{key[1]}z^{key[2]}(log z)^{key[3]}")
-        return " + ".join(parts)
-
-
 @lru_cache(maxsize=1024)
 def _antiderivative_table(k: int, l: int) -> tuple[tuple[int, int, GaussianRational], ...]:
     """The terms (upow, ulogpow, factor) of an antiderivative of u^k (log u)^l.
@@ -343,19 +331,20 @@ def _antiderivative_table(k: int, l: int) -> tuple[tuple[int, int, GaussianRatio
     return tuple(out)
 
 
-def integrate_u(p: BiLogPoly, alpha: GaussianRational, beta: GaussianRational) -> LogLaurentPoly:
+def integrate_u(p: Mapping[tuple[int, int, int, int], ExactCoeff], alpha: GaussianRational,
+                beta: GaussianRational) -> LogLaurentPoly:
     """Definite integral of p du from u = alpha to u = z/beta, exactly.
 
-    The integrand must already include any u^(-1) measure factor.  The result
-    lands back in K[z^(+-1), log z]; endpoint logs appear as Log(alpha) and
-    Log(beta) constant symbols (Log(1) vanishes).
+    p maps (upow, ulogpow, zpow, zlogpow) to the coefficient of
+    u^upow (log u)^ulogpow z^zpow (log z)^zlogpow, and must already include
+    any u^(-1) measure factor.  The result lands back in K[z^(+-1), log z];
+    endpoint logs appear as Log(alpha) and Log(beta) constant symbols (Log(1)
+    vanishes).
     """
     lower, upper = _gauss(alpha), _gauss(beta)
     acc: dict = {}
-    for (k, l, zm, zl), coeff in p.terms.items():
+    for (k, l, zm, zl), coeff in p.items():
+        if l < 0 or zl < 0:
+            raise ValueError("log powers must be >= 0")
         _add_integral(acc, lower, upper, k, l, zm, zl, coeff)
     return LogLaurentPoly._wrap(_finished(acc))
-
-
-def lp_eval(p: LogLaurentPoly, at: BranchPoint) -> complex:
-    return p.lp_eval(at)

@@ -28,10 +28,12 @@ driver sums over the factorizations for all four entry points; each product
 supplies only its pair term, and the *_total variants differ only in refusing
 polar germ parts.
 
-The Hadamard pair term fills one unreduced accumulator (see ``logpoly``) and
-finishes it once; it is the one pair formula, and the ene term applies theta
-to its result.  Its parts read one stream, logpoly._pair_terms, of the terms
-of unit * dF(u) dG(z/u), in which logpoly alone expands log(z/u) = log z -
+The Hadamard pair term fills one unreduced accumulator (see ``logpoly``); it
+is the one pair formula.  The driver finishes each pair's accumulator once:
+the Hadamard term as it is, the ene term after logpoly._theta with times = -1,
+which acts on the accumulator's raw triples and takes no gcd.  The pair
+term's parts read one stream, logpoly._pair_terms, of the terms of
+unit * dF(u) dG(z/u), in which logpoly alone expands log(z/u) = log z -
 log u.  The integral feeds each term u^k (log u)^l to _add_integral at both
 endpoints, with the -1/2pii unit on each term of dF once; each residue reads
 the stream with dF = 1 and the unit -a_k/(k-1)!, one weight per polar order,
@@ -49,7 +51,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .coeffs import GR_ONE, ExactCoeff, GaussianRational, as_exact
-from .logpoly import LogLaurentPoly, _add_at, _add_integral, _finished, _gauss, _pair_terms
+from .logpoly import LogLaurentPoly, _add_at, _add_integral, _finished, _gauss, _pair_terms, _theta
 from .series import TruncatedSeries
 
 NEG_INV_TWO_PI_I = -ExactCoeff.two_pi_i(-1)
@@ -172,9 +174,9 @@ def _pairs_for_gamma(f: FunctionSpec, g: FunctionSpec, gamma: GaussianRational):
     return pairs
 
 
-def _product_monodromy(pair_term, f: FunctionSpec, g: FunctionSpec, gamma,
+def _product_monodromy(finish, f: FunctionSpec, g: FunctionSpec, gamma,
                        holomorphic_only: bool) -> MonodromyResult:
-    """Sum pair_term over the factorizations gamma = alpha * beta."""
+    """Sum over the factorizations gamma = alpha * beta of each Hadamard pair accumulator, finished."""
     gamma = _gauss(gamma)
     pairs = _pairs_for_gamma(f, g, gamma)
     contributions = []
@@ -184,7 +186,7 @@ def _product_monodromy(pair_term, f: FunctionSpec, g: FunctionSpec, gamma,
             raise GermNotTotallyHolomorphic(
                 f"pair ({sf.location}, {sg.location}) carries a polar germ part"
             )
-        value = pair_term(sf, sg)
+        value = LogLaurentPoly._wrap(finish(_hadamard_pair(sf, sg)))
         contributions.append(value)
         total = total + value
     return MonodromyResult(
@@ -222,40 +224,40 @@ def _add_residue(acc: dict, pole: GaussianRational, polar: Sequence[ExactCoeff],
                     _add_at(acc, (zpow, zlogpow), pole, p - r, q - t, coeff, GR_ONE, binomial * c)
 
 
-def _hadamard_pair(sf: Singularity, sg: Singularity) -> LogLaurentPoly:
-    """One factorization's Hadamard term: the integral, minus polar residues."""
+def _hadamard_pair(sf: Singularity, sg: Singularity) -> dict:
+    """One factorization's Hadamard term, the integral minus polar residues, as an accumulator."""
     alpha, beta = sf.location, sg.location
     acc: dict = {}
     for k, l, zpow, zlogpow, coeff, sign in _pair_terms(sf.monodromy, sg.monodromy, NEG_INV_TWO_PI_I):
         _add_integral(acc, alpha, beta, k - 1, l, zpow, zlogpow, coeff, sign)
     _add_residue(acc, alpha, sf.germ.polar, sg.monodromy)
     _add_residue(acc, beta, sg.germ.polar, sf.monodromy)
-    return LogLaurentPoly._wrap(_finished(acc))
+    return acc
 
 
-def _ene_pair(sf: Singularity, sg: Singularity) -> LogLaurentPoly:
-    """One factorization's ene term: -theta of its Hadamard term, theta = z d/dz."""
-    return -_hadamard_pair(sf, sg).theta()
+def _ene_finished(acc: dict) -> dict:
+    """The ene term of a Hadamard pair accumulator: -theta of it, theta = z d/dz, finished once."""
+    return _finished(_theta(acc, -1))
 
 
 def hadamard_monodromy_total(f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyResult:
     """Monodromy of the Hadamard product at gamma, totally holomorphic case."""
-    return _product_monodromy(_hadamard_pair, f, g, gamma, True)
+    return _product_monodromy(_finished, f, g, gamma, True)
 
 
 def hadamard_monodromy_general(f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyResult:
     """Monodromy of the Hadamard product at gamma, polar germ parts allowed."""
-    return _product_monodromy(_hadamard_pair, f, g, gamma, False)
+    return _product_monodromy(_finished, f, g, gamma, False)
 
 
 def ene_monodromy_total(f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyResult:
     """Monodromy of the exponential ene product at gamma, totally holomorphic case."""
-    return _product_monodromy(_ene_pair, f, g, gamma, True)
+    return _product_monodromy(_ene_finished, f, g, gamma, True)
 
 
 def ene_monodromy_general(f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyResult:
     """Monodromy of the exponential ene product at gamma, polar germ parts allowed."""
-    return _product_monodromy(_ene_pair, f, g, gamma, False)
+    return _product_monodromy(_ene_finished, f, g, gamma, False)
 
 
 def ene_symmetry_check(f: FunctionSpec, g: FunctionSpec, gamma) -> bool:

@@ -141,7 +141,7 @@ class TruncatedSeries:
     def coeffs(self) -> tuple:
         """c_0..c_N; over the rationals a Fraction view of the pairs, built on first read."""
         if self._coeffs is None:
-            self._coeffs = tuple(map(Fraction, self.nums, self.dens))
+            self._coeffs = tuple(list(map(Fraction, self.nums, self.dens)))  # from a list: see _wrap
         return self._coeffs
 
     @staticmethod

@@ -588,7 +588,7 @@ def test_repeated_products_hold_no_memory():
     # a tuple built from an iterator is resized to its length, and the interpreter's
     # per-length tuple free lists then keep thousands of the freed ones: the series
     # are built from sequences of known length, so repeated products hold no blocks.
-    # The free lists keep tuples of fewer than 20 items, so the complex input runs orders 0-17.
+    # The free lists keep tuples of fewer than 20 items, so the short inputs run orders 0-17.
     rng = random.Random(17)
 
     def root():
@@ -596,17 +596,18 @@ def test_repeated_products_hold_no_memory():
 
     rational = [(poly_from_roots([root() for _ in range(a)], 64), poly_from_roots([root() for _ in range(b)], 64))
                 for a in range(1, 5) for b in range(1, 5)]
-    complex_ = [(poly_from_roots([root() for _ in range(a)], order, FIELD_COMPLEX),
-                 poly_from_roots([root() for _ in range(4 - a)], order, FIELD_COMPLEX))
-                for order in range(18) for a in range(1, 4)]
+    short = [[(poly_from_roots([root() for _ in range(a)], order, field),
+               poly_from_roots([root() for _ in range(4 - a)], order, field))
+              for order in range(18) for a in range(1, 4)] for field in (FIELD_RATIONAL, FIELD_COMPLEX)]
 
     def products(pairs, rounds):
+        # each product's coefficients are read, so the rational ones build their Fraction view
         for _ in range(rounds):
             for f, g in pairs:
-                ene(f, g)
-                -hadamard(f, g) + f
+                ene(f, g).coeffs
+                (-hadamard(f, g) + f).coeffs
 
-    for pairs in (rational, complex_):
+    for pairs in (rational, *short):
         products(pairs, 5)
         before = sys.getallocatedblocks()
         products(pairs, 100)
