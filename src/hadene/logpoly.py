@@ -11,30 +11,33 @@ log z -> log z + 2pii and subtract), and the closed-form definite integrals
 
     integral from u=alpha to u=z/beta of  (integrand in u and z) du
 
-that evaluate the convolution formulas without any numeric step.  Antiderivatives
-of u^k (log u)^l come from the closed form of the integration-by-parts
-recursion on l, whose rational factors are cached per (k, l); the k = -1
-column integrates to (log u)^(l+1)/(l+1).
+that evaluate the convolution formulas without any numeric step.  A pair term
+u^(c-1) (log u)^a (log(z/u))^b integrates in closed form over both logs, in the
+basis u^c (log u)^i (log(z/u))^j (_antiderivative); each endpoint is expanded
+once, log(z/x) at u = z/x and log(z/y) at u = y, and the rows with equal powers
+of log z and of the endpoint's Log are merged into one table cached per
+(c, a, b) and per endpoint at 1 (_integral_rows), where only the rows free of
+Log(1) are built.
 
 The exact operations fill one unreduced accumulator {(zpow, zlogpow): raw}
-(``coeffs._accumulate``): every term enters as coeff * (binomial * rational
-factor) * location unit, and _finished builds each output ExactCoeff once.
-_theta is the one theta: it takes an accumulator to times * theta of itself
-on the raw triples, with no gcd, for theta(), derivative() and the ene pair
-term (-theta of the Hadamard one).  One cached function, _z_over, rewrites
-log(z/y) as log z - log y over the signed binomial row, for _pair_terms (the
-one stream of the terms of unit * first(u) * second(z/u) that the Hadamard
-pair term of ``monodromy`` reads) and for _add_at_z_over, the endpoint
-x = z/c; shift_log expands its own row.  _add_at (x = c) and _add_at_z_over
-read c^k * Log(c)^n as the ints of a monomial unit cached per (c, k, n)
-(_location_unit), so no endpoint row builds a GaussianRational or takes a
-gcd.  _add_integral feeds each antiderivative term to both endpoints;
+(``coeffs._accumulate``): every term enters as coeff * (rational factor) *
+location unit, and _finished builds each output ExactCoeff once.  _theta is the
+one theta: it takes an accumulator to times * theta of itself on the raw
+triples, with no gcd, for theta(), derivative() and the ene pair term (-theta
+of the Hadamard one).  One cached function, _z_over, rewrites log(z/y) as
+log z - log y over the signed binomial row, for the integral's endpoint rows
+and for _pair_terms (the stream of the terms of unit * first(u) * second(z/u)
+that the polar residues of ``monodromy`` read); shift_log expands its own row.
+_add_integral, which the Hadamard pair term and integrate_u call, and _add_at
+(x = c, for the residues) read c^k * Log(c)^n as the ints of a monomial unit
+cached per (c, k, n) (_location_unit), so no row builds a GaussianRational or
+takes a gcd: one unit lookup and one _accumulate call per merged row.
 integrate_u reads an integrand given as a mapping (upow, ulogpow, zpow,
 zlogpow) -> coeff.
 
-Branches are formal here: _z_over rewrites log(z/u) as log z - log u with no
-2pii*k term, and endpoint logs become Log(location) symbols (Log(1) simplifies
-to 0 eagerly, nothing else does).  Numeric evaluation picks a sheet explicitly
+Branches are formal here: _z_over rewrites log(z/y) as log z - log y with no
+2pii*k term, log(z/u) at u = z/x reads Log(x), and endpoint logs become
+Log(location) symbols (Log(1) simplifies to 0 eagerly, nothing else does).  Numeric evaluation picks a sheet explicitly
 through BranchPoint.
 """
 
@@ -44,7 +47,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, perm
 from typing import Mapping
 
 from .coeffs import (
@@ -167,25 +170,63 @@ def _pair_terms(first: LogLaurentPoly, second: LogLaurentPoly, unit: ExactCoeff)
                 yield m + upow, a + ulogpow, zpow, zlogpow, coeff, sign
 
 
-def _add_at_z_over(acc: dict, zpow: int, zlogpow: int, location: GaussianRational, k: int, l: int,
-                   coeff: ExactCoeff, factor: GaussianRational, times: int = 1) -> None:
-    """acc += coeff * factor * times * x^k (log x)^l z^zpow (log z)^zlogpow at x = z/location,
-    through the rows of _z_over; at location 1 only the row free of Log(1), (log z)^l, is left."""
-    if location == GR_ONE:
-        _add_at(acc, (zpow + k, zlogpow + l), location, -k, 0, coeff, factor, times)
+def _antiderivative(c: int, a: int, b: int):
+    """The terms (i, j, factor) of an antiderivative of u^(c-1) (log u)^a (log(z/u))^b in the
+    basis u^c (log u)^i (log(z/u))^j, where d(log(z/u)) = -du/u.
+
+    For c != 0, integrating by parts over both logs gives the factor
+    (1/c) (a!/i!) (b!/j!) C(a-i+b-j, a-i) (-1/c)^(a-i) (1/c)^(b-j).  For c = 0
+    the sum telescopes: (log u)^(a+t+1) (log(z/u))^(b-t) b!/(b-t)! a!/(a+t+1)!, t = 0..b.
+    """
+    if not c:
+        for t in range(b + 1):
+            yield a + t + 1, b - t, Fraction(perm(b, t), perm(a + t + 1, t + 1))
         return
-    for zp, zl, yp, yl, sign in _z_over(k, l):
-        _add_at(acc, (zpow + zp, zlogpow + zl), location, yp, yl, coeff, factor, sign * times)
+    for i in range(a + 1):
+        for j in range(b + 1):
+            num = perm(a, a - i) * perm(b, b - j) * comb(a - i + b - j, a - i) * (-1) ** (a - i)
+            yield i, j, Fraction(num, c ** (1 + a - i + b - j))
 
 
-def _add_integral(acc: dict, lower: GaussianRational, upper: GaussianRational, k: int, l: int,
-                  zpow: int, zlogpow: int, coeff: ExactCoeff, times: int = 1) -> None:
-    """acc += coeff * times * z^zpow (log z)^zlogpow * integral of u^k (log u)^l du
-    from u = lower to u = z/upper: each antiderivative term at both endpoints."""
-    zkey = (zpow, zlogpow)
-    for upow, ulogpow, factor in _antiderivative_table(k, l):
-        _add_at_z_over(acc, zpow, zlogpow, upper, upow, ulogpow, coeff, factor, times)
-        _add_at(acc, zkey, lower, upow, ulogpow, coeff, factor, -times)
+@lru_cache(maxsize=1024)
+def _integral_rows(c: int, a: int, b: int, upper_one: bool, lower_one: bool):
+    """The integral of u^(c-1) (log u)^a (log(z/u))^b du from u = y to u = z/x as rows
+    (zlogpow, Log power, num, den), one tuple for each endpoint: the upper rows are
+    num/den * x^-c Log(x)^p z^c (log z)^zlogpow, the lower ones num/den * y^c Log(y)^p (log z)^zlogpow.
+
+    At u = z/x, log u = log(z/x) expands through _z_over(c, i) and log(z/u) = Log(x); at
+    u = y, log u = Log(y) and log(z/u) = log(z/y) expands through _z_over(0, j).  Rows with
+    equal (zlogpow, p) are merged; an endpoint at 1 keeps only its p = 0 rows, where Log(1)
+    vanishes, and builds no other.
+    """
+    upper: dict = {}
+    lower: dict = {}
+    for i, j, factor in _antiderivative(c, a, b):
+        if not upper_one:
+            for _, zl, _, yl, sign in _z_over(c, i):
+                upper[zl, yl + j] = upper.get((zl, yl + j), 0) + factor * sign
+        elif not j:  # the last row of _z_over(c, i), (log z)^i, is the one free of Log(1)
+            upper[i, 0] = upper.get((i, 0), 0) + factor
+        if not lower_one:
+            for _, zl, _, yl, sign in _z_over(0, j):
+                lower[zl, i + yl] = lower.get((zl, i + yl), 0) - factor * sign
+        elif not i:
+            lower[j, 0] = lower.get((j, 0), 0) - factor
+    return tuple(tuple((zl, p, f.numerator, f.denominator) for (zl, p), f in rows.items() if f)
+                 for rows in (upper, lower))
+
+
+def _add_integral(acc: dict, lower: GaussianRational, upper: GaussianRational, c: int, a: int, b: int,
+                  zpow: int, zlogpow: int, coeff: ExactCoeff) -> None:
+    """acc += coeff * z^zpow (log z)^zlogpow * integral of u^(c-1) (log u)^a (log(z/u))^b du
+    from u = lower to u = z/upper: one location unit and one _accumulate call per merged row
+    of _integral_rows."""
+    rows = _integral_rows(c, a, b, upper == GR_ONE, lower == GR_ONE)
+    for location, k, zp, side in ((upper, -c, zpow + c, rows[0]), (lower, c, zpow, rows[1])):
+        la, lb, ld = location._a, location._b, location._d
+        for zl, p, num, den in side:
+            mono, ua, ub, ud = _location_unit(la, lb, ld, k, p)
+            _accumulate(acc.setdefault((zp, zlogpow + zl), {}), coeff, num * ua, num * ub, den * ud, mono)
 
 
 class LogLaurentPoly(_TermMap):
@@ -314,23 +355,6 @@ class LogLaurentPoly(_TermMap):
         return total
 
 
-@lru_cache(maxsize=1024)
-def _antiderivative_table(k: int, l: int) -> tuple[tuple[int, int, GaussianRational], ...]:
-    """The terms (upow, ulogpow, factor) of an antiderivative of u^k (log u)^l.
-
-    For k = -1 it is (log u)^(l+1)/(l+1).  Otherwise, integrating by parts l
-    times gives u^(k+1) sum_i (-1)^i l!/(l-i)! (log u)^(l-i) / (k+1)^(i+1).
-    """
-    if k == -1:
-        return ((0, l + 1, GaussianRational(Fraction(1, l + 1))),)
-    out = []
-    factor = Fraction(1, k + 1)
-    for i in range(l + 1):
-        out.append((k + 1, l - i, GaussianRational(factor)))
-        factor *= Fraction(-(l - i), k + 1)
-    return tuple(out)
-
-
 def integrate_u(p: Mapping[tuple[int, int, int, int], ExactCoeff], alpha: GaussianRational,
                 beta: GaussianRational) -> LogLaurentPoly:
     """Definite integral of p du from u = alpha to u = z/beta, exactly.
@@ -346,5 +370,5 @@ def integrate_u(p: Mapping[tuple[int, int, int, int], ExactCoeff], alpha: Gaussi
     for (k, l, zm, zl), coeff in p.items():
         if l < 0 or zl < 0:
             raise ValueError("log powers must be >= 0")
-        _add_integral(acc, lower, upper, k, l, zm, zl, coeff)
+        _add_integral(acc, lower, upper, k + 1, l, 0, zm, zl, coeff)
     return LogLaurentPoly._wrap(_finished(acc))

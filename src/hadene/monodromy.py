@@ -31,16 +31,17 @@ polar germ parts.
 The Hadamard pair term fills one unreduced accumulator (see ``logpoly``); it
 is the one pair formula.  The driver finishes each pair's accumulator once:
 the Hadamard term as it is, the ene term after logpoly._theta with times = -1,
-which acts on the accumulator's raw triples and takes no gcd.  The pair
-term's parts read one stream, logpoly._pair_terms, of the terms of
-unit * dF(u) dG(z/u), in which logpoly alone expands log(z/u) = log z -
-log u.  The integral feeds each term u^k (log u)^l to _add_integral at both
-endpoints, with the -1/2pii unit on each term of dF once; each residue reads
-the stream with dF = 1 and the unit -a_k/(k-1)!, one weight per polar order,
-and differentiates u^p (log u)^q in closed form.  Every substitution passes
-the location itself, and its powers and Log powers come from the bounded
-cache of location units in ``logpoly``, so repeated products build none of
-them again.
+which acts on the accumulator's raw triples and takes no gcd.  The integral
+takes each pair of terms f u^m (log u)^a of dF and g w^n (log w)^b of dG
+whole: with the -1/2pii unit on each term of dF once, f g z^n u^(m-n-1)
+(log u)^a (log(z/u))^b goes to logpoly._add_integral, which integrates over
+both logs in closed form and expands each endpoint once.  Each residue reads
+logpoly._pair_terms, the stream of the terms of unit * dF(u) dG(z/u), with
+dF = 1 and the unit -a_k/(k-1)!, one weight per polar order, and
+differentiates u^p (log u)^q in closed form.  logpoly alone expands
+log(z/x) = log z - log x.  Every substitution passes the location itself, and
+its powers and Log powers come from the bounded cache of location units in
+``logpoly``, so repeated products build none of them again.
 """
 
 from __future__ import annotations
@@ -162,15 +163,18 @@ def _sort_key(value: GaussianRational):
 
 def product_set(f: FunctionSpec, g: FunctionSpec):
     """All products alpha*beta grouped by exact value, multiplicity honored."""
-    gammas = {sf.location * sg.location for sf in f.singularities for sg in g.singularities}
-    return [(gamma, _pairs_for_gamma(f, g, gamma)) for gamma in sorted(gammas, key=_sort_key)]
+    gammas = list({sf.location * sg.location for sf in f.singularities for sg in g.singularities})
+    if len(gammas) > 1:
+        gammas.sort(key=_sort_key)
+    return [(gamma, _pairs_for_gamma(f, g, gamma)) for gamma in gammas]
 
 
 def _pairs_for_gamma(f: FunctionSpec, g: FunctionSpec, gamma: GaussianRational):
     """The singularity pairs whose locations multiply to gamma, in product_set's order."""
     pairs = [(sf, sg) for sf in f.singularities for sg in g.singularities
              if sf.location * sg.location == gamma]
-    pairs.sort(key=lambda p: (_sort_key(p[0].location), _sort_key(p[1].location)))
+    if len(pairs) > 1:
+        pairs.sort(key=lambda p: (_sort_key(p[0].location), _sort_key(p[1].location)))
     return pairs
 
 
@@ -228,8 +232,11 @@ def _hadamard_pair(sf: Singularity, sg: Singularity) -> dict:
     """One factorization's Hadamard term, the integral minus polar residues, as an accumulator."""
     alpha, beta = sf.location, sg.location
     acc: dict = {}
-    for k, l, zpow, zlogpow, coeff, sign in _pair_terms(sf.monodromy, sg.monodromy, NEG_INV_TWO_PI_I):
-        _add_integral(acc, alpha, beta, k - 1, l, zpow, zlogpow, coeff, sign)
+    for (m, a), f in sf.monodromy.terms.items():
+        f_unit = f * NEG_INV_TWO_PI_I
+        for (n, b), g in sg.monodromy.terms.items():
+            # f u^m (log u)^a * g (z/u)^n (log(z/u))^b du/u = f g z^n u^(m-n-1) (log u)^a (log(z/u))^b du
+            _add_integral(acc, alpha, beta, m - n, a, b, n, 0, f_unit * g)
     _add_residue(acc, alpha, sf.germ.polar, sg.monodromy)
     _add_residue(acc, beta, sg.germ.polar, sf.monodromy)
     return acc

@@ -1,17 +1,21 @@
 """The test-side reference ring: integrands in u and z, and an exact integral written
-term by term, sharing no code with the engine's endpoint rows or ``_add_integral``.
+term by term, sharing no code with the engine's integral ``logpoly._add_integral``.
 
 BiLogPoly maps (upow, ulogpow, zpow, zlogpow) to ExactCoeff.  Every reference
 here sums by ExactCoeff addition and rewrites log(z/x) binomially itself; the
-antiderivative reads ``logpoly._antiderivative_table``, which the tests check by
-differentiating back with ``BiLogPoly.derivative_u``.
+antiderivative reads the one-log table ``_antiderivative_table``, which the tests
+check by differentiating back with ``BiLogPoly.derivative_u``.  ``_add_at_z_over``
+substitutes x = z/location through the engine's ``logpoly._add_at`` and
+``logpoly._z_over``, one antiderivative term at a time, as the engine once did.
 """
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 from operator import add
 
 from hadene import logpoly
-from hadene.coeffs import EC_ONE, GR_ONE, ExactCoeff, _TermMap, log_symbol
+from hadene.coeffs import EC_ONE, GR_ONE, ExactCoeff, GaussianRational, _TermMap, log_symbol
 from hadene.logpoly import LogLaurentPoly
 
 
@@ -60,11 +64,38 @@ def from_poly_at_z_over_u(p):
     return BiLogPoly(out)
 
 
+@lru_cache(maxsize=1024)
+def _antiderivative_table(k, l):
+    """The terms (upow, ulogpow, factor) of an antiderivative of u^k (log u)^l.
+
+    For k = -1 it is (log u)^(l+1)/(l+1).  Otherwise, integrating by parts l
+    times gives u^(k+1) sum_i (-1)^i l!/(l-i)! (log u)^(l-i) / (k+1)^(i+1).
+    """
+    if k == -1:
+        return ((0, l + 1, GaussianRational(Fraction(1, l + 1))),)
+    out = []
+    factor = Fraction(1, k + 1)
+    for i in range(l + 1):
+        out.append((k + 1, l - i, GaussianRational(factor)))
+        factor *= Fraction(-(l - i), k + 1)
+    return tuple(out)
+
+
+def _add_at_z_over(acc, zpow, zlogpow, location, k, l, coeff, factor, times=1):
+    """acc += coeff * factor * times * x^k (log x)^l z^zpow (log z)^zlogpow at x = z/location,
+    through the rows of logpoly._z_over; at location 1 only the row free of Log(1), (log z)^l, is left."""
+    if location == GR_ONE:
+        logpoly._add_at(acc, (zpow + k, zlogpow + l), location, -k, 0, coeff, factor, times)
+        return
+    for zp, zl, yp, yl, sign in logpoly._z_over(k, l):
+        logpoly._add_at(acc, (zpow + zp, zlogpow + zl), location, yp, yl, coeff, factor, sign * times)
+
+
 def antiderivative_u(p):
     """The antiderivative in u as a BiLogPoly, term by term from the closed-form table."""
     out = {}
     for (k, l, zm, zl), coeff in p.terms.items():
-        for upow, ulogpow, factor in logpoly._antiderivative_table(k, l):
+        for upow, ulogpow, factor in _antiderivative_table(k, l):
             key = (upow, ulogpow, zm, zl)
             out[key] = out.get(key, ExactCoeff.zero()) + coeff.scale(factor)
     return BiLogPoly(out)

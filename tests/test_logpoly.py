@@ -14,6 +14,7 @@ from hadene.logpoly import BranchPoint, LogLaurentPoly, ZeroArgument, integrate_
 from hadene.monodromy import FunctionSpec, Singularity, ene_monodromy_total, hadamard_monodromy_total
 from reference_ring import (
     BiLogPoly,
+    _add_at_z_over,
     antiderivative_u,
     from_poly_at_z_over_u,
     from_poly_in_u,
@@ -301,6 +302,64 @@ def test_integrate_u_work_bound(monkeypatch, engine):
     assert terms <= sum(102 - j + 1 for j in range(41))
 
 
+@pytest.mark.parametrize("engine", [hadamard_monodromy_total, ene_monodromy_total], ids=["hadamard", "ene"])
+def test_pair_integral_row_bound(monkeypatch, engine):
+    # the (log z)^60 (.) (log z)^40 pair at 2 and 3 has c = 0, so its antiderivative
+    # is homogeneous of degree a+b+1 = 101 in the two logs: after merging, at most
+    # a+b+2 rows at z/3 (one per power of log z) and b+1 at 2, one coefficient
+    # term each; the ene term, -theta of the Hadamard one, feeds no more
+    terms = 0
+    accumulate = logpoly._accumulate
+
+    def counted(raw, coeff, *args):
+        nonlocal terms
+        terms += len(coeff.terms)
+        accumulate(raw, coeff, *args)
+
+    monkeypatch.setattr(logpoly, "_accumulate", counted)
+    f = FunctionSpec.of("f", [Singularity(gr(2), LogLaurentPoly.term(0, 60))])
+    g = FunctionSpec.of("g", [Singularity(gr(3), LogLaurentPoly.term(0, 40))])
+    engine(f, g, 6)
+    assert 0 < terms <= (60 + 40 + 2) + (40 + 1)
+
+
+INTEGRAL_ENDPOINTS = [GaussianRational.of(re, im) for re, im in [(1, 0), (2, 0), (-2, 0), (1, 1), (-1, -1)]]
+
+
+def two_log_integrand(c, a, b, zpow, zlogpow, coeff):
+    """coeff z^zpow (log z)^zlogpow u^(c-1) (log u)^a (log(z/u))^b, log(z/u) read binomially."""
+    return BiLogPoly({(c - 1, a, zpow, zlogpow): coeff}) * from_poly_at_z_over_u(LogLaurentPoly.term(0, b))
+
+
+def engine_integral(c, a, b, zpow, zlogpow, coeff, alpha, beta):
+    acc = {}
+    logpoly._add_integral(acc, alpha, beta, c, a, b, zpow, zlogpow, coeff)
+    return LogLaurentPoly(logpoly._finished(acc))
+
+
+@pytest.mark.parametrize("c", range(-4, 5))
+def test_add_integral_equals_the_reference(c):
+    # the two-log closed form against the one-log reference ring, over every
+    # (a, b) up to 6 and every ordered pair of endpoints at least once per c
+    coeff = TWO_PI_I * ExactCoeff.from_rational(Fraction(-2, 3)) + ExactCoeff.monomial(
+        {log_symbol(2): 1}, GaussianRational.of(Fraction(1, 5), 3))
+    pairs = [(alpha, beta) for alpha in INTEGRAL_ENDPOINTS for beta in INTEGRAL_ENDPOINTS]
+    for a in range(7):
+        for b in range(7):
+            alpha, beta = pairs[(7 * a + b + c) % len(pairs)]
+            zpow, zlogpow = (a - b) % 3 - 1, (a + b + c) % 2
+            p = two_log_integrand(c, a, b, zpow, zlogpow, coeff)
+            assert engine_integral(c, a, b, zpow, zlogpow, coeff, alpha, beta) == reference_integrate_u(p, alpha, beta)
+
+
+@pytest.mark.parametrize("c, alpha, beta", [(0, 2, 3), (0, 1, 1), (0, (1, 1), (-1, -1)), (1, 1, 1), (-1, 2, 1)])
+def test_add_integral_equals_the_reference_at_deep_log_powers(c, alpha, beta):
+    alpha, beta = (GaussianRational.of(*x) if isinstance(x, tuple) else gr(x) for x in (alpha, beta))
+    coeff = TWO_PI_I + ExactCoeff.from_rational(Fraction(1, 7))
+    p = two_log_integrand(c, 60, 40, 1, 2, coeff)
+    assert engine_integral(c, 60, 40, 1, 2, coeff, alpha, beta) == reference_integrate_u(p, alpha, beta)
+
+
 def test_integrate_u_derivative_is_the_integrand_at_z_over_beta():
     # d/dz of the integral from alpha to z/beta is p(z/beta) / beta
     p = BiLogPoly({(2, 40, 0, 0): TWO_PI_I, (-3, 17, 0, 0): ExactCoeff.from_rational(Fraction(-5, 3))})
@@ -352,11 +411,11 @@ def endpoint_at_location(p, location):
 
 
 def endpoint_at_z_over_location(p, location):
-    """x -> z/location through the engine's _add_at_z_over."""
+    """x -> z/location through the engine's _add_at and _z_over, row by row (_add_at_z_over)."""
     acc = {}
     for key, coeff in p.terms.items():
         k, l, zpow, zlogpow = (*key, 0, 0)[:4]  # a LogLaurentPoly key has no z part
-        logpoly._add_at_z_over(acc, zpow, zlogpow, location, k, l, coeff, GR_ONE)
+        _add_at_z_over(acc, zpow, zlogpow, location, k, l, coeff, GR_ONE)
     return LogLaurentPoly(logpoly._finished(acc))
 
 
