@@ -59,10 +59,14 @@ def crosscheck(f_spec, g_spec, gamma, samples: Sequence[complex], *,
                node_budget: int | None = None) -> OracleReport:
     """Compare the symbolic monodromy with contour measurements at sample points.
 
-    The numeric side measures the principal-sheet monodromy, so only winding 0
-    rows carry a measurement; other windings evaluate the symbolic result on
-    that sheet for inspection.  A measurement that fails is raised again as
-    the same exception type, its text prefixed by the sample: "at z0 = ...: ".
+    The numeric side measures the monodromy on the sheet whose log z is
+    continuous with Log gamma, so only winding 0 rows carry a measurement;
+    other windings evaluate the symbolic result on that sheet for inspection.
+    Windings count from that sheet: the principal one, except below a gamma on
+    the negative real axis, where Log gamma = log|gamma| + i pi continues from
+    the upper half-plane onto winding 1 of the principal log.  A measurement
+    that fails is raised again as the same exception type, its text prefixed
+    by the sample: "at z0 = ...: ".
     """
     from .continuation import MEASUREMENT_FAILURES, monodromy_numeric
 
@@ -74,10 +78,12 @@ def crosscheck(f_spec, g_spec, gamma, samples: Sequence[complex], *,
     except OverflowError as exc:
         raise ValueError(f"gamma = {symbolic.gamma} overflows a double ({exc})") from exc
     report = OracleReport(gamma=gamma_value, metadata={"tol": tol, "engine": "traintrack"})
+    negative_axis = symbolic.gamma.im == 0 and symbolic.gamma.re < 0
     for z0 in samples:
+        sheet = 1 if negative_axis and complex(z0).imag < 0 else 0
         for w in windings:
             try:
-                sym_val = symbolic.value.lp_eval(BranchPoint(complex(z0), w))
+                sym_val = symbolic.value.lp_eval(BranchPoint(complex(z0), w + sheet))
             except OverflowError as exc:
                 raise ValueError(f"the symbolic value at {z0} overflows a double ({exc})") from exc
             if w == 0:

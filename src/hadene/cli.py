@@ -390,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(exit 5 when spent)")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=argparse.SUPPRESS)
     p.add_argument("--winding", dest="windings", metavar="WINDING", default=argparse.SUPPRESS,
-                   help="comma-separated log z sheets")
+                   help="comma-separated log z sheets, counted from the one continuous with Log gamma: "
+                        "the principal sheet, or winding 1 of it below a gamma on the negative real axis")
     _add_out(p)
     p.set_defaults(func=cmd_verify)
 

@@ -22,11 +22,12 @@ Representation, chosen so that the ring operations run on machine integers:
   the signed exponent of symbol ``id``, so keys hash and compare as ints, a
   product of monomials is one int addition and an inverse is a negation.
   Exponents enter within ``MAX_EXPONENT = 2**20`` in magnitude (``monomial``,
-  ``**`` and documents refuse more).  A product adds exponents, so a field
-  leaves its signed 64 bits, and would alias another monomial, only after
-  2**43 chained products of factors at the bound, or 43 squarings of one.  The
-  exponents the engine forms, powers of 2pii and of Log(c), are log powers:
-  below 2**12 on documents, whose log powers are at most 1024.
+  ``**`` and documents refuse more).  A product adds exponents, and ``*``
+  refuses one outside ``[-2**62, 2**62)``, with one bias-and-mask test of the
+  packed int per output monomial, so no field carries into the next: 43
+  squarings of one factor at the bound raise instead of aliasing another
+  monomial.  The exponents the engine forms, powers of 2pii and of Log(c), are
+  log powers: below 2**12 on documents, whose log powers are at most 1024.
   Ids depend on the order in which a process first meets its symbols, so
   everything that leaves the field (``sorted_terms``, ``symbols``, ``repr``,
   the document form) decodes the fields back to symbols and orders by the
@@ -63,6 +64,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Mapping
 
@@ -322,6 +324,20 @@ def _bounded(exp: int, what) -> int:
     return exp
 
 
+# A product's exponents must stay within [-2**62, 2**62): two such fields add up
+# inside the signed 64 bits, so no product can carry into the next field.
+_PRODUCT_BOUND = 1 << 62
+
+
+@cache
+def _product_test(fields: int) -> tuple[int, int]:
+    """(bias, outside) for the first `fields` fields: the fields of such a
+    monomial all lie in [-_PRODUCT_BOUND, _PRODUCT_BOUND) exactly when
+    (mono + bias) & outside == 0, since each biased field is then in [0, 2**63)."""
+    ones = ((1 << (_W * fields)) - 1) // (_FIELD - 1)
+    return _PRODUCT_BOUND * ones, ~((2 * _PRODUCT_BOUND - 1) * ones)
+
+
 def _make_monomial(powers: Mapping[ConstantSymbol, int]) -> Monomial:
     return sum(_bounded(exp, sym) << (_W * sym.id) for sym, exp in powers.items())
 
@@ -475,7 +491,15 @@ class ExactCoeff(_TermMap):
 
     def __mul__(self, other) -> "ExactCoeff":
         if isinstance(other, ExactCoeff):
-            return self._product(other)
+            product = self._product(other)
+            bias, outside = _product_test(len(_SYMBOLS))
+            for mono in product.terms:
+                if (mono + bias) & outside:
+                    for sid, exp in _fields(mono):
+                        if not -_PRODUCT_BOUND <= exp < _PRODUCT_BOUND:
+                            raise ValueError(f"exponent {exp} of {_SYMBOLS[sid]} in a product "
+                                             "leaves [-2**62, 2**62)")
+            return product
         if isinstance(other, int):
             return self._times(other, 0, 1)
         if isinstance(other, Fraction):

@@ -50,10 +50,13 @@ measurement halve frac, and each round bisects the pieces the round before
 kept.  That gives the very panels a grading from the whole segments gives,
 because the keep rule is monotone in frac: a piece split at one frac is split
 at every smaller one, so every piece of the fresh grading lies inside a piece
-of the last round's, and both reach it through the same midpoints.  The ratios
-w = x + iy lie near 1, and their logs are
-0.5 log1p((x - 1)(x + 1) + y^2) + i atan2(y, x): log|w| would round at the
-size of 1, with a bias that builds up over the thousands of increments of a
+of the last round's, and both reach it through the same midpoints.  Grading
+and panels share one point formula, in which only arc rows take the
+exponential, and a polylogarithm state starts on its one point's series.  The
+ratios w = x + iy lie near 1, and their logs are
+0.5 log1p((x - 1)(x + 1) + y^2) + i atan2(y, x), written straight into the
+real and imaginary parts of one array: log|w| would round at the size of 1,
+with a bias that builds up over the thousands of increments of a
 measurement, while log1p rounds at the size of the increment, as complex
 np.log does at several times the cost.
 
@@ -68,7 +71,6 @@ so a state (element, point, record) is copied shallowly.
 from __future__ import annotations
 
 import cmath
-import copy
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -392,24 +394,25 @@ _SERIES_BLOCK = 1 << 16
 
 def _polylog_series(k: int, u: complex | np.ndarray) -> np.ndarray:
     """Li_2(u), ..., Li_k(u) by their power series, up to the first n with
-    max |u|^n < 1e-17: row j - 2 holds Li_j at every point of u.  The points are
-    summed a block at a time, each point's terms in one contiguous row."""
+    max |u|^n < 1e-17: row j - 2 holds Li_j at every point of u.  Each point's
+    terms lie in one contiguous row, summed pairwise along it: one point's
+    terms are one 1-D array, an array's points go a block at a time."""
     u = np.asarray(u, dtype=complex)
-    points = u.reshape(-1, 1)
-    mag = np.abs(points).max()
+    mag = abs(u.item()) if u.ndim == 0 else np.abs(u).max()
     if mag >= 0.9995:
         raise QuadratureNotConverged(
             f"polylog series evaluation needs |u| < 0.9995, got {mag:.6f}"
         )
     n = 1 if mag == 0.0 else int(math.log(1e-17) / math.log(mag)) + 1
     ns = np.arange(1.0, n + 1.0)
-    values = np.empty((k - 1, len(points)), dtype=complex)
+    values = np.empty((k - 1, u.size), dtype=complex)
     step = max(1, _SERIES_BLOCK // n)
-    for lo in range(0, len(points), step):
-        terms = np.cumprod(points[lo:lo + step].repeat(n, axis=1), axis=1) / ns
+    for lo in range(0, u.size, step):
+        rows = np.full(n, u) if u.ndim == 0 else u.reshape(-1, 1)[lo:lo + step].repeat(n, axis=1)
+        terms = np.cumprod(rows, axis=-1) / ns
         for row in values:
             terms /= ns
-            row[lo:lo + step] = terms.sum(axis=1)
+            row[lo:lo + step] = terms.sum(axis=-1)
     return values.reshape(k - 1, *u.shape)
 
 
@@ -468,7 +471,9 @@ class _Panels:
 def _clearances(points: np.ndarray, obstacles: np.ndarray, floor: float) -> np.ndarray:
     """Distance from each point to its nearest obstacle; a point within `floor`
     of one raises PathTooCloseToSingularity."""
-    d = np.abs(points[:, None] - obstacles).min(axis=1, initial=math.inf)
+    d = np.full(len(points), math.inf)
+    for obstacle in obstacles:
+        np.minimum(d, np.abs(points - obstacle), out=d)
     if d.min() <= floor:
         i = int(np.argmin(d))
         raise PathTooCloseToSingularity(
@@ -480,10 +485,10 @@ def _clearances(points: np.ndarray, obstacles: np.ndarray, floor: float) -> np.n
 class _GradedChain:
     """A chain of segments, held as columns (one row per segment: arc?, base,
     scale, start angle, sweep, length) so that lines and arcs are sampled at
-    once, and its latest grading: the segment index, t0 and t1 of every piece,
-    sorted.  It starts as `pieces` equal pieces per segment; each refine()
-    bisects the pieces it has, so a chain kept across refinement rounds grades
-    each round from the last."""
+    once, only arc rows taking the exponential, and its latest grading: the
+    segment index, t0 and t1 of every piece, sorted.  It starts as `pieces`
+    equal pieces per segment; each refine() bisects the pieces it has, so a
+    chain kept across refinement rounds grades each round from the last."""
 
     def __init__(self, segments: Sequence[PathSegment], pieces: int = 1):
         rows = [(False, s.a, s.b - s.a, 0.0, 0.0, s.length()) if isinstance(s, Line)
@@ -494,12 +499,15 @@ class _GradedChain:
         first = np.arange(len(segments) * pieces)
         self.grading: _Grading = (first // pieces, first % pieces / pieces, (first % pieces + 1) / pieces)
 
-    def sample(self, owner: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Points and derivatives of segment owner[i] at ts[i]."""
-        arc, base, scale, start, sweep = (col[owner] for col in
-                                          (self.arc, self.base, self.scale, self.start, self.sweep))
-        rel = scale * np.where(arc, np.exp(1j * (start + sweep * ts)), ts)
-        return base + rel, np.where(arc, 1j * sweep * rel, scale)
+    def sample(self, owner: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Points of segment owner[i] at ts[i], less its base: scale * t on a
+        line, scale * exp(i (start + sweep t)) on an arc, whose rows alone take
+        the exponential.  owner broadcasts against ts, which has the shape of
+        the result."""
+        rel = ts.astype(complex)
+        np.exp(1j * (self.start[owner] + self.sweep[owner] * ts), out=rel, where=self.arc[owner])
+        rel *= self.scale[owner]
+        return rel
 
     def refine(self, obstacles: Sequence[complex], frac: float, min_len: float,
                floor: float = 0.0) -> "_GradedChain":
@@ -521,12 +529,16 @@ class _GradedChain:
         while owner.size:
             tm = (t0 + t1) / 2.0
             piece = self.lengths[owner] * (t1 - t0)
-            d = _clearances(self.sample(owner, tm)[0], obstacles, floor)
+            d = _clearances(self.base[owner] + self.sample(owner, tm), obstacles, floor)
             clearance = np.maximum(d - piece / 2.0, 1e-30)
             keep = piece <= np.where(piece <= min_len, max(frac, 0.5), frac) * clearance
-            kept.append((owner[keep], t0[keep], t1[keep]))
-            split = ~keep
-            owner, t0, t1, tm = owner[split], t0[split], t1[split], tm[split]
+            if keep.all():
+                kept.append((owner, t0, t1))
+                break
+            if keep.any():
+                kept.append((owner[keep], t0[keep], t1[keep]))
+                split = ~keep
+                owner, t0, t1, tm = owner[split], t0[split], t1[split], tm[split]
             owner, t0, t1 = np.concatenate((owner, owner)), np.concatenate((t0, tm)), np.concatenate((tm, t1))
         owner, t0, t1 = (np.concatenate(parts) for parts in zip(*kept))
         order = np.lexsort((t0, owner))
@@ -536,10 +548,12 @@ class _GradedChain:
     def panels(self, n: int) -> _Panels:
         """The n-node Gauss-Legendre panels of the grading."""
         owner, t0, t1 = self.grading
+        owner = owner[:, None]  # each piece's segment, broadcast over its n + 1 points
         half = ((t1 - t0) / 2.0)[:, None]
         ts = (t1 + t0)[:, None] / 2.0 + half * np.append(_gl_rule(n)[0], 1.0)
-        points, velocity = (a.reshape(-1, n + 1) for a in self.sample(np.repeat(owner, n + 1), ts.ravel()))
-        return _Panels(points, velocity[:, :-1] * half)
+        rel = self.sample(owner, ts)
+        dv = np.where(self.arc[owner], 1j * self.sweep[owner] * rel[:, :-1], self.scale[owner]) * half
+        return _Panels(self.base[owner] + rel, dv)
 
 
 # --- continuation states -----------------------------------------------------------
@@ -548,7 +562,11 @@ class _GradedChain:
 def _log_near_one(w: np.ndarray) -> np.ndarray:
     """Principal log of ratios near 1 (see the module docstring)."""
     x, y = w.real, w.imag
-    return 0.5 * np.log1p((x - 1.0) * (x + 1.0) + y * y) + 1j * np.arctan2(y, x)
+    out = np.empty(w.shape, dtype=complex)
+    np.log1p((x - 1.0) * (x + 1.0) + y * y, out=out.real)
+    out.real *= 0.5
+    np.arctan2(y, x, out=out.imag)
+    return out
 
 
 def _log_steps(w: np.ndarray) -> np.ndarray:
@@ -591,7 +609,7 @@ class _ElementState:
 
     def clone(self) -> "_ElementState":
         # a shallow copy suffices: track returns a new branch record, never changes one in place
-        return copy.copy(self)
+        return _ElementState(self.spec, self.point, self.branch)
 
 
 # Gauss-Legendre nodes per panel of continue_along, the panels' largest length
@@ -856,19 +874,19 @@ def _block_integral(chain: _GradedChain, name: str, f_state: _ElementState,
     return complex(np.sum(integrand @ w)), panels.nodes.size
 
 
-def _measure_detours(detours: Sequence[_Detour], chains: Sequence[tuple[_GradedChain, _GradedChain]],
+def _measure_detours(detours: Sequence[_Detour], chains: Sequence[tuple[_GradedChain, _GradedChain | None]],
                      f_start: _ElementState, g_start: _ElementState, z0: complex,
                      obstacles: Sequence[complex], n_gl: int, frac: float,
                      min_len: float) -> tuple[complex, int]:
     """Sum of the detour-block integrals at one refinement, and the number of
     quadrature nodes and transit-arc nodes tracked.
 
-    `chains` holds each detour's block and transit arc, graded by the round
-    before; this round refines them.  The states start from copies of f_start
-    and g_start, on the principal branches at the first anchor, and ride the
-    circle arcs between blocks by branch tracking alone, on the same graded
-    panels, so every block starts on the branch a traversal of the whole
-    deformed contour gives it.
+    `chains` holds each detour's block and, where another block follows, its
+    transit arc, graded by the round before; this round refines them.  The
+    states start from copies of f_start and g_start, on the principal branches
+    at the first anchor, and ride the circle arcs between blocks by branch
+    tracking alone, on the same graded panels, so every block starts on the
+    branch a traversal of the whole deformed contour gives it.
     """
     f_state, g_state = f_start.clone(), g_start.clone()
     total, points = 0j, 0
@@ -877,7 +895,7 @@ def _measure_detours(detours: Sequence[_Detour], chains: Sequence[tuple[_GradedC
         value, nodes = _block_integral(block, name, f_state, g_state, z0, obstacles, n_gl, frac, min_len)
         total += value
         points += nodes
-        if i + 1 < len(detours):
+        if arc is not None:
             panels = arc.refine(obstacles, frac, min_len).panels(n_gl)
             f_state.advance(panels)
             g_state.advance(panels.image(z0))
@@ -899,10 +917,12 @@ def monodromy_numeric(f: AnalyticElement, g: AnalyticElement, gamma: complex, z0
     quadrature nodes and transit-arc nodes tracked over all refinement rounds.
     """
     _, r, eps, detours = _traintrack_geometry(f, g, gamma, z0, r, eps)
-    obstacles = [*f.singularities(), *(z0 / beta for beta in g.singularities()), 0j]
+    obstacles = np.array([*f.singularities(), *(z0 / beta for beta in g.singularities()), 0j], dtype=complex)
     min_len = eps / 8.0
-    # each round refines the last round's grading of every block and transit arc
-    chains = [(_GradedChain(d.block), _GradedChain([d.arc])) for d in detours]
+    # each round refines the last round's grading of every block, and of the
+    # transit arc on to the next block where one follows
+    chains = [(_GradedChain(d.block), _GradedChain([d.arc]) if i + 1 < len(detours) else None)
+              for i, d in enumerate(detours)]
     start = detours[0].block[0].point(0.0)
     f_start, g_start = f.make_state(start), g.make_state(z0 / start)
 

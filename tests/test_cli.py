@@ -394,6 +394,25 @@ def test_cli_verify_sum_element_with_two_parts_at_one_location(tmp_path, capsys)
     assert json.loads(capsys.readouterr().out)["max_abs_error"] < 1e-6
 
 
+def log_branch_doc(location):
+    """u log(1 - u/location), realized by its log-branch element: monodromy 2pii z at the location."""
+    spec = FunctionSpec.of("u_log_branch", [Singularity(
+        GaussianRational.of(location), LogLaurentPoly.term(1, 0, 1).scale(ExactCoeff.two_pi_i()))])
+    return function_spec_to_doc(spec, element=LogBranchElement(location, [0.0, 1.0]))
+
+
+@pytest.mark.parametrize("sample", ["-5.4+0.27i", "-5.4-0.27i"], ids=["above", "below"])
+def test_cli_verify_either_side_of_a_negative_gamma(tmp_path, capsys, sample):
+    # Log(-6) = log 6 + i pi, so the result's log z is the branch continuous with
+    # it from the upper half-plane: below the axis the check evaluates it on
+    # winding 1 of the principal log, where the measurement lands (on winding 0
+    # the two would differ by 213)
+    f = write_doc(tmp_path, "f.json", log_branch_doc(-2))
+    g = write_doc(tmp_path, "g.json", log_branch_doc(3))
+    assert main(["verify", "-f", f, "-g", g, "--gamma=-6", f"--samples={sample}"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_abs_error"] <= 1e-8
+
+
 # --- CLI: inputs and results refused with an exit code ------------------------------------------
 
 # argv (documents named by placeholders), exit code, text the message must contain

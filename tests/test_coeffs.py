@@ -359,3 +359,16 @@ def test_exponents_past_the_bound_are_refused():
                  lambda: half ** 3):
         with pytest.raises(ValueError, match="exceeds 2\\*\\*20 in magnitude"):
             make()
+
+
+def test_a_product_past_the_field_range_is_refused():
+    # 43 squarings would carry the 2pii field past its signed 64 bits into the
+    # log(2) field, printing 2pii^-9223372036854775808*log(2)^8796093022209; the
+    # product refuses the exponent 2**62 at the 42nd, and names the symbol
+    x = ExactCoeff.two_pi_i(MAX_EXPONENT) * ExactCoeff.monomial({log_symbol(2): 1})
+    with pytest.raises(ValueError, match=r"exponent 4611686018427387904 of 2pii in a product leaves"):
+        for _ in range(43):
+            x = x * x
+    # within the range, products past the entry bound stay exact
+    assert repr(x) == f"(1)*2pii^{2 ** 61}*log(2)^{2 ** 41}"
+    assert x * x.invert_monomial() == EC_ONE

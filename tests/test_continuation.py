@@ -26,6 +26,7 @@ from hadene.continuation import (
     _CONTINUE_DELTA,
     _CONTINUE_FRAC,
     _CONTINUE_NODES,
+    _CONTINUE_PIECES,
     _gl_cumulative,
     _gl_rule,
     _GradedChain,
@@ -613,6 +614,97 @@ def test_refinement_rounds_grade_a_pinned_number_of_pieces(monkeypatch):
     li2 = PolylogElement(2)
     monodromy_numeric(li2, li2, 1.0, 1.0 + 0.1 * cmath.exp(1j * math.radians(160)), tol=1e-8)
     assert rows == 524
+
+
+# --- the panel code against the formulas it replaced --------------------------------------------
+
+
+def reference_sample(chain, owner, ts):
+    """Points and derivatives of segment owner[i] at ts[i], every row through np.exp."""
+    arc, base, scale, start, sweep = (col[owner] for col in
+                                      (chain.arc, chain.base, chain.scale, chain.start, chain.sweep))
+    rel = scale * np.where(arc, np.exp(1j * (start + sweep * ts)), ts)
+    return base + rel, np.where(arc, 1j * sweep * rel, scale)
+
+
+def reference_panels(chain, n):
+    """The n-node panels of a chain's grading, each node's segment gathered through a repeated owner."""
+    owner, t0, t1 = chain.grading
+    half = ((t1 - t0) / 2.0)[:, None]
+    ts = (t1 + t0)[:, None] / 2.0 + half * np.append(_gl_rule(n)[0], 1.0)
+    points, velocity = (a.reshape(-1, n + 1) for a in reference_sample(chain, np.repeat(owner, n + 1), ts.ravel()))
+    return points, velocity[:, :-1] * half
+
+
+def reference_clearances(points, obstacles, floor):
+    """_clearances as a minimum over a points x obstacles array."""
+    d = np.abs(points[:, None] - obstacles).min(axis=1, initial=math.inf)
+    if d.min() <= floor:
+        i = int(np.argmin(d))
+        raise PathTooCloseToSingularity(
+            f"path point {complex(points[i])} lies within {d[i]:.3e} of a singularity"
+        )
+    return d
+
+
+def reference_polylog_series(k, u):
+    """Li_2(u), ..., Li_k(u) with every point, a lone one too, a row of a 2-D block."""
+    u = np.asarray(u, dtype=complex)
+    points = u.reshape(-1, 1)
+    mag = np.abs(points).max()
+    n = 1 if mag == 0.0 else int(math.log(1e-17) / math.log(mag)) + 1
+    ns = np.arange(1.0, n + 1.0)
+    values = np.empty((k - 1, len(points)), dtype=complex)
+    step = max(1, (1 << 16) // n)
+    for lo in range(0, len(points), step):
+        terms = np.cumprod(points[lo:lo + step].repeat(n, axis=1), axis=1) / ns
+        for row in values:
+            terms /= ns
+            row[lo:lo + step] = terms.sum(axis=1)
+    return values.reshape(k - 1, *u.shape)
+
+
+@pytest.mark.parametrize("n, frac", [(12, 0.5), (16, 0.25), (24, 0.125), (32, 0.0625)])
+def test_panels_equal_the_reference_formula(n, frac):
+    # only arc rows take the exponential, and each piece's segment is gathered
+    # once for its n + 1 points; the panels are the same to the bit
+    loop = (Arc(1.0, 0.45, math.pi, 3.0 * math.pi),)
+    chains = [_GradedChain(segments).refine(obstacles, frac, min_len)
+              for segments, obstacles, min_len in traintrack_chains()]
+    chains.append(_GradedChain(loop, _CONTINUE_PIECES).refine([1.0, 0j], _CONTINUE_FRAC, 0.0, _CONTINUE_DELTA))
+    for chain in chains:
+        panels = chain.panels(n)
+        points, dv = reference_panels(chain, n)
+        assert np.array_equal(panels.points, points) and np.array_equal(panels.dv, dv)
+
+
+def test_clearances_equal_the_broadcast_minimum():
+    rng = np.random.default_rng(29)
+    points = rng.uniform(-2.0, 2.0, 400) + 1j * rng.uniform(-2.0, 2.0, 400)
+    for count in range(5):  # no obstacle leaves every point infinitely clear
+        obstacles = rng.uniform(-2.0, 2.0, count) + 1j * rng.uniform(-2.0, 2.0, count)
+        assert np.array_equal(_clearances(points, obstacles, 0.0), reference_clearances(points, obstacles, 0.0))
+    # at the floor both refuse the same point, with the same text
+    obstacles = np.array([1.0, 0j, 0.93 + 0.02j])
+    floor = float(np.sort(reference_clearances(points, obstacles, 0.0))[2])
+    with pytest.raises(PathTooCloseToSingularity) as mine:
+        _clearances(points, obstacles, floor)
+    with pytest.raises(PathTooCloseToSingularity) as reference:
+        reference_clearances(points, obstacles, floor)
+    assert str(mine.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_a_polylog_state_starts_on_its_points_series(k):
+    # one point's series is summed as a 1-D array: the same terms, divided in
+    # the same order and summed pairwise as its row of a block; Li_1 alone
+    # sums no series, so it starts past the series' reach too
+    grid = [rho * cmath.exp(2j * math.pi * j / 16) for rho in (0.0, 0.1, 0.5, 0.9, 0.99) for j in range(16)]
+    if k == 1:
+        grid.append(0.99995 + 0j)
+    for u0 in grid:
+        stack, turn = PolylogElement(k).start(u0)
+        assert stack == [-cmath.log(1.0 - u0), *reference_polylog_series(k, u0).tolist()] and turn == 0.0
 
 
 @pytest.mark.parametrize("n", [12, 16, 24, 32])
