@@ -12,7 +12,7 @@ import math
 
 from hadene.logpoly import BranchPoint
 from hadene.monodromy import (
-    ene_monodromy_total,
+    ene_monodromy_general,
     log_ladder_monodromy,
     polylog_function_spec,
     polylog_monodromy,
@@ -28,7 +28,7 @@ for k in range(1, 7):
 # the ene product closes the same ladder downward: Li_k ene Li_l = -Li_{k+l-1}
 print("\nene ladder (k, l) -> weight k+l-1, all exact:")
 for k, l in [(2, 2), (2, 3), (3, 3), (4, 5)]:
-    value = ene_monodromy_total(polylog_function_spec(k), polylog_function_spec(l), 1).value
+    value = ene_monodromy_general(polylog_function_spec(k), polylog_function_spec(l), 1).value
     ok = value == -log_ladder_monodromy(k + l - 1)
     print(f"  Li_{k} ene Li_{l}: matches -Li_{k + l - 1} monodromy: {ok}")
 

@@ -20,7 +20,6 @@ from hadene.continuation import (
 from hadene.logpoly import BranchPoint
 from hadene.monodromy import (
     hadamard_monodromy_general,
-    hadamard_monodromy_total,
     koebe_polar_function_spec,
     polylog_function_spec,
 )
@@ -38,7 +37,7 @@ print(f"\nbase contour: {len(eta.segments)} segment; deformed: {len(eta_hat.segm
 # measured vs symbolic monodromy for the log pair at gamma = 1
 li1 = PolylogElement(1)
 li1_spec = polylog_function_spec(1)
-symbolic = hadamard_monodromy_total(li1_spec, li1_spec, 1).value
+symbolic = hadamard_monodromy_general(li1_spec, li1_spec, 1).value
 print("\n   z0      measured monodromy         symbolic value        |difference|")
 for deg in (150, 180, 210):
     z0 = 1.0 + 0.1 * cmath.exp(1j * math.radians(deg))

@@ -15,7 +15,7 @@ from hadene.monodromy import (
     FunctionSpec,
     Singularity,
     divisor_ene,
-    ene_monodromy_total,
+    ene_monodromy_general,
 )
 from hadene.series import ene, poly_from_roots
 
@@ -34,7 +34,7 @@ def divisor_spec(name, divisor):
 
 
 for gamma, expected_mult in [(6, 2), (4, 1), (9, 1)]:
-    value = ene_monodromy_total(divisor_spec("f", f), divisor_spec("g", g), gamma).value
+    value = ene_monodromy_general(divisor_spec("f", f), divisor_spec("g", g), gamma).value
     print(f"monodromy at {gamma}: {value!r}   (expect 2pii * {expected_mult})")
 
 # and through plain series arithmetic at truncation order 16

@@ -27,10 +27,7 @@ from .monodromy import (
     Singularity,
     divisor_ene,
     ene_monodromy_general,
-    ene_monodromy_total,
-    ene_symmetry_check,
     hadamard_monodromy_general,
-    hadamard_monodromy_total,
     polylog_function_spec,
     polylog_monodromy,
     product_set,

@@ -224,10 +224,10 @@ def _selftest_fixtures():
         Divisor,
         FunctionSpec,
         Singularity,
+        ene_monodromy_general,
         hadamard_monodromy_general,
         koebe_polar_function_spec,
         polylog_function_spec,
-        ene_monodromy_total,
     )
     from .series import TruncatedSeries, koebe, poly_from_roots
 
@@ -240,7 +240,7 @@ def _selftest_fixtures():
     def ene_ladder_exact():
         for k in (2, 3):
             for l in (2, 3):
-                got = ene_monodromy_total(polylog_function_spec(k), polylog_function_spec(l), 1)
+                got = ene_monodromy_general(polylog_function_spec(k), polylog_function_spec(l), 1)
                 if got.value != -log_ladder_monodromy(k + l - 1):
                     return False
         return True

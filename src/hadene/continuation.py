@@ -217,6 +217,8 @@ class RationalElement(AnalyticElement):
         self.num = [complex(c) for c in num]
         self.den = [complex(c) for c in den]
         self.poles = [complex(p) for p in poles]
+        if not any(self.den):
+            raise ValueError("a rational element needs a nonzero denominator coefficient")
 
     def singularities(self) -> list[complex]:
         return list(self.poles)
@@ -931,6 +933,8 @@ def monodromy_numeric(f: AnalyticElement, g: AnalyticElement, gamma: complex, z0
     for n_gl, frac in ((12, 0.5), (16, 0.25), (24, 0.125), (32, 0.0625)):
         value, nodes = _measure_detours(detours, chains, f_start, g_start, z0, obstacles, n_gl, frac, min_len)
         tracked += nodes
+        if not cmath.isfinite(value):
+            raise QuadratureNotConverged(f"refinement round value {value} at {n_gl} GL nodes is not finite")
         if node_budget is not None and tracked > node_budget:
             raise QuadratureNotConverged(
                 f"node budget {node_budget} spent: {tracked} quadrature nodes "

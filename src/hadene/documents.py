@@ -182,7 +182,7 @@ def series_from_doc(doc: Any) -> tuple[TruncatedSeries, bool]:
 
 
 def _germ_to_doc(germ: GermPart) -> dict:
-    if germ.is_totally_holomorphic:
+    if not germ.polar:
         return {"type": "totally_holomorphic"}
     return {"type": "polar", "coeffs": [exact_coeff_to_doc(c) for c in germ.polar]}
 
@@ -196,8 +196,10 @@ def _germ_from_doc(doc: Any) -> GermPart:
         raw = doc.get("coeffs", [])
         _require(isinstance(raw, list), "polar germ coefficients must be a list")
         coeffs = [exact_coeff_from_doc(c) for c in raw]
-        _require(bool(coeffs), "polar germ needs at least one coefficient")
-        return GermPart.polar_part(coeffs)
+        try:
+            return GermPart.polar_part(coeffs)
+        except ValueError as exc:  # no coefficient, or a zero highest-order one
+            raise DocumentError(str(exc)) from exc
     raise DocumentError(f"unknown germ type {kind!r}")
 
 

@@ -26,8 +26,8 @@ one theta: it takes an accumulator to times * theta of itself on the raw
 triples, with no gcd, for theta(), derivative() and the ene pair term (-theta
 of the Hadamard one).  One cached function, _z_over, rewrites log(z/y) as
 log z - log y over the signed binomial row, for the integral's endpoint rows
-and for _pair_terms (the stream of the terms of unit * first(u) * second(z/u)
-that the polar residues of ``monodromy`` read); shift_log expands its own row.
+and for _pair_terms (the stream of the terms of unit * second(z/u) that the
+polar residues of ``monodromy`` read); shift_log expands its own row.
 _add_integral, which the Hadamard pair term and integrate_u call, and _add_at
 (x = c, for the residues) read c^k * Log(c)^n as the ints of a monomial unit
 cached per (c, k, n) (_location_unit), so no row builds a GaussianRational or
@@ -159,15 +159,13 @@ def _z_over(k: int, l: int) -> tuple[tuple[int, int, int, int, int], ...]:
     return tuple((k, j, -k, l - j, sign) for j, sign in enumerate(_signed_binomials(l)))
 
 
-def _pair_terms(first: LogLaurentPoly, second: LogLaurentPoly, unit: ExactCoeff):
-    """The terms (upow, ulogpow, zpow, zlogpow, coeff, sign) of unit * first(u) * second(z/u),
+def _pair_terms(second: LogLaurentPoly, unit: ExactCoeff):
+    """The terms (upow, ulogpow, zpow, zlogpow, coeff, sign) of unit * second(z/u),
     each coeff * sign * u^upow (log u)^ulogpow z^zpow (log z)^zlogpow, second(z/u) by _z_over."""
-    for (m, a), f in first.terms.items():
-        f_unit = f * unit
-        for (n, b), g in second.terms.items():
-            coeff = f_unit * g
-            for zpow, zlogpow, upow, ulogpow, sign in _z_over(n, b):
-                yield m + upow, a + ulogpow, zpow, zlogpow, coeff, sign
+    for (n, b), g in second.terms.items():
+        coeff = unit * g
+        for zpow, zlogpow, upow, ulogpow, sign in _z_over(n, b):
+            yield upow, ulogpow, zpow, zlogpow, coeff, sign
 
 
 def _antiderivative(c: int, a: int, b: int):

@@ -24,9 +24,9 @@ gamma = alpha * beta:
 
 Residues are computed symbolically from the stored polar coefficients,
 Res = sum_k a_k * H^(k-1)(pole) / (k-1)!, never by numeric limits.  One
-driver sums over the factorizations for all four entry points; each product
-supplies only its pair term, and the *_total variants differ only in refusing
-polar germ parts.
+driver sums over the factorizations for both entry points; each product
+supplies only how its pair term is finished.  A totally holomorphic pair has
+no residues, so the general formula is the totally holomorphic one there.
 
 The Hadamard pair term fills one unreduced accumulator (see ``logpoly``); it
 is the one pair formula.  The driver finishes each pair's accumulator once:
@@ -36,12 +36,12 @@ takes each pair of terms f u^m (log u)^a of dF and g w^n (log w)^b of dG
 whole: with the -1/2pii unit on each term of dF once, f g z^n u^(m-n-1)
 (log u)^a (log(z/u))^b goes to logpoly._add_integral, which integrates over
 both logs in closed form and expands each endpoint once.  Each residue reads
-logpoly._pair_terms, the stream of the terms of unit * dF(u) dG(z/u), with
-dF = 1 and the unit -a_k/(k-1)!, one weight per polar order, and
-differentiates u^p (log u)^q in closed form.  logpoly alone expands
-log(z/x) = log z - log x.  Every substitution passes the location itself, and
-its powers and Log powers come from the bounded cache of location units in
-``logpoly``, so repeated products build none of them again.
+logpoly._pair_terms, the stream of the terms of unit * dG(z/u), with the
+unit -a_k/(k-1)!, one weight per polar order, and differentiates u^p (log u)^q
+in closed form.  logpoly alone expands log(z/x) = log z - log x.  Every
+substitution passes the location itself, and its powers and Log powers come
+from the bounded cache of location units in ``logpoly``, so repeated products
+build none of them again.
 """
 
 from __future__ import annotations
@@ -56,11 +56,6 @@ from .logpoly import LogLaurentPoly, _add_at, _add_integral, _finished, _gauss, 
 from .series import TruncatedSeries
 
 NEG_INV_TWO_PI_I = -ExactCoeff.two_pi_i(-1)
-_ONE = LogLaurentPoly.constant(1)
-
-
-class GermNotTotallyHolomorphic(ValueError):
-    """A totally-holomorphic-only formula met a polar germ part."""
 
 
 @dataclass(frozen=True)
@@ -83,10 +78,6 @@ class GermPart:
         if not coeffs:
             raise ValueError("a polar part needs at least one coefficient")
         return GermPart(coeffs)
-
-    @property
-    def is_totally_holomorphic(self) -> bool:
-        return not self.polar
 
 
 @dataclass(frozen=True)
@@ -178,18 +169,13 @@ def _pairs_for_gamma(f: FunctionSpec, g: FunctionSpec, gamma: GaussianRational):
     return pairs
 
 
-def _product_monodromy(finish, f: FunctionSpec, g: FunctionSpec, gamma,
-                       holomorphic_only: bool) -> MonodromyResult:
+def _product_monodromy(finish, f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyResult:
     """Sum over the factorizations gamma = alpha * beta of each Hadamard pair accumulator, finished."""
     gamma = _gauss(gamma)
     pairs = _pairs_for_gamma(f, g, gamma)
     contributions = []
     total = LogLaurentPoly.zero()
     for sf, sg in pairs:
-        if holomorphic_only and (sf.germ.polar or sg.germ.polar):
-            raise GermNotTotallyHolomorphic(
-                f"pair ({sf.location}, {sg.location}) carries a polar germ part"
-            )
         value = LogLaurentPoly._wrap(finish(_hadamard_pair(sf, sg)))
         contributions.append(value)
         total = total + value
@@ -221,7 +207,7 @@ def _add_residue(acc: dict, pole: GaussianRational, polar: Sequence[ExactCoeff],
         if not a_k:
             continue
         weight = a_k * Fraction(-1, math.factorial(r))
-        for upow, q, zpow, zlogpow, coeff, binomial in _pair_terms(_ONE, other, weight):
+        for upow, q, zpow, zlogpow, coeff, binomial in _pair_terms(other, weight):
             p = upow - 1
             for t, c in enumerate(_derivative_row(p, q, r)):
                 if c:
@@ -247,29 +233,14 @@ def _ene_finished(acc: dict) -> dict:
     return _finished(_theta(acc, -1))
 
 
-def hadamard_monodromy_total(f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyResult:
-    """Monodromy of the Hadamard product at gamma, totally holomorphic case."""
-    return _product_monodromy(_finished, f, g, gamma, True)
-
-
 def hadamard_monodromy_general(f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyResult:
     """Monodromy of the Hadamard product at gamma, polar germ parts allowed."""
-    return _product_monodromy(_finished, f, g, gamma, False)
-
-
-def ene_monodromy_total(f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyResult:
-    """Monodromy of the exponential ene product at gamma, totally holomorphic case."""
-    return _product_monodromy(_ene_finished, f, g, gamma, True)
+    return _product_monodromy(_finished, f, g, gamma)
 
 
 def ene_monodromy_general(f: FunctionSpec, g: FunctionSpec, gamma) -> MonodromyResult:
     """Monodromy of the exponential ene product at gamma, polar germ parts allowed."""
-    return _product_monodromy(_ene_finished, f, g, gamma, False)
-
-
-def ene_symmetry_check(f: FunctionSpec, g: FunctionSpec, gamma) -> bool:
-    """The ene formula is symmetric in its arguments, as -theta of the symmetric Hadamard one."""
-    return ene_monodromy_total(f, g, gamma).value == ene_monodromy_total(g, f, gamma).value
+    return _product_monodromy(_ene_finished, f, g, gamma)
 
 
 def divisor_ene(f: Divisor, g: Divisor) -> Divisor:
@@ -317,6 +288,7 @@ def polylog_monodromy(k: int) -> LogLaurentPoly:
     li1 = polylog_function_spec(1)
     current = li1
     for j in range(1, k):
-        value = hadamard_monodromy_total(current, li1, 1).value
+        # the driver itself: a traced hadamard_monodromy_general would count every step
+        value = _product_monodromy(_finished, current, li1, 1).value
         current = FunctionSpec.of(f"Li_{j + 1}", [Singularity(_gauss(1), value)])
     return current.singularities[0].monodromy

@@ -30,9 +30,8 @@ from hadene.monodromy import (
     FunctionSpec,
     Singularity,
     divisor_ene,
-    ene_monodromy_total,
+    ene_monodromy_general,
     hadamard_monodromy_general,
-    hadamard_monodromy_total,
     koebe_polar_function_spec,
     log_ladder_monodromy,
     polylog_function_spec,
@@ -76,7 +75,7 @@ def test_criterion_02_ene_polylog_monodromy_exact():
     started = time.perf_counter()
     for k in range(2, 6):
         for l in range(2, 6):
-            value = ene_monodromy_total(polylog_function_spec(k), polylog_function_spec(l), 1).value
+            value = ene_monodromy_general(polylog_function_spec(k), polylog_function_spec(l), 1).value
             expected = LogLaurentPoly.term(0, k + l - 2, Fraction(1, math.factorial(k + l - 2))).scale(TWO_PI_I)
             assert value == expected
             assert value == -log_ladder_monodromy(k + l - 1)
@@ -162,12 +161,12 @@ def test_criterion_07_plm_closure_structural():
         alpha, beta = rng.choice(locations), rng.choice(locations)
         f = FunctionSpec.of("f", [Singularity(alpha, random_mono_poly(rng, 4, 2))])
         g = FunctionSpec.of("g", [Singularity(beta, random_mono_poly(rng, 4, 2))])
-        assert all(zpow >= 0 for zpow, _ in hadamard_monodromy_total(f, g, alpha * beta).value.terms)
+        assert all(zpow >= 0 for zpow, _ in hadamard_monodromy_general(f, g, alpha * beta).value.terms)
     for _ in range(50):
         alpha, beta = rng.choice(locations), rng.choice(locations)
         f = FunctionSpec.of("f", [Singularity(alpha, random_mono_poly(rng, 4, 0))])
         g = FunctionSpec.of("g", [Singularity(beta, random_mono_poly(rng, 4, 0))])
-        assert hadamard_monodromy_total(f, g, alpha * beta).value.max_logpow() <= 1
+        assert hadamard_monodromy_general(f, g, alpha * beta).value.max_logpow() <= 1
     report(7, "log-polynomial closure: no Laurent leakage, <= one log for polynomials", started)
 
 
@@ -205,7 +204,7 @@ def test_criterion_09_ene_symmetry_exact():
     for _ in range(20):
         f = FunctionSpec.of("f", [Singularity(gr(2), random_mono_poly(rng, 3, 2))])
         g = FunctionSpec.of("g", [Singularity(gr(3), random_mono_poly(rng, 3, 2))])
-        assert ene_monodromy_total(f, g, 6).value == ene_monodromy_total(g, f, 6).value
+        assert ene_monodromy_general(f, g, 6).value == ene_monodromy_general(g, f, 6).value
     report(9, "ene monodromy symmetric in its arguments, 20 random pairs", started)
 
 
@@ -213,7 +212,7 @@ def test_criterion_10_dual_engine_agreement():
     started = time.perf_counter()
     li1_spec = polylog_function_spec(1)
     li1 = PolylogElement(1)
-    symbolic = hadamard_monodromy_total(li1_spec, li1_spec, 1).value
+    symbolic = hadamard_monodromy_general(li1_spec, li1_spec, 1).value
     for deg in (120, 150, 180, 210, 240):
         z0 = 1.0 + 0.1 * cmath.exp(1j * math.radians(deg))
         measured = monodromy_numeric(li1, li1, 1.0, z0, tol=1e-8)
@@ -222,7 +221,7 @@ def test_criterion_10_dual_engine_agreement():
 
     f_spec = FunctionSpec.of("f", [Singularity(gr(1), LogLaurentPoly.term(1, 0, 1).scale(TWO_PI_I))])
     g_spec = FunctionSpec.of("g", [Singularity(gr(1), LogLaurentPoly.constant(TWO_PI_I))])
-    symbolic_poly = hadamard_monodromy_total(f_spec, g_spec, 1).value
+    symbolic_poly = hadamard_monodromy_general(f_spec, g_spec, 1).value
     f_elem = LogBranchElement(1.0, [0.0, 1.0])
     g_elem = LogBranchElement(1.0)
     for z0 in (0.93, 0.92 + 0.05j):

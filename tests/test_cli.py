@@ -171,6 +171,10 @@ MALFORMED_RECORDS = [
     (function_spec_from_doc, {**FUNCTION, "singularities": [{"location": 2}]}, "location-not-string"),
     (function_spec_from_doc, {**FUNCTION, "singularities": [{"location": "2", "germ": {"type": "polar", "coeffs": 5}}]},
      "polar-coeffs-not-list"),
+    (function_spec_from_doc, {**FUNCTION, "singularities": [{"location": "2", "germ": {"type": "polar", "coeffs": [ONE, [{"coeff": "0"}]]}}]},
+     "polar-highest-coeff-zero"),
+    (function_spec_from_doc, {**FUNCTION, "singularities": [{"location": "2", "germ": {"type": "polar", "coeffs": [ONE, []]}}]},
+     "polar-highest-coeff-empty"),
     (divisor_from_doc, {**DIVISOR, "points": 5}, "points-not-list"),
     (divisor_from_doc, {**DIVISOR, "points": [{"location": "2", "multiplicity": 0.5}]}, "multiplicity-float"),
     # a complex pair is exactly two finite JSON numbers, not bools
@@ -178,6 +182,8 @@ MALFORMED_RECORDS = [
     (element_from_doc, {"kind": "rational", "num": [[1, 0]], "den": [[10 ** 400, 0]]}, "element-pair-int-overflow"),
     (element_from_doc, {"kind": "rational", "num": [[1.0, 0, 7]], "den": [[1, 0]]}, "element-pair-three-numbers"),
     (element_from_doc, {"kind": "series", "coeffs": [[True, False]]}, "element-pair-bools"),
+    (element_from_doc, {"kind": "rational", "num": [[1, 0]], "den": [[0, 0]], "poles": [[1, 0]]}, "rational-den-zero"),
+    (element_from_doc, {"kind": "rational", "num": [[1, 0]], "den": [], "poles": [[1, 0]]}, "rational-den-empty"),
     (series_from_doc, {**COMPLEX_SERIES, "coeffs": [[1, 0], [10 ** 400, 0]]}, "series-pair-int-overflow"),
     (series_from_doc, {**COMPLEX_SERIES, "coeffs": [[1.0, 0, 7]]}, "series-pair-three-numbers"),
     (series_from_doc, {**COMPLEX_SERIES, "coeffs": [[True, False]]}, "series-pair-bools"),

@@ -393,6 +393,13 @@ def test_monodromy_node_budget_counts_tracked_nodes():
     assert abs(measured - (-TWO_PI_I * math.log(0.9))) < 1e-8
 
 
+def test_monodromy_stops_at_a_round_that_is_not_finite():
+    # 1e308 / 1e-308 overflows on the first round: no later round can converge
+    huge = RationalElement([1e308], [1e-308], [1.0])
+    with np.errstate(all="ignore"), pytest.raises(QuadratureNotConverged, match="not finite"):
+        monodromy_numeric(huge, PolylogElement(1), 1.0, 0.9)
+
+
 def test_winding_audit_trips_on_half_a_detour_block():
     # the first six pieces loop alpha and z0/beta once, positively only, so
     # the branches are not handed back
@@ -458,7 +465,7 @@ def test_monodromy_two_factorizations_superpose():
     # gamma = 4i factors as 2 * 2i and 2i * 2: the deformed contour grows one
     # detour per pair and the measured total matches the symbolic superposition
     from hadene.continuation import SumElement
-    from hadene.monodromy import hadamard_monodromy_total
+    from hadene.monodromy import hadamard_monodromy_general
 
     two_pi_i = ExactCoeff.two_pi_i()
     elem = SumElement([LogBranchElement(2.0), LogBranchElement(2j)])
@@ -466,7 +473,7 @@ def test_monodromy_two_factorizations_superpose():
         Singularity(GaussianRational.of(2), LogLaurentPoly.constant(two_pi_i)),
         Singularity(GaussianRational.of(0, 2), LogLaurentPoly.constant(two_pi_i)),
     ])
-    symbolic = hadamard_monodromy_total(spec, spec, GaussianRational.of(0, 4))
+    symbolic = hadamard_monodromy_general(spec, spec, GaussianRational.of(0, 4))
     assert len(symbolic.pairs) == 2
     for z0 in (3.8j, 3.9j * cmath.exp(0.03j)):
         measured = monodromy_numeric(elem, elem, 4j, z0, tol=1e-8)

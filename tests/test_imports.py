@@ -227,6 +227,20 @@ def test_monodromy_holds_one_pair_formula():
     assert callers == {"_hadamard_pair": primitives}
 
 
+def test_each_product_has_one_driver():
+    # one driver with no flag: a change to the sum over factorizations (ROADMAP item 1's
+    # log-branch shift among them) reaches both products and the ladder at once
+    tree = ast.parse((ROOT / "src" / "hadene" / "monodromy.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    driver = functions["_product_monodromy"].args
+    assert [arg.arg for arg in driver.args] == ["finish", "f", "g", "gamma"]
+    assert not (driver.posonlyargs or driver.kwonlyargs or driver.vararg or driver.kwarg or driver.defaults)
+    callers = {name for name, function in functions.items()
+               if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "_product_monodromy" for node in ast.walk(function))}
+    assert callers == {"hadamard_monodromy_general", "ene_monodromy_general", "polylog_monodromy"}
+
+
 def test_series_uses_no_private_fraction_api():
     # pyproject declares Python >= 3.10, and Fraction's private API changed in 3.12:
     # the `_normalize=` keyword went, `_from_coprime_ints` came.  The series kernels

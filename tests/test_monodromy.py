@@ -15,22 +15,19 @@ from hadene.logpoly import BranchPoint, LogLaurentPoly
 from hadene.monodromy import (
     Divisor,
     FunctionSpec,
-    GermNotTotallyHolomorphic,
     GermPart,
     MonodromyResult,
     Singularity,
     divisor_ene,
     ene_monodromy_general,
-    ene_monodromy_total,
-    ene_symmetry_check,
     hadamard_monodromy_general,
-    hadamard_monodromy_total,
     koebe_polar_function_spec,
     log_ladder_monodromy,
     polylog_function_spec,
     polylog_monodromy,
     product_set,
 )
+from hadene.monodromy import _add_residue, _pairs_for_gamma
 from reference_ring import (
     BiLogPoly,
     from_poly_at_z_over_u,
@@ -96,7 +93,7 @@ def test_product_set_empty():
 
 def test_constant_monodromies_give_log():
     li1 = polylog_function_spec(1)
-    result = hadamard_monodromy_total(li1, li1, 1)
+    result = hadamard_monodromy_general(li1, li1, 1)
     assert result.value == LogLaurentPoly.term(0, 1, 1).scale(-TWO_PI_I)
     assert result.pairs == ((gr(1), gr(1)),)
 
@@ -105,7 +102,7 @@ def test_ladder_induction_step():
     li1 = polylog_function_spec(1)
     for k in range(1, 6):
         lik = polylog_function_spec(k)
-        result = hadamard_monodromy_total(lik, li1, 1)
+        result = hadamard_monodromy_general(lik, li1, 1)
         assert result.value == log_ladder_monodromy(k + 1)
 
 
@@ -113,43 +110,19 @@ def test_linear_times_constant_monodromy():
     a, b = Fraction(3), Fraction(5, 2)
     f = spec_with("f", 1, LogLaurentPoly.term(1, 0, a))
     g = spec_with("g", 1, LogLaurentPoly.constant(b))
-    result = hadamard_monodromy_total(f, g, 1)
+    result = hadamard_monodromy_general(f, g, 1)
     coeff = ExactCoeff.from_rational(a * b) * ExactCoeff.two_pi_i(-1) * (-1)
     expected = (LogLaurentPoly.z() - LogLaurentPoly.constant(1)).scale(coeff)
     assert result.value == expected
 
 
-def test_total_rejects_polar_germ():
-    f = koebe_polar_function_spec()
-    g = polylog_function_spec(2)
-    with pytest.raises(GermNotTotallyHolomorphic):
-        hadamard_monodromy_total(f, g, 1)
-
-
-def test_ene_total_rejects_polar_germ():
-    f = koebe_polar_function_spec()
-    g = polylog_function_spec(2)
-    with pytest.raises(GermNotTotallyHolomorphic):
-        ene_monodromy_total(f, g, 1)
-    with pytest.raises(GermNotTotallyHolomorphic):
-        ene_monodromy_total(g, f, 1)
-
-
 def test_gamma_without_factorization_gives_zero():
     li1 = polylog_function_spec(1)
-    result = hadamard_monodromy_total(li1, li1, 7)
+    result = hadamard_monodromy_general(li1, li1, 7)
     assert result.value.is_zero() and result.pairs == ()
 
 
 # --- hadamard, general -------------------------------------------------------------
-
-
-def test_general_equals_total_when_no_polar_parts():
-    rng = random.Random(21)
-    for _ in range(20):
-        f = spec_with("f", 2, random_holomorphic_poly(rng))
-        g = spec_with("g", 3, random_holomorphic_poly(rng))
-        assert hadamard_monodromy_general(f, g, 6).value == hadamard_monodromy_total(f, g, 6).value
 
 
 def test_pure_polar_against_monodromy_is_derivative_style():
@@ -187,12 +160,12 @@ def test_koebe_polar_on_li2_gives_constant_period():
 def test_ene_polylog_pairs_close_the_ladder():
     for k in range(2, 6):
         for l in range(2, 6):
-            result = ene_monodromy_total(polylog_function_spec(k), polylog_function_spec(l), 1)
+            result = ene_monodromy_general(polylog_function_spec(k), polylog_function_spec(l), 1)
             assert result.value == -log_ladder_monodromy(k + l - 1)
 
 
 def test_ene_li1_pair():
-    result = ene_monodromy_total(polylog_function_spec(1), polylog_function_spec(1), 1)
+    result = ene_monodromy_general(polylog_function_spec(1), polylog_function_spec(1), 1)
     assert result.value == LogLaurentPoly.constant(TWO_PI_I)
 
 
@@ -200,14 +173,14 @@ def test_ene_constant_monodromies_multiply_multiplicities():
     n_a, n_b = 3, -2
     f = spec_with("f", 2, LogLaurentPoly.constant(TWO_PI_I * n_a))
     g = spec_with("g", 3, LogLaurentPoly.constant(TWO_PI_I * n_b))
-    result = ene_monodromy_total(f, g, 6)
+    result = ene_monodromy_general(f, g, 6)
     assert result.value == LogLaurentPoly.constant(TWO_PI_I * (n_a * n_b))
 
 
 def test_ene_zero_monodromy_gives_zero():
     f = spec_with("f", 2, LogLaurentPoly.zero())
     g = spec_with("g", 3, random_holomorphic_poly(random.Random(23)))
-    assert ene_monodromy_total(f, g, 6).value.is_zero()
+    assert ene_monodromy_general(f, g, 6).value.is_zero()
 
 
 def test_ene_symmetry_on_random_pairs():
@@ -215,23 +188,15 @@ def test_ene_symmetry_on_random_pairs():
     for _ in range(20):
         f = spec_with("f", 2, random_holomorphic_poly(rng))
         g = spec_with("g", 3, random_holomorphic_poly(rng))
-        assert ene_symmetry_check(f, g, 6)
+        assert ene_monodromy_general(f, g, 6).value == ene_monodromy_general(g, f, 6).value
 
 
 def test_ene_symmetry_with_self():
     f = polylog_function_spec(3)
-    assert ene_symmetry_check(f, f, 1)
+    assert ene_monodromy_general(f, f, 1).value == ene_monodromy_general(f, f, 1).value
 
 
 # --- ene, general ----------------------------------------------------------------------
-
-
-def test_ene_general_equals_total_when_no_polar_parts():
-    rng = random.Random(25)
-    for _ in range(10):
-        f = spec_with("f", 2, random_holomorphic_poly(rng))
-        g = spec_with("g", 3, random_holomorphic_poly(rng))
-        assert ene_monodromy_general(f, g, 6).value == ene_monodromy_total(f, g, 6).value
 
 
 def test_ene_constant_monodromy_with_polar_germ_two_term_formula():
@@ -257,8 +222,8 @@ def test_ene_koebe_polar_cases_are_exact():
 
 def test_ene_vs_hadamard_ladder_consistency():
     for k, l in [(1, 1), (2, 2), (2, 3), (4, 2)]:
-        ene_result = ene_monodromy_total(polylog_function_spec(k), polylog_function_spec(l), 1)
-        had = hadamard_monodromy_total(polylog_function_spec(k), polylog_function_spec(l), 1)
+        ene_result = ene_monodromy_general(polylog_function_spec(k), polylog_function_spec(l), 1)
+        had = hadamard_monodromy_general(polylog_function_spec(k), polylog_function_spec(l), 1)
         # Li_k ene Li_l = -Li_{k+l-1} while Li_k (.) Li_l = Li_{k+l}
         assert ene_result.value == -log_ladder_monodromy(k + l - 1)
         assert had.value == log_ladder_monodromy(k + l)
@@ -270,7 +235,7 @@ def test_ene_equals_koebe_composed_hadamard():
     for _ in range(15):
         f = spec_with("f", 2, random_holomorphic_poly(rng))
         g = spec_with("g", 3, random_holomorphic_poly(rng))
-        assert ene_monodromy_total(f, g, 6).value == minus_z_dz(hadamard_monodromy_total(f, g, 6).value)
+        assert ene_monodromy_general(f, g, 6).value == minus_z_dz(hadamard_monodromy_general(f, g, 6).value)
 
 
 def test_ene_equals_koebe_composed_hadamard_with_polar_parts():
@@ -293,10 +258,10 @@ def test_multiplicity_superposition():
     p1, p2, q1, q2 = (random_holomorphic_poly(rng) for _ in range(4))
     f = FunctionSpec.of("f", [Singularity(gr(2), p1), Singularity(gr(3), p2)])
     g = FunctionSpec.of("g", [Singularity(gr(3), q1), Singularity(gr(2), q2)])
-    combined = hadamard_monodromy_total(f, g, 6)
+    combined = hadamard_monodromy_general(f, g, 6)
     assert len(combined.pairs) == 2
-    single_a = hadamard_monodromy_total(spec_with("fa", 2, p1), spec_with("gb", 3, q1), 6)
-    single_b = hadamard_monodromy_total(spec_with("fb", 3, p2), spec_with("ga", 2, q2), 6)
+    single_a = hadamard_monodromy_general(spec_with("fa", 2, p1), spec_with("gb", 3, q1), 6)
+    single_b = hadamard_monodromy_general(spec_with("fb", 3, p2), spec_with("ga", 2, q2), 6)
     assert combined.value == single_a.value + single_b.value
 
 
@@ -310,7 +275,7 @@ def test_plm_closure_no_laurent_leakage():
         alpha, beta = rng.choice(locations), rng.choice(locations)
         f = FunctionSpec.of("f", [Singularity(alpha, random_holomorphic_poly(rng, 4, 2))])
         g = FunctionSpec.of("g", [Singularity(beta, random_holomorphic_poly(rng, 4, 2))])
-        result = hadamard_monodromy_total(f, g, alpha * beta)
+        result = hadamard_monodromy_general(f, g, alpha * beta)
         assert all(zpow >= 0 for zpow, _ in result.value.terms)
 
 
@@ -319,7 +284,7 @@ def test_plm_polynomial_monodromies_get_at_most_one_log():
     for _ in range(30):
         f = spec_with("f", 2, random_holomorphic_poly(rng, 4, 0))
         g = spec_with("g", 3, random_holomorphic_poly(rng, 4, 0))
-        result = hadamard_monodromy_total(f, g, 6)
+        result = hadamard_monodromy_general(f, g, 6)
         assert result.value.max_logpow() <= 1
 
 
@@ -557,9 +522,9 @@ def test_pair_terms_equal_the_composed_chain(engine, composed):
             assert value == composed(sf, sg), f"pair ({alpha}, {beta}) of gamma = {gamma}"
 
 
-def test_ene_product_multiplies_no_more_than_the_hadamard_one(monkeypatch):
-    # the ene pair term is -theta of the Hadamard accumulator, taken on its raw
-    # int triples: it adds no ExactCoeff product to the Hadamard pair term's
+@pytest.fixture
+def products(monkeypatch):
+    """Counts ExactCoeff products: products(call) is the number that call makes."""
     calls = 0
     multiply = ExactCoeff.__mul__
 
@@ -568,12 +533,36 @@ def test_ene_product_multiplies_no_more_than_the_hadamard_one(monkeypatch):
         calls += 1
         return multiply(self, other)
 
+    def count(call) -> int:
+        nonlocal calls
+        calls = 0
+        call()
+        return calls
+
     monkeypatch.setattr(ExactCoeff, "__mul__", counted)
     monkeypatch.setattr(ExactCoeff, "__rmul__", counted)
+    return count
+
+
+def test_ene_product_multiplies_no_more_than_the_hadamard_one(products):
+    # the ene pair term is -theta of the Hadamard accumulator, taken on its raw
+    # int triples: it adds no ExactCoeff product to the Hadamard pair term's
     for f, g, gamma in itertools.chain(golden_grid(), deep_polar_grid()):
-        counts = []
-        for engine in (hadamard_monodromy_general, ene_monodromy_general):
-            calls = 0
-            engine(f, g, gamma)
-            counts.append(calls)
+        counts = [products(lambda: engine(f, g, gamma))
+                  for engine in (hadamard_monodromy_general, ene_monodromy_general)]
         assert counts[0] > 0 and counts[1] == counts[0], gamma
+
+
+def test_residue_multiplies_once_per_order_and_once_per_term(products):
+    # one weight -a_k/(k-1)! per nonzero polar order, then one product per term
+    # of the other monodromy: the stream of unit * dG(z/u) has no dF = 1 factor
+    checked = 0
+    for f, g, gamma in itertools.chain(golden_grid(), deep_polar_grid()):
+        for sf, sg in _pairs_for_gamma(f, g, gamma):
+            for polar_side, other in ((sf, sg), (sg, sf)):
+                polar = polar_side.germ.polar
+                if polar:
+                    count = products(lambda: _add_residue({}, polar_side.location, polar, other.monodromy))
+                    assert count == sum(1 + len(other.monodromy.terms) for a_k in polar if a_k), gamma
+                    checked += 1
+    assert checked > 0
